@@ -82,7 +82,7 @@ int main() {
     for (const auto& stops : mgr.presets().stops_per_flow) {
       stop_free += stops.empty() ? 1 : 0;
     }
-    noc::TrafficEngine traffic(mapped.cfg, mgr.network().flows(), cfg.seed);
+    sim::BernoulliWorkload traffic(mapped.cfg, mgr.network().flows(), cfg.seed);
     sim::run_simulation(mgr.network(), traffic, mapped.cfg);
     t.add_row({mapping::app_name(app), strf("%llu", (unsigned long long)cost.drain_cycles),
                strf("%d", cost.stores), strf("%llu", (unsigned long long)cost.store_cycles),

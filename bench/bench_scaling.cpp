@@ -190,13 +190,13 @@ void paper_scaling_study() {
       double mesh_lat, smart_lat;
       {
         auto mesh = noc::make_baseline_mesh(cfg, mk());
-        noc::TrafficEngine tr(cfg, mesh->flows(), cfg.seed);
+        sim::BernoulliWorkload tr(cfg, mesh->flows(), cfg.seed);
         sim::run_simulation(*mesh, tr, cfg);
         mesh_lat = mesh->stats().avg_network_latency();
       }
       {
         auto smart = smart::make_smart_network(cfg, mk());
-        noc::TrafficEngine tr(cfg, smart.net->flows(), cfg.seed);
+        sim::BernoulliWorkload tr(cfg, smart.net->flows(), cfg.seed);
         sim::run_simulation(*smart.net, tr, cfg);
         smart_lat = smart.net->stats().avg_network_latency();
       }

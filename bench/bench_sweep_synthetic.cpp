@@ -34,13 +34,13 @@ int main() {
       double mesh_lat, smart_lat;
       {
         auto net = noc::make_baseline_mesh(cfg, mk());
-        noc::TrafficEngine tr(cfg, net->flows(), cfg.seed);
+        sim::BernoulliWorkload tr(cfg, net->flows(), cfg.seed);
         const auto res = sim::run_simulation(*net, tr, cfg);
         mesh_lat = res.drained ? net->stats().avg_network_latency() : -1.0;
       }
       {
         auto smart = smart::make_smart_network(cfg, mk());
-        noc::TrafficEngine tr(cfg, smart.net->flows(), cfg.seed);
+        sim::BernoulliWorkload tr(cfg, smart.net->flows(), cfg.seed);
         const auto res = sim::run_simulation(*smart.net, tr, cfg);
         smart_lat = res.drained ? smart.net->stats().avg_network_latency() : -1.0;
       }

@@ -44,7 +44,17 @@ DedicatedNetwork::DedicatedNetwork(const NocConfig& cfg, noc::FlowSet flows)
     // free-VC pool *is* the destination NIC's receive pool.
   }
   for (auto& [node, sink] : sinks_) {
-    sink.arb = noc::RoundRobinArbiter(static_cast<int>(sink.inputs.size()) * cfg_.vcs_per_port);
+    // A sink arbitrates over every (in-flow, VC) pair; wider fan-in than the
+    // arbiter's fixed mask is a configuration the design cannot build.
+    const int width = static_cast<int>(sink.inputs.size()) * cfg_.vcs_per_port;
+    if (width > noc::kMaxArbInputs) {
+      throw ConfigError("dedicated design: sink at node " + std::to_string(node) + " has " +
+                        std::to_string(sink.inputs.size()) + " in-flows x " +
+                        std::to_string(cfg_.vcs_per_port) + " VCs = " + std::to_string(width) +
+                        " arbiter inputs, above the limit of " +
+                        std::to_string(noc::kMaxArbInputs));
+    }
+    sink.arb = noc::RoundRobinArbiter(width);
   }
 }
 

@@ -173,32 +173,25 @@ void MeshNetwork::validate_and_index_flow(const Flow& flow) {
 }
 
 void MeshNetwork::tick() {
-  if (observer_wants_deltas_) {
-    // Snapshot/diff around the kernel: every ActivityCounters mutation
-    // happens inside the tick phases and stats resets happen between
-    // ticks, so the field-wise difference is exactly this tick's activity.
-    // (Sharded ticks fold their per-shard deltas into the global counters
-    // in the epilogue, inside the tick - the diff stays exact.)
-    const ActivityCounters before = stats_.activity();
-    if (reference_kernel_) {
-      tick_reference();
-    } else if (shards_.size() > 1 || force_sharded_) {
-      // Observer callbacks must arrive on one thread: run the same sharded
-      // protocol, shard by shard, on the caller. Bit-identical to the
-      // parallel path (pass order across shards is immaterial by design).
-      tick_sharded(/*parallel=*/false);
-    } else {
-      tick_active_set();
-    }
-    observer_->activity_delta(activity_diff(stats_.activity(), before), now_);
-    return;
-  }
+  // Snapshot/diff around the kernel: every ActivityCounters mutation happens
+  // inside the tick phases and stats resets happen between ticks, so the
+  // field-wise difference is exactly this tick's activity. (Sharded ticks
+  // fold their per-shard deltas into the global counters in the epilogue,
+  // inside the tick - the diff stays exact.)
+  ActivityCounters before;
+  if (observer_wants_deltas_) before = stats_.activity();
   if (reference_kernel_) {
     tick_reference();
   } else if (shards_.size() > 1 || force_sharded_) {
+    // Observer callbacks must arrive on one thread: with an observer the
+    // same sharded protocol runs shard by shard on the caller, bit-identical
+    // to the parallel path (pass order across shards is immaterial by design).
     tick_sharded(/*parallel=*/observer_ == nullptr && shards_.size() > 1);
   } else {
     tick_active_set();
+  }
+  if (observer_wants_deltas_) {
+    observer_->activity_delta(activity_diff(stats_.activity(), before), now_);
   }
 }
 
@@ -206,11 +199,19 @@ void MeshNetwork::tick_active_set() {
   now_ += 1;
   ShardState& s = shards_.front();
   s.ticks += 1;
+  ActivityCounters& act = stats_.activity();
+  run_phases(s, act);
+  // Idle-clock accounting for the power model.
+  act.clocked_inport_cycles += static_cast<std::uint64_t>(clocked_in_total_);
+  act.clocked_outport_cycles += static_cast<std::uint64_t>(clocked_out_total_);
+}
 
+void MeshNetwork::run_phases(ShardState& s, ActivityCounters& act) {
   // Phase 1: deliver due credits into free-VC queues (usable by SA below).
   // One wheel bucket holds exactly the credits due this cycle; credits due
   // the same cycle always target distinct free-VC queues (at most one tail
   // departs per input port / NIC per cycle), so bucket order is immaterial.
+  // Wheel credits always target this shard's slice.
   {
     auto& bucket = s.wheel[now_ % kWheelSize];
     for (const InFlightCredit& c : bucket) {
@@ -220,7 +221,6 @@ void MeshNetwork::tick_active_set() {
     bucket.clear();  // keeps its capacity: no steady-state allocation
   }
 
-  ActivityCounters& act = stats_.activity();
   // Phases 2-5 walk only the active components. Index loops on purpose:
   // deliveries within a phase can activate (append) new components, which
   // then see the remaining phases this cycle - a no-op for them, since a
@@ -266,10 +266,6 @@ void MeshNetwork::tick_active_set() {
     }
     s.active_nics.resize(w);
   }
-
-  // Idle-clock accounting for the power model.
-  act.clocked_inport_cycles += static_cast<std::uint64_t>(clocked_in_total_);
-  act.clocked_outport_cycles += static_cast<std::uint64_t>(clocked_out_total_);
 }
 
 void MeshNetwork::tick_sharded(bool parallel) {
@@ -298,61 +294,15 @@ void MeshNetwork::tick_sharded(bool parallel) {
 }
 
 void MeshNetwork::shard_pass_a(ShardState& s) {
-  // Identical phase structure to tick_active_set (kept separate so the
-  // single-shard hot path stays free of sink/epilogue machinery), but
-  // activity lands in the shard's delta and deliveries/credits that leave
-  // the slice are deferred to mailboxes via tl_shard (see deliver()).
+  // The single-shard phase body, with activity landing in the shard's delta;
+  // deliveries/credits that leave the slice are deferred to mailboxes via
+  // tl_shard (see deliver()).
   tl_shard = &s;
   s.ticks += 1;
   if (span_tracer_ != nullptr && s.span_chunk_ticks == 0) {
     s.span_chunk_start_us = span_tracer_->now_us();
   }
-
-  {
-    auto& bucket = s.wheel[now_ % kWheelSize];
-    for (const InFlightCredit& c : bucket) {
-      deliver_credit(c.target, c.vc);  // wheel credits always target this slice
-    }
-    s.credits_in_flight -= bucket.size();
-    bucket.clear();
-  }
-
-  ActivityCounters& act = s.act;
-  for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
-    routers_[static_cast<std::size_t>(s.active_routers[i])]->buffer_write(now_, act);
-  }
-  for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
-    routers_[static_cast<std::size_t>(s.active_routers[i])]->switch_traversal(now_, act);
-  }
-  for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
-    routers_[static_cast<std::size_t>(s.active_routers[i])]->switch_allocation(now_, act);
-  }
-  for (std::size_t i = 0; i < s.active_nics.size(); ++i) {
-    nics_[static_cast<std::size_t>(s.active_nics[i])]->inject(now_, act);
-  }
-
-  {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < s.active_routers.size(); ++r) {
-      const NodeId n = s.active_routers[r];
-      if (routers_[static_cast<std::size_t>(n)]->has_traffic()) {
-        s.active_routers[w++] = n;
-      } else {
-        router_in_set_[static_cast<std::size_t>(n)] = 0;
-      }
-    }
-    s.active_routers.resize(w);
-    w = 0;
-    for (std::size_t r = 0; r < s.active_nics.size(); ++r) {
-      const NodeId n = s.active_nics[r];
-      if (!nics_[static_cast<std::size_t>(n)]->idle()) {
-        s.active_nics[w++] = n;
-      } else {
-        nic_in_set_[static_cast<std::size_t>(n)] = 0;
-      }
-    }
-    s.active_nics.resize(w);
-  }
+  run_phases(s, s.act);
   tl_shard = nullptr;
 }
 

@@ -186,6 +186,12 @@ class MeshNetwork final : public Network, private Fabric {
 
   void tick_active_set();
   void tick_reference();
+  /// The cycle body shared by the single-shard and sharded kernels: pops
+  /// s's credit-wheel bucket, runs BW/ST/SA/inject over s's active
+  /// components charging `act`, then compacts s's active sets. Forced
+  /// inline so each caller compiles its own copy against its own activity
+  /// target: the single-shard hot path stays free of any shard machinery.
+  [[gnu::always_inline]] inline void run_phases(ShardState& s, ActivityCounters& act);
 
   // --- Sharded kernel (shard.hpp documents the protocol) -----------------------
   /// (Re)partitions the mesh into `count` column-slice shards and rewires
@@ -196,7 +202,7 @@ class MeshNetwork final : public Network, private Fabric {
   /// (worker threads when `parallel`, in shard order on the caller when an
   /// observer needs callbacks on one thread), then the serial epilogue.
   void tick_sharded(bool parallel);
-  void shard_pass_a(ShardState& s);  ///< the five phases over s's components
+  void shard_pass_a(ShardState& s);  ///< run_phases over s's slice
   void shard_pass_b(ShardState& s);  ///< drain inboxes addressed to s
   void shard_epilogue();             ///< serial: credits, refcounts, stats merge
 

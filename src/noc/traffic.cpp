@@ -9,14 +9,6 @@
 
 namespace smartnoc::noc {
 
-const char* bernoulli_mode_name(BernoulliMode m) {
-  switch (m) {
-    case BernoulliMode::PerCycle: return "per-cycle";
-    case BernoulliMode::GapSkip: return "gap-skip";
-  }
-  return "?";
-}
-
 TrafficEngine::TrafficEngine(const NocConfig& cfg, const FlowSet& flows, std::uint64_t seed,
                              BernoulliMode mode)
     : mode_(mode) {
@@ -153,38 +145,6 @@ std::vector<TraceEntry> record_bernoulli_trace(const NocConfig& cfg, const FlowS
     engine.generate(net);
   }
   return trace;
-}
-
-std::string serialize_trace(const std::vector<TraceEntry>& trace) {
-  std::string out;
-  char buf[64];
-  for (const auto& e : trace) {
-    std::snprintf(buf, sizeof buf, "%llu %d\n", static_cast<unsigned long long>(e.cycle),
-                  e.flow);
-    out += buf;
-  }
-  return out;
-}
-
-std::vector<TraceEntry> parse_trace(const std::string& text) {
-  std::vector<TraceEntry> out;
-  std::size_t pos = 0;
-  int line_no = 0;
-  while (pos < text.size()) {
-    ++line_no;
-    auto eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    unsigned long long cycle = 0;
-    int flow = 0;
-    if (std::sscanf(line.c_str(), "%llu %d", &cycle, &flow) != 2) {
-      throw ConfigError("trace line " + std::to_string(line_no) + ": expected '<cycle> <flow>'");
-    }
-    out.push_back(TraceEntry{static_cast<Cycle>(cycle), static_cast<FlowId>(flow)});
-  }
-  return out;
 }
 
 TraceReplayer::TraceReplayer(std::vector<TraceEntry> trace) : trace_(std::move(trace)) {

@@ -44,8 +44,6 @@ enum class BernoulliMode : std::uint8_t { PerCycle, GapSkip };
 /// The project-wide default realization (GapSkip; see above).
 inline constexpr BernoulliMode kDefaultBernoulliMode = BernoulliMode::GapSkip;
 
-const char* bernoulli_mode_name(BernoulliMode m);
-
 class TrafficEngine {
  public:
   TrafficEngine(const NocConfig& cfg, const FlowSet& flows, std::uint64_t seed,
@@ -124,8 +122,8 @@ double mbps_for_packets_per_cycle(const NocConfig& cfg, double packets_per_cycle
 // A packet trace decouples workload generation from simulation: record the
 // Bernoulli process once, then replay it bit-identically against any design
 // (the Fig. 10 methodology sends "the same traffic through the network" for
-// all three designs). Traces serialize to a line-oriented text form
-// ("<cycle> <flow>\n") for archival.
+// all three designs). Traces persist in the binary SNTR capture format
+// (telemetry/trace_file.hpp).
 
 struct TraceEntry {
   Cycle cycle = 0;
@@ -141,9 +139,6 @@ struct TraceEntry {
 std::vector<TraceEntry> record_bernoulli_trace(const NocConfig& cfg, const FlowSet& flows,
                                                std::uint64_t seed, Cycle cycles,
                                                BernoulliMode mode = kDefaultBernoulliMode);
-
-std::string serialize_trace(const std::vector<TraceEntry>& trace);
-std::vector<TraceEntry> parse_trace(const std::string& text);
 
 /// Drop-in replacement for TrafficEngine that replays a trace. Entries
 /// must be sorted by cycle (record_bernoulli_trace output is).

@@ -1,5 +1,7 @@
 #include "serve/point_key.hpp"
 
+#include "noc/traffic.hpp"
+
 namespace smartnoc::serve {
 
 // Layout tripwires: if one of these structs grows a field, the canonical
@@ -14,7 +16,7 @@ static_assert(sizeof(sim::PhaseSpec) == 96,
               "PhaseSpec changed: extend canonical_point_bytes and bump kPointKeyVersion");
 static_assert(sizeof(noc::FaultEventSpec) == 32,
               "FaultEventSpec changed: extend canonical_point_bytes and bump kPointKeyVersion");
-static_assert(sizeof(sim::ScenarioSpec) == 440,
+static_assert(sizeof(sim::ScenarioSpec) == 432,
               "ScenarioSpec changed: extend canonical_point_bytes and bump kPointKeyVersion");
 
 namespace {
@@ -81,8 +83,11 @@ std::string canonical_point_bytes(const sim::ScenarioSpec& s) {
   e.f64(s.fault_rate);
   e.u8(s.single_config_core ? 1 : 0);
   e.u64(s.store_issue_cycles);
-  e.u8(static_cast<std::uint8_t>(s.traffic_mode));
-  e.u8(s.use_reference_kernel ? 1 : 0);
+  // Two retired slots (traffic mode, reference kernel), written as the
+  // constants they always held - GapSkip, then 0 - so every key minted
+  // before their retirement stays valid under this kPointKeyVersion.
+  e.u8(static_cast<std::uint8_t>(noc::BernoulliMode::GapSkip));
+  e.u8(0);
   e.u32(static_cast<std::uint32_t>(s.fault_events.size()));
   for (const noc::FaultEventSpec& f : s.fault_events) encode_fault_event(e, f);
   e.u32(static_cast<std::uint32_t>(s.phases.size()));

@@ -98,13 +98,9 @@ inline RunResult session_to_run_result(const SessionResult& sr) {
   return res;
 }
 
-/// Drives any traffic source with the legacy TrafficEngine duck type
-/// (generate / set_enabled / generated) - noc::TrafficEngine,
-/// noc::TraceReplayer or any sim::Workload - through the classic 3-phase
-/// scenario on a caller-built network.
-template <typename Traffic = noc::TrafficEngine>
-RunResult run_simulation(noc::Network& net, Traffic& traffic, const NocConfig& cfg) {
-  DuckWorkload<Traffic> source(traffic);
+/// Drives a workload (sim::BernoulliWorkload, sim::ReplayWorkload, ...)
+/// through the classic 3-phase scenario on a caller-built network.
+inline RunResult run_simulation(noc::Network& net, Workload& source, const NocConfig& cfg) {
   Session session(net, source, classic_phases(cfg));
   return session_to_run_result(session.run());
 }

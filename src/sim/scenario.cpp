@@ -144,13 +144,6 @@ RoutingPolicy parse_routing_token(const std::string& tok) {
   throw ConfigError("unknown routing policy '" + tok + "' (xy, west-first)");
 }
 
-noc::BernoulliMode parse_traffic_mode_token(const std::string& tok) {
-  const std::string t = lower_token(tok);
-  if (t == "per-cycle") return noc::BernoulliMode::PerCycle;
-  if (t == "gap-skip") return noc::BernoulliMode::GapSkip;
-  throw ConfigError("unknown traffic_mode '" + tok + "' (per-cycle, gap-skip)");
-}
-
 void parse_mesh_token(const std::string& tok, NocConfig& cfg) {
   const auto x = tok.find('x');
   if (x == std::string::npos) throw ConfigError("mesh: expected WxH, got '" + tok + "'");
@@ -197,9 +190,19 @@ void apply_scalar(ScenarioSpec& spec, const std::string& key, const std::string&
   else if (key == "single_config_core")
     spec.single_config_core = parse_bool_token(value, "single_config_core");
   else if (key == "store_issue") spec.store_issue_cycles = parse_u64_token(value, "store_issue");
-  else if (key == "traffic_mode") spec.traffic_mode = parse_traffic_mode_token(value);
-  else if (key == "reference_kernel")
-    spec.use_reference_kernel = parse_bool_token(value, "reference_kernel");
+  // Retired test-only switches: the reference kernel and the per-cycle
+  // Bernoulli stream are oracles reached through MeshNetwork and
+  // TrafficEngine. Scenarios saved before the retirement carry both keys at
+  // their defaults, which still parse; any other value is refused.
+  else if (key == "reference_kernel") {
+    if (parse_bool_token(value, "reference_kernel")) {
+      throw ConfigError("scenario key 'reference_kernel' is retired; only 'false' is accepted");
+    }
+  } else if (key == "traffic_mode") {
+    if (lower_token(value) != "gap-skip") {
+      throw ConfigError("scenario key 'traffic_mode' is retired; only 'gap-skip' is accepted");
+    }
+  }
   else if (key == "telemetry_epoch")
     spec.telemetry.epoch_cycles = parse_u64_token(value, "telemetry_epoch");
   else if (key == "record_trace") spec.telemetry.record_trace = value;
@@ -239,8 +242,6 @@ std::string serialize_scenario_text(const ScenarioSpec& spec) {
   out << "fault_rate = " << fmt_double(spec.fault_rate) << "\n";
   out << "single_config_core = " << (spec.single_config_core ? "true" : "false") << "\n";
   out << "store_issue = " << spec.store_issue_cycles << "\n";
-  out << "traffic_mode = " << bernoulli_mode_name(spec.traffic_mode) << "\n";
-  out << "reference_kernel = " << (spec.use_reference_kernel ? "true" : "false") << "\n";
   // Fault-robustness knobs serialize only when set, so pre-fault scenario
   // files round-trip byte-for-byte.
   if (cfg.watchdog_window != NocConfig{}.watchdog_window) {
@@ -654,8 +655,6 @@ std::string serialize_scenario_json(const ScenarioSpec& spec) {
   out << "  \"fault_rate\": " << fmt_double(spec.fault_rate) << ",\n";
   out << "  \"single_config_core\": " << (spec.single_config_core ? "true" : "false") << ",\n";
   out << "  \"store_issue\": " << spec.store_issue_cycles << ",\n";
-  out << "  \"traffic_mode\": \"" << bernoulli_mode_name(spec.traffic_mode) << "\",\n";
-  out << "  \"reference_kernel\": " << (spec.use_reference_kernel ? "true" : "false") << ",\n";
   if (cfg.watchdog_window != NocConfig{}.watchdog_window) {
     out << "  \"watchdog\": " << cfg.watchdog_window << ",\n";
   }

@@ -20,7 +20,6 @@
 
 #include "common/config.hpp"
 #include "noc/fault_engine.hpp"
-#include "noc/traffic.hpp"
 
 namespace smartnoc::sim {
 
@@ -84,9 +83,7 @@ struct ScenarioSpec {
                                ///< deterministic pattern, keyed off the seed)
   bool single_config_core = true;   ///< Fig. 1 cost model: stores ride a ring
   Cycle store_issue_cycles = 1;     ///< issue cost per reconfiguration store
-  noc::BernoulliMode traffic_mode = noc::kDefaultBernoulliMode;
-  bool use_reference_kernel = false;  ///< seed full-scan kernel (golden runs)
-  TelemetrySpec telemetry;            ///< observability block (off by default)
+  TelemetrySpec telemetry;          ///< observability block (off by default)
   /// Online fault injection: timed events (kill/glitch/stall) applied to
   /// the *live* network mid-phase, no drain, no rebuild. Cycles count
   /// whole-session time, so a schedule is independent of phase layout.

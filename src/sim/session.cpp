@@ -203,9 +203,6 @@ void Session::switch_era(const Resolved& rv) {
       break;
     case Design::Dedicated:
       hpc_max_ = 0;
-      if (spec_.use_reference_kernel) {
-        throw ConfigError("reference_kernel applies to mesh-based designs only");
-      }
       owned_net_ = std::make_unique<dedicated::DedicatedNetwork>(cfg, std::move(flows));
       break;
     case Design::Smart: {
@@ -236,11 +233,6 @@ void Session::switch_era(const Resolved& rv) {
     }
   }
   net_ = owned_net_.get();
-  if (spec_.use_reference_kernel) {
-    auto* mesh = dynamic_cast<noc::MeshNetwork*>(net_);
-    SMARTNOC_CHECK(mesh != nullptr, "reference kernel requires a MeshNetwork");
-    mesh->use_reference_kernel(true);
-  }
   if (probe_ != nullptr) {
     if (cfg.flits_per_packet() != probe_->flits_per_packet()) {
       // A trace:<file> workload swaps in the recorded configuration; the
@@ -285,7 +277,7 @@ void Session::switch_era(const Resolved& rv) {
   if (trace_writer_ != nullptr) trace_writer_->begin_era(era_cfg_, net_->flows());
 
   // 4. The per-cycle source for the final (possibly rerouted) flow set.
-  owned_source_ = factory->source(cfg, net_->flows(), cfg.seed, spec_.traffic_mode);
+  owned_source_ = factory->source(cfg, net_->flows(), cfg.seed);
   source_ = owned_source_.get();
 
   pending_reconfig_ = ev;

@@ -12,9 +12,9 @@
 namespace smartnoc::sim {
 
 std::unique_ptr<Workload> WorkloadFactory::source(const NocConfig& cfg,
-                                                  const noc::FlowSet& flows, std::uint64_t seed,
-                                                  noc::BernoulliMode mode) const {
-  return std::make_unique<BernoulliWorkload>(cfg, flows, seed, mode);
+                                                  const noc::FlowSet& flows,
+                                                  std::uint64_t seed) const {
+  return std::make_unique<BernoulliWorkload>(cfg, flows, seed);
 }
 
 namespace {

@@ -36,21 +36,6 @@ class Workload {
   virtual std::uint64_t generated() const = 0;
 };
 
-/// Non-owning adapter over any object with the legacy TrafficEngine duck
-/// type (generate / set_enabled / generated). This is how run_simulation's
-/// template parameter rides on the Session core unchanged.
-template <typename T>
-class DuckWorkload final : public Workload {
- public:
-  explicit DuckWorkload(T& t) : t_(&t) {}
-  void generate(noc::Network& net) override { t_->generate(net); }
-  void set_enabled(bool e) override { t_->set_enabled(e); }
-  std::uint64_t generated() const override { return t_->generated(); }
-
- private:
-  T* t_;
-};
-
 /// Owns a Bernoulli traffic engine (the default source for every built-in
 /// workload).
 class BernoulliWorkload final : public Workload {
@@ -109,7 +94,7 @@ class WorkloadFactory {
 
   virtual noc::FlowSet flows(NocConfig& cfg, double injection) const = 0;
   virtual std::unique_ptr<Workload> source(const NocConfig& cfg, const noc::FlowSet& flows,
-                                           std::uint64_t seed, noc::BernoulliMode mode) const;
+                                           std::uint64_t seed) const;
 };
 
 /// Canonical registry key: lowercased, except `trace:<path>` keys, whose

@@ -82,11 +82,9 @@ noc::FlowSet TraceFileFactory::flows(NocConfig& cfg, double injection) const {
 
 std::unique_ptr<sim::Workload> TraceFileFactory::source(const NocConfig& cfg,
                                                         const noc::FlowSet& flows,
-                                                        std::uint64_t seed,
-                                                        noc::BernoulliMode mode) const {
+                                                        std::uint64_t seed) const {
   (void)cfg;
   (void)seed;
-  (void)mode;
   const TraceEra& era = selected(load());
   if (flows.size() != era.flows.size()) {
     // Fault rerouting dropped flows: the remaining ids no longer line up

@@ -49,11 +49,10 @@ class TraceFileFactory final : public sim::WorkloadFactory {
   /// a capture replays as recorded) and returns the recorded flow set.
   noc::FlowSet flows(NocConfig& cfg, double injection) const override;
 
-  /// A ReplayWorkload over the recorded injection events (seed and mode are
+  /// A ReplayWorkload over the recorded injection events (the seed is
   /// ignored: replay consumes no randomness).
   std::unique_ptr<sim::Workload> source(const NocConfig& cfg, const noc::FlowSet& flows,
-                                        std::uint64_t seed,
-                                        noc::BernoulliMode mode) const override;
+                                        std::uint64_t seed) const override;
 
   const TraceFile& trace() const { return load(); }
   /// The era index this factory replays (0 unless the key selected one).

@@ -3,8 +3,7 @@
 // Usage:
 //   trace_tool info  FILE           one-line header + injection summary
 //   trace_tool flows FILE           the recorded flow table
-//   trace_tool dump  FILE           entries as text ("<cycle> <flow>" lines,
-//                                   the noc::serialize_trace archival form)
+//   trace_tool dump  FILE           entries as text ("<cycle> <flow>" lines)
 //   trace_tool csv   FILE [EPOCH]   injections per epoch as CSV (default
 //                                   epoch: 1024 cycles)
 //   trace_tool diff  A B            compare two captures (config, flow
@@ -96,7 +95,9 @@ int cmd_flows(const telemetry::TraceFile& trace) {
 }
 
 int cmd_dump(const telemetry::TraceFile& trace) {
-  std::fputs(noc::serialize_trace(trace.entries).c_str(), stdout);
+  for (const noc::TraceEntry& e : trace.entries) {
+    std::printf("%llu %d\n", static_cast<unsigned long long>(e.cycle), e.flow);
+  }
   return 0;
 }
 

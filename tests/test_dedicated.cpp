@@ -90,7 +90,7 @@ TEST(Dedicated, ConservationUnderLoad) {
   auto flows = noc::make_synthetic_flows(cfg, noc::SyntheticPattern::Hotspot, 0.02,
                                          noc::TurnModel::XY);
   DedicatedNetwork net(cfg, std::move(flows));
-  noc::TrafficEngine traffic(cfg, net.flows(), cfg.seed);
+  sim::BernoulliWorkload traffic(cfg, net.flows(), cfg.seed);
   const auto res = sim::run_simulation(net, traffic, cfg);
   ASSERT_TRUE(res.drained);
   EXPECT_GT(net.stats().total_packets(), 0u);
@@ -108,11 +108,39 @@ TEST(Dedicated, NeverSlowerThanSmart) {
   };
   DedicatedNetwork ded(cfg, mk());
   auto smart = smart::make_smart_network(cfg, mk());
-  noc::TrafficEngine td(cfg, ded.flows(), cfg.seed);
-  noc::TrafficEngine ts(cfg, smart.net->flows(), cfg.seed);
+  sim::BernoulliWorkload td(cfg, ded.flows(), cfg.seed);
+  sim::BernoulliWorkload ts(cfg, smart.net->flows(), cfg.seed);
   ASSERT_TRUE(sim::run_simulation(ded, td, cfg).drained);
   ASSERT_TRUE(sim::run_simulation(*smart.net, ts, cfg).drained);
   EXPECT_LE(ded.stats().avg_network_latency(), smart.net->stats().avg_network_latency() + 1e-9);
+}
+
+TEST(Dedicated, WideFanInIsAConfigErrorNotAnAbort) {
+  // Uniform traffic gives every sink (nodes - 1) in-flows, each arbitrated
+  // per VC: on 8x8 that is 63 x 2 = 126 inputs, past noc::kMaxArbInputs.
+  NocConfig cfg = test_config();
+  cfg.vcs_per_port = 2;
+  cfg.width = 8;
+  cfg.height = 8;
+  cfg.fit_derived();
+  auto wide = noc::make_synthetic_flows(cfg, noc::SyntheticPattern::UniformRandom, 0.02,
+                                        noc::TurnModel::XY);
+  try {
+    DedicatedNetwork net(cfg, std::move(wide));
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("node"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("126"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(noc::kMaxArbInputs)), std::string::npos) << msg;
+  }
+  // 4x4 uniform (15 x 2 = 30 inputs per sink) still builds.
+  cfg.width = 4;
+  cfg.height = 4;
+  cfg.fit_derived();
+  DedicatedNetwork small(cfg, noc::make_synthetic_flows(cfg, noc::SyntheticPattern::UniformRandom,
+                                                        0.02, noc::TurnModel::XY));
+  EXPECT_TRUE(small.has_sink_router(0));
 }
 
 TEST(Dedicated, OnlyLinkEnergyForUncontendedTraffic) {

@@ -66,7 +66,7 @@ TEST_P(DesignSpace, LoadedRunConservesAndDrains) {
   auto flows = noc::make_synthetic_flows(cfg, noc::SyntheticPattern::BitComplement, 0.04,
                                          noc::TurnModel::XY);
   auto smart = smart::make_smart_network(cfg, std::move(flows));
-  noc::TrafficEngine traffic(cfg, smart.net->flows(), cfg.seed);
+  sim::BernoulliWorkload traffic(cfg, smart.net->flows(), cfg.seed);
   const auto res = sim::run_simulation(*smart.net, traffic, cfg);
   EXPECT_TRUE(res.drained) << GetParam().name();
   EXPECT_GT(smart.net->stats().total_packets(), 0u) << GetParam().name();

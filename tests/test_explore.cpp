@@ -255,7 +255,7 @@ TEST(RunnerStats, RunResultCarriesLatencySnapshot) {
   auto flows = noc::make_synthetic_flows(cfg, noc::SyntheticPattern::Transpose, 0.05,
                                          noc::TurnModel::XY);
   auto smart = smart::make_smart_network(cfg, std::move(flows));
-  noc::TrafficEngine traffic(cfg, smart.net->flows(), cfg.seed);
+  sim::BernoulliWorkload traffic(cfg, smart.net->flows(), cfg.seed);
   const sim::RunResult run = sim::run_simulation(*smart.net, traffic, cfg);
   ASSERT_TRUE(run.drained);
   const auto& stats = smart.net->stats();

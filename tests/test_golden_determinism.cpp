@@ -100,7 +100,7 @@ sim::RunResult run_once(const MatrixPoint& pt, bool reference_kernel,
     net = noc::make_baseline_mesh(cfg, std::move(flows));
   }
   net->use_reference_kernel(reference_kernel);
-  noc::TrafficEngine traffic(cfg, net->flows(), cfg.seed);
+  sim::BernoulliWorkload traffic(cfg, net->flows(), cfg.seed);
   const sim::RunResult res = sim::run_simulation(*net, traffic, cfg);
   if (final_stats != nullptr) *final_stats = net->stats();
   return res;
@@ -209,8 +209,9 @@ sim::RunResult run_fault_scenario(const FaultSchedulePoint& pt, bool reference_k
   cfg.hpc_max_override = pt.design == Design::Smart ? pt.hpc_max : 0;
   sim::ScenarioSpec spec = sim::ScenarioSpec::classic(pt.design, "uniform", 0.05, cfg);
   spec.fault_events = noc::parse_fault_schedule_token(pt.schedule);
-  spec.use_reference_kernel = reference_kernel;
   sim::Session session(std::move(spec));
+  session.step(0);  // builds the first (and only) era's network, ticks nothing
+  session.mesh_network()->use_reference_kernel(reference_kernel);
   const sim::SessionResult sr = session.run();
   if (final_stats != nullptr) *final_stats = session.network().stats();
   return sim::session_to_run_result(sr);

@@ -34,7 +34,7 @@ const std::map<mapping::SocApp, AppNumbers>& numbers() {
       AppNumbers n{};
       {
         auto net = noc::make_baseline_mesh(mapped.cfg, mapped.flows);
-        noc::TrafficEngine t(mapped.cfg, net->flows(), cfg.seed);
+        sim::BernoulliWorkload t(mapped.cfg, net->flows(), cfg.seed);
         const auto r = sim::run_simulation(*net, t, mapped.cfg);
         EXPECT_TRUE(r.drained) << mapping::app_name(app);
         n.mesh_lat = net->stats().avg_network_latency();
@@ -42,7 +42,7 @@ const std::map<mapping::SocApp, AppNumbers>& numbers() {
       }
       {
         auto smart = smart::make_smart_network(mapped.cfg, mapped.flows);
-        noc::TrafficEngine t(mapped.cfg, smart.net->flows(), cfg.seed);
+        sim::BernoulliWorkload t(mapped.cfg, smart.net->flows(), cfg.seed);
         const auto r = sim::run_simulation(*smart.net, t, mapped.cfg);
         EXPECT_TRUE(r.drained) << mapping::app_name(app);
         n.smart_lat = smart.net->stats().avg_network_latency();
@@ -50,7 +50,7 @@ const std::map<mapping::SocApp, AppNumbers>& numbers() {
       }
       {
         dedicated::DedicatedNetwork ded(mapped.cfg, mapped.flows);
-        noc::TrafficEngine t(mapped.cfg, ded.flows(), cfg.seed);
+        sim::BernoulliWorkload t(mapped.cfg, ded.flows(), cfg.seed);
         const auto r = sim::run_simulation(ded, t, mapped.cfg);
         EXPECT_TRUE(r.drained) << mapping::app_name(app);
         n.ded_lat = ded.stats().avg_network_latency();

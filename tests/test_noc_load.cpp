@@ -14,7 +14,6 @@ namespace smartnoc {
 namespace {
 
 using noc::SyntheticPattern;
-using noc::TrafficEngine;
 using smartnoc::testing::test_config;
 
 struct LoadCase {
@@ -39,7 +38,7 @@ TEST_P(LoadSweep, ConservationAndDrain) {
   } else {
     net = noc::make_baseline_mesh(cfg, std::move(flows));
   }
-  TrafficEngine traffic(cfg, net->flows(), cfg.seed);
+  sim::BernoulliWorkload traffic(cfg, net->flows(), cfg.seed);
   const auto res = sim::run_simulation(*net, traffic, cfg);
 
   ASSERT_TRUE(res.drained) << "network failed to drain";
@@ -88,8 +87,8 @@ TEST(Load, TransposeSmartBeatsMeshOnLatency) {
   };
   auto smart = smart::make_smart_network(cfg, mk_flows());
   auto mesh = noc::make_baseline_mesh(cfg, mk_flows());
-  TrafficEngine ts(cfg, smart.net->flows(), cfg.seed);
-  TrafficEngine tm(cfg, mesh->flows(), cfg.seed);
+  sim::BernoulliWorkload ts(cfg, smart.net->flows(), cfg.seed);
+  sim::BernoulliWorkload tm(cfg, mesh->flows(), cfg.seed);
   ASSERT_TRUE(sim::run_simulation(*smart.net, ts, cfg).drained);
   ASSERT_TRUE(sim::run_simulation(*mesh, tm, cfg).drained);
   EXPECT_LT(smart.net->stats().avg_network_latency(),
@@ -105,7 +104,7 @@ TEST(Load, SameSeedSameResults) {
     auto flows = noc::make_synthetic_flows(cfg, SyntheticPattern::UniformRandom, 0.02,
                                            noc::TurnModel::XY);
     auto net = noc::make_baseline_mesh(cfg, std::move(flows));
-    TrafficEngine traffic(cfg, net->flows(), cfg.seed);
+    sim::BernoulliWorkload traffic(cfg, net->flows(), cfg.seed);
     sim::run_simulation(*net, traffic, cfg);
     return std::tuple{net->stats().total_packets(), net->stats().avg_network_latency(),
                       net->stats().activity().buffer_writes};
@@ -122,7 +121,7 @@ TEST(Load, DifferentSeedsDifferentArrivals) {
     auto flows = noc::make_synthetic_flows(cfg, SyntheticPattern::UniformRandom, 0.02,
                                            noc::TurnModel::XY);
     auto net = noc::make_baseline_mesh(cfg, std::move(flows));
-    TrafficEngine traffic(cfg, net->flows(), cfg.seed);
+    sim::BernoulliWorkload traffic(cfg, net->flows(), cfg.seed);
     sim::run_simulation(*net, traffic, cfg);
     return net->stats().total_packets();
   };
@@ -139,7 +138,7 @@ TEST(Load, QueueingGrowsWithRate) {
     auto flows =
         noc::make_synthetic_flows(cfg, SyntheticPattern::Neighbor, rate, noc::TurnModel::XY);
     auto net = noc::make_baseline_mesh(cfg, std::move(flows));
-    TrafficEngine traffic(cfg, net->flows(), cfg.seed);
+    sim::BernoulliWorkload traffic(cfg, net->flows(), cfg.seed);
     sim::run_simulation(*net, traffic, cfg);
     return net->stats().avg_total_latency();
   };
@@ -154,7 +153,7 @@ TEST(Load, CreditsKeepVcPoolBounded) {
   auto flows = noc::make_synthetic_flows(cfg, SyntheticPattern::Transpose, 0.05,
                                          noc::TurnModel::XY);
   auto smart = smart::make_smart_network(cfg, std::move(flows));
-  TrafficEngine traffic(cfg, smart.net->flows(), cfg.seed);
+  sim::BernoulliWorkload traffic(cfg, smart.net->flows(), cfg.seed);
   ASSERT_TRUE(sim::run_simulation(*smart.net, traffic, cfg).drained);
   for (NodeId n = 0; n < 16; ++n) {
     for (Dir o : kAllDirs) {

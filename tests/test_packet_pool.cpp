@@ -109,7 +109,7 @@ TEST(PacketPoolInvariant, SmartAndDedicatedDrainToZero) {
     auto flows = noc::make_synthetic_flows(cfg, noc::SyntheticPattern::Transpose, 0.05,
                                            noc::TurnModel::XY);
     auto smart = smart::make_smart_network(cfg, std::move(flows));
-    noc::TrafficEngine traffic(cfg, smart.net->flows(), cfg.seed);
+    sim::BernoulliWorkload traffic(cfg, smart.net->flows(), cfg.seed);
     ASSERT_TRUE(sim::run_simulation(*smart.net, traffic, cfg).drained);
     EXPECT_EQ(smart.net->packet_pool().live(), 0u);
   }
@@ -117,7 +117,7 @@ TEST(PacketPoolInvariant, SmartAndDedicatedDrainToZero) {
     auto flows = noc::make_synthetic_flows(cfg, noc::SyntheticPattern::Hotspot, 0.02,
                                            noc::TurnModel::XY);
     dedicated::DedicatedNetwork ded(cfg, std::move(flows));
-    noc::TrafficEngine traffic(cfg, ded.flows(), cfg.seed);
+    sim::BernoulliWorkload traffic(cfg, ded.flows(), cfg.seed);
     ASSERT_TRUE(sim::run_simulation(ded, traffic, cfg).drained);
     EXPECT_EQ(ded.packet_pool().live(), 0u);
   }

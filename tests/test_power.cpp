@@ -82,19 +82,19 @@ ThreeWayRun run_three_ways() {
   ThreeWayRun out;
   {
     auto net = noc::make_baseline_mesh(cfg, mk());
-    noc::TrafficEngine t(cfg, net->flows(), cfg.seed);
+    sim::BernoulliWorkload t(cfg, net->flows(), cfg.seed);
     const auto r = sim::run_simulation(*net, t, cfg);
     out.mesh = compute_power(cfg, r.activity, r.measure_cycles, p);
   }
   {
     auto smart = smart::make_smart_network(cfg, mk());
-    noc::TrafficEngine t(cfg, smart.net->flows(), cfg.seed);
+    sim::BernoulliWorkload t(cfg, smart.net->flows(), cfg.seed);
     const auto r = sim::run_simulation(*smart.net, t, cfg);
     out.smart = compute_power(cfg, r.activity, r.measure_cycles, p);
   }
   {
     dedicated::DedicatedNetwork net(cfg, mk());
-    noc::TrafficEngine t(cfg, net.flows(), cfg.seed);
+    sim::BernoulliWorkload t(cfg, net.flows(), cfg.seed);
     const auto r = sim::run_simulation(net, t, cfg);
     out.dedicated = compute_power(cfg, r.activity, r.measure_cycles, p);
   }

@@ -189,15 +189,18 @@ TEST_P(GoldenClassic, SessionMatchesLegacyLoop) {
   // The wrapper on an identical second network.
   NocConfig wrap_cfg = short_config();
   auto wrap_net = build_legacy(wrap_cfg, pt);
-  noc::TrafficEngine wrap_traffic(wrap_cfg, wrap_net->flows(), wrap_cfg.seed);
+  sim::BernoulliWorkload wrap_traffic(wrap_cfg, wrap_net->flows(), wrap_cfg.seed);
   const sim::RunResult wrapped = sim::run_simulation(*wrap_net, wrap_traffic, wrap_cfg);
   expect_identical(truth, wrapped, what + " [run_simulation]");
 
   // The owning Session building everything from the declaration.
   sim::ScenarioSpec spec =
       sim::ScenarioSpec::classic(pt.design, pt.workload, pt.injection, short_config());
-  spec.use_reference_kernel = pt.reference_kernel;
   sim::Session session(spec);
+  if (pt.reference_kernel) {
+    session.step(0);  // builds the first era's network, ticks nothing
+    session.mesh_network()->use_reference_kernel(true);
+  }
   const sim::RunResult owned = sim::session_to_run_result(session.run());
   expect_identical(truth, owned, what + " [Session]");
 }
@@ -247,7 +250,6 @@ TEST(ScenarioRoundTrip, TextIsIdentity) {
   EXPECT_EQ(spec.config.height, 4);
   EXPECT_EQ(spec.config.seed, 7u);
   EXPECT_EQ(spec.fault_rate, 0.25);
-  EXPECT_EQ(spec.traffic_mode, noc::BernoulliMode::GapSkip);
   ASSERT_EQ(spec.phases.size(), 5u);
   EXPECT_EQ(spec.phases[1].workload, "");  // inherited at run time
   EXPECT_TRUE(spec.phases[2].reconfigure);
@@ -292,6 +294,37 @@ TEST(ScenarioParse, ErrorsCarryContext) {
   }
 }
 
+TEST(ScenarioParse, RetiredKeysAcceptOnlyTheirDefaults) {
+  // Saved scenarios carry `reference_kernel = false` and `traffic_mode =
+  // gap-skip`: both dialects still parse them, to the spec without them.
+  const char* base = "mesh = 4x4\nphase p workload=vopd cycles=10\n";
+  const sim::ScenarioSpec plain = sim::parse_scenario(base);
+  EXPECT_EQ(plain, sim::parse_scenario(std::string("reference_kernel = false\n"
+                                                   "traffic_mode = gap-skip\n") +
+                                       base));
+  const std::string json_tail =
+      "\"mesh\": \"4x4\", \"phases\": [{\"name\": \"p\", \"workload\": \"vopd\", "
+      "\"cycles\": 10}]}";
+  EXPECT_EQ(plain, sim::parse_scenario("{\"reference_kernel\": false, "
+                                       "\"traffic_mode\": \"gap-skip\", " +
+                                       json_tail));
+  // Any other value is refused by name, in either dialect.
+  const std::pair<std::string, const char*> retired[] = {
+      {std::string("reference_kernel = true\n") + base, "reference_kernel"},
+      {std::string("traffic_mode = per-cycle\n") + base, "traffic_mode"},
+      {"{\"reference_kernel\": true, " + json_tail, "reference_kernel"},
+      {"{\"traffic_mode\": \"per-cycle\", " + json_tail, "traffic_mode"},
+  };
+  for (const auto& [doc, key] : retired) {
+    try {
+      sim::parse_scenario(doc);
+      FAIL() << "expected ConfigError for " << doc;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+}
+
 // --- Drain-timeout failure surfacing -----------------------------------------
 
 NocConfig saturating_config() {
@@ -308,7 +341,7 @@ TEST(DrainTimeout, RunSimulationSurfacesFailure) {
   auto flows = noc::make_synthetic_flows(cfg, noc::SyntheticPattern::Hotspot, 0.9,
                                          noc::TurnModel::XY);
   auto net = noc::make_baseline_mesh(cfg, std::move(flows));
-  noc::TrafficEngine traffic(cfg, net->flows(), cfg.seed);
+  sim::BernoulliWorkload traffic(cfg, net->flows(), cfg.seed);
   const sim::RunResult run = sim::run_simulation(*net, traffic, cfg);
   EXPECT_FALSE(run.drained);
   EXPECT_FALSE(run.ok);

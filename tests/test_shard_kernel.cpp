@@ -122,7 +122,7 @@ TEST(ShardKernel, ArmedSingleShardIsBitIdentical) {
                                            noc::TurnModel::XY);
     auto net = noc::make_baseline_mesh(cfg, std::move(flows));
     if (armed) net->force_sharded_path(true);
-    noc::TrafficEngine traffic(cfg, net->flows(), cfg.seed);
+    sim::BernoulliWorkload traffic(cfg, net->flows(), cfg.seed);
     const sim::RunResult res = sim::run_simulation(*net, traffic, cfg);
     *stats = net->stats();
     return res;
@@ -151,7 +151,7 @@ TEST(ShardKernel, ParallelMatchesSingleShard) {
     auto flows = noc::make_synthetic_flows(cfg, noc::SyntheticPattern::UniformRandom, 0.04,
                                            noc::TurnModel::XY);
     auto made = smart::make_smart_network(cfg, std::move(flows));
-    noc::TrafficEngine traffic(cfg, made.net->flows(), cfg.seed);
+    sim::BernoulliWorkload traffic(cfg, made.net->flows(), cfg.seed);
     const sim::RunResult res = sim::run_simulation(*made.net, traffic, cfg);
     *stats = made.net->stats();
     return res;

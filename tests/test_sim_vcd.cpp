@@ -72,7 +72,7 @@ TEST(Vcd, ToggleCountEqualsLinkActivity) {
   auto smart = smart::make_smart_network(cfg, std::move(flows));
   VcdTracer tracer(cfg.dims(), cfg.cycle_ps());
   smart.net->set_observer(&tracer);
-  noc::TrafficEngine traffic(cfg, smart.net->flows(), cfg.seed);
+  sim::BernoulliWorkload traffic(cfg, smart.net->flows(), cfg.seed);
   sim::run_simulation(*smart.net, traffic, cfg);
   smart.net->set_observer(nullptr);
   // Whole-run comparison: activity counts from cycle 0 (warmup counters

@@ -124,7 +124,7 @@ TEST(GapSkip, LiveRunMatchesReplayExactly) {
     return make_synthetic_flows(cfg, SyntheticPattern::Transpose, 0.05, TurnModel::XY);
   };
   auto live = smart::make_smart_network(cfg, mk());
-  TrafficEngine engine(cfg, live.net->flows(), cfg.seed, BernoulliMode::GapSkip);
+  sim::BernoulliWorkload engine(cfg, live.net->flows(), cfg.seed, BernoulliMode::GapSkip);
   const sim::RunResult live_run = sim::run_simulation(*live.net, engine, cfg);
   ASSERT_TRUE(live_run.ok) << live_run.error;
 
@@ -132,7 +132,7 @@ TEST(GapSkip, LiveRunMatchesReplayExactly) {
   auto trace = record_bernoulli_trace(cfg, replayed.net->flows(), cfg.seed,
                                       cfg.warmup_cycles + cfg.measure_cycles,
                                       BernoulliMode::GapSkip);
-  TraceReplayer replayer(std::move(trace));
+  sim::ReplayWorkload replayer(std::move(trace));
   const sim::RunResult replay_run = sim::run_simulation(*replayed.net, replayer, cfg);
 
   EXPECT_EQ(engine.generated(), replayer.generated());
@@ -142,10 +142,10 @@ TEST(GapSkip, LiveRunMatchesReplayExactly) {
   EXPECT_EQ(live_run.activity.buffer_writes, replay_run.activity.buffer_writes);
 }
 
-TEST(GapSkip, SessionScenarioCanSelectGapTraffic) {
+TEST(GapSkip, SessionScenarioRunsGapTraffic) {
   NocConfig cfg = small_cfg();
-  sim::ScenarioSpec spec = sim::ScenarioSpec::classic(Design::Smart, "transpose", 0.05, cfg);
-  spec.traffic_mode = BernoulliMode::GapSkip;
+  const sim::ScenarioSpec spec =
+      sim::ScenarioSpec::classic(Design::Smart, "transpose", 0.05, cfg);
   sim::Session a(spec);
   const sim::RunResult ra = sim::session_to_run_result(a.run());
   ASSERT_TRUE(ra.ok) << ra.error;
