@@ -45,9 +45,10 @@ class Log {
 
   /// Simulated-time context for message prefixes: the driver's current
   /// cycle count, or -1 when no simulation is running (no cycle prefix).
-  /// sim::Session keeps this pointed at its session clock.
+  /// sim::Session keeps this pointed at its session clock. Per thread:
+  /// sweep workers each drive their own Session.
   static long long& sim_cycle() {
-    static long long cycle = -1;
+    static thread_local long long cycle = -1;
     return cycle;
   }
 

@@ -76,8 +76,10 @@ MeshNetwork::MeshNetwork(const NocConfig& cfg, FlowSet flows, PresetTable preset
 
   flow_info_.resize(static_cast<std::size_t>(flows_.size()));
   flow_degraded_.assign(static_cast<std::size_t>(flows_.size()), 0);
+  flow_local_.resize(static_cast<std::size_t>(flows_.size()));
   for (const Flow& f : flows_) {
-    nics_[static_cast<std::size_t>(f.src)]->register_flow(f);
+    flow_local_[static_cast<std::size_t>(f.id)] =
+        nics_[static_cast<std::size_t>(f.src)]->register_flow(f);
     validate_and_index_flow(f);
   }
 }
@@ -459,7 +461,7 @@ void MeshNetwork::offer_packet(FlowId flow, Cycle created) {
   pkt.route = f.route;
   pkt.created = created;
   pkt.injected = 0;
-  nics_[static_cast<std::size_t>(f.src)]->offer_packet(slot);
+  nics_[static_cast<std::size_t>(f.src)]->offer_packet(slot, flow_local(flow));
   activate_nic(f.src);
 }
 
@@ -751,7 +753,8 @@ bool MeshNetwork::reroute_flow(FlowId id, LinkSet& changed) {
   // sacrifices chains when that is the only way through.
   if (!try_route(structural_faults()) && !try_route(live_faults_)) return false;
   arm_path(flows_.at(id).path, changed);
-  nics_[static_cast<std::size_t>(src)]->rewrite_queued_routes(id, flows_.at(id).route);
+  nics_[static_cast<std::size_t>(src)]->rewrite_queued_routes(id, flow_local(id),
+                                                               flows_.at(id).route);
   stats_.faults().flows_rerouted += 1;
   return true;
 }
@@ -805,7 +808,7 @@ void MeshNetwork::purge_and_requeue(const std::vector<std::uint8_t>& affected) {
       pkt.route = flows_.at(fl).route;  // pick up any online reroute
       const int shift = std::min(static_cast<int>(pkt.attempts) - 1, 10);
       nics_[static_cast<std::size_t>(src)]->requeue_front(
-          s, now_ + (cfg_.retry_backoff_cycles << shift));
+          s, flow_local(fl), now_ + (cfg_.retry_backoff_cycles << shift));
       stats_.record_retransmit(fl);
       if (observer_ != nullptr) observer_->packet_retransmitted(fl, src, now_);
     }
@@ -948,7 +951,7 @@ void MeshNetwork::apply_link_kill(NodeId node, Dir dir) {
   // Degraded flows also flush their source queues (dropped, not stuck).
   for (FlowId id : newly_degraded) {
     const NodeId src = flows_.at(id).src;
-    nics_[static_cast<std::size_t>(src)]->drop_flow_queue(id, [&](PacketSlot s) {
+    nics_[static_cast<std::size_t>(src)]->drop_flow_queue(id, flow_local(id), [&](PacketSlot s) {
       stats_.record_drop(id);
       if (observer_ != nullptr) observer_->packet_dropped(id, src, now_);
       pool_.release(s);

@@ -183,6 +183,8 @@ class MeshNetwork final : public Network, private Fabric {
   void schedule_credit(const SegOrigin& target, VcId vc, Cycle due, int mm, int xbar_hops);
   void deliver_credit(const SegOrigin& target, VcId vc);
   void validate_and_index_flow(const Flow& flow);
+  /// The flow's index among its source NIC's flows (Nic::register_flow).
+  std::int32_t flow_local(FlowId id) const { return flow_local_[static_cast<std::size_t>(id)]; }
 
   void tick_active_set();
   void tick_reference();
@@ -282,6 +284,7 @@ class MeshNetwork final : public Network, private Fabric {
   std::vector<FlowPathInfo> flow_info_;
   FaultSet live_faults_;                     ///< links currently dead
   std::vector<std::uint8_t> flow_degraded_;  ///< flows with unreachable dst
+  std::vector<std::int32_t> flow_local_;     ///< FlowId -> index at its source NIC
   std::uint32_t next_packet_id_ = 1;
   int clocked_in_total_ = 0;
   int clocked_out_total_ = 0;

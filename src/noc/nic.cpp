@@ -11,15 +11,14 @@ Nic::Nic(NodeId node, const NocConfig& cfg, Fabric* fabric, NetworkStats* stats,
                  "NIC needs fabric, stats and the packet pool");
 }
 
-void Nic::register_flow(const Flow& flow) {
+std::int32_t Nic::register_flow(const Flow& flow) {
   SMARTNOC_CHECK(flow.src == node_, "flow registered at the wrong NIC");
-  const auto idx = static_cast<std::size_t>(flow.id);
-  if (idx >= slot_of_flow_.size()) slot_of_flow_.resize(idx + 1, -1);
-  SMARTNOC_CHECK(slot_of_flow_[idx] < 0, "flow registered twice");
-  slot_of_flow_[idx] = static_cast<int>(local_flows_.size());
-  LocalFlow lf;
-  lf.id = flow.id;
-  local_flows_.push_back(std::move(lf));
+  // Ascending FlowIds (the network's registration order) make the
+  // duplicate check one compare with the last registered flow.
+  SMARTNOC_CHECK(local_flows_.empty() || local_flows_.back().id < flow.id,
+                 "flow registered twice or out of FlowId order");
+  local_flows_.push_back(LocalFlow{flow.id, kInvalidSlot, kInvalidSlot});
+  return static_cast<std::int32_t>(local_flows_.size() - 1);
 }
 
 void Nic::init_source_credits(int vcs) {
@@ -27,37 +26,41 @@ void Nic::init_source_credits(int vcs) {
   for (VcId v = 0; v < vcs; ++v) free_vcs_.push_back(v);
 }
 
-void Nic::offer_packet(PacketSlot pkt_slot) {
-  const PacketPayload& pkt = pool_->at(pkt_slot);
-  const auto idx = static_cast<std::size_t>(pkt.flow);
-  SMARTNOC_CHECK(idx < slot_of_flow_.size() && slot_of_flow_[idx] >= 0,
-                 "packet offered for an unregistered flow");
-  const auto slot = static_cast<std::size_t>(slot_of_flow_[idx]);
-  LocalFlow& lf = local_flows_[slot];
-  if (lf.queue.empty()) {
-    nonempty_.insert(std::lower_bound(nonempty_.begin(), nonempty_.end(), slot), slot);
+Nic::LocalFlow& Nic::local_flow(FlowId flow, std::int32_t local, const char* what) {
+  SMARTNOC_CHECK(local >= 0 && static_cast<std::size_t>(local) < local_flows_.size() &&
+                     local_flows_[static_cast<std::size_t>(local)].id == flow,
+                 what);
+  return local_flows_[static_cast<std::size_t>(local)];
+}
+
+void Nic::offer_packet(PacketSlot pkt_slot, std::int32_t local) {
+  PacketPayload& pkt = pool_->at(pkt_slot);
+  LocalFlow& lf = local_flow(pkt.flow, local, "packet offered for an unregistered flow");
+  pkt.next = kInvalidSlot;
+  pkt.not_before = 0;
+  if (lf.head == kInvalidSlot) {
+    lf.head = pkt_slot;
+    const auto pos = static_cast<std::size_t>(local);
+    nonempty_.insert(std::lower_bound(nonempty_.begin(), nonempty_.end(), pos), pos);
+  } else {
+    pool_->at(lf.tail).next = pkt_slot;
   }
-  lf.queue.push_back(QueuedPacket{pkt_slot, 0});
+  lf.tail = pkt_slot;
   queued_total_ += 1;
 }
 
-void Nic::requeue_front(PacketSlot pkt_slot, Cycle not_before) {
-  const PacketPayload& pkt = pool_->at(pkt_slot);
-  const auto idx = static_cast<std::size_t>(pkt.flow);
-  SMARTNOC_CHECK(idx < slot_of_flow_.size() && slot_of_flow_[idx] >= 0,
-                 "retransmission re-queued at the wrong NIC");
-  const auto slot = static_cast<std::size_t>(slot_of_flow_[idx]);
-  LocalFlow& lf = local_flows_[slot];
-  if (lf.queue.empty()) {
-    nonempty_.insert(std::lower_bound(nonempty_.begin(), nonempty_.end(), slot), slot);
+void Nic::requeue_front(PacketSlot pkt_slot, std::int32_t local, Cycle not_before) {
+  PacketPayload& pkt = pool_->at(pkt_slot);
+  LocalFlow& lf = local_flow(pkt.flow, local, "retransmission re-queued at the wrong NIC");
+  pkt.next = lf.head;
+  pkt.not_before = not_before;
+  if (lf.head == kInvalidSlot) {
+    lf.tail = pkt_slot;
+    const auto pos = static_cast<std::size_t>(local);
+    nonempty_.insert(std::lower_bound(nonempty_.begin(), nonempty_.end(), pos), pos);
   }
-  lf.queue.push_front(QueuedPacket{pkt_slot, not_before});
+  lf.head = pkt_slot;
   queued_total_ += 1;
-}
-
-std::size_t Nic::next_nonempty(std::size_t from) const {
-  const auto it = std::lower_bound(nonempty_.begin(), nonempty_.end(), from);
-  return it != nonempty_.end() ? *it : nonempty_.front();
 }
 
 void Nic::inject(Cycle now, ActivityCounters& act) {
@@ -69,8 +72,8 @@ void Nic::inject(Cycle now, ActivityCounters& act) {
     if (reference_scan_) {
       for (std::size_t k = 0; k < local_flows_.size(); ++k) {
         const std::size_t i = (rr_next_ + k) % local_flows_.size();
-        const LocalFlow& cand = local_flows_[i];
-        if (!cand.queue.empty() && cand.queue.front().not_before <= now) {
+        const PacketSlot head = local_flows_[i].head;
+        if (head != kInvalidSlot && pool_->at(head).not_before <= now) {
           chosen = i;
           break;
         }
@@ -85,7 +88,7 @@ void Nic::inject(Cycle now, ActivityCounters& act) {
       const auto start = static_cast<std::size_t>(it - nonempty_.begin());
       for (std::size_t k = 0; k < n; ++k) {
         const std::size_t i = nonempty_[(start + k) % n];
-        if (local_flows_[i].queue.front().not_before <= now) {
+        if (pool_->at(local_flows_[i].head).not_before <= now) {
           chosen = i;
           break;
         }
@@ -94,13 +97,14 @@ void Nic::inject(Cycle now, ActivityCounters& act) {
     if (chosen == local_flows_.size()) return;
     LocalFlow& lf = local_flows_[chosen];
     ActiveTx tx;
-    tx.slot = lf.queue.front().slot;
-    lf.queue.pop_front();
+    tx.slot = lf.head;
+    PacketPayload& pkt = pool_->at(tx.slot);
+    lf.head = pkt.next;
     queued_total_ -= 1;
-    if (lf.queue.empty()) {
+    if (lf.head == kInvalidSlot) {
+      lf.tail = kInvalidSlot;
       nonempty_.erase(std::lower_bound(nonempty_.begin(), nonempty_.end(), chosen));
     }
-    PacketPayload& pkt = pool_->at(tx.slot);
     pkt.injected = now;  // head flit hits the injection link this cycle
     tx.flits = pkt.flits;
     tx.vc = free_vcs_.pop_front();
@@ -192,25 +196,29 @@ void Nic::credit_arrived(VcId vc) {
   free_vcs_.push_back(vc);
 }
 
-int Nic::drop_flow_queue(FlowId flow, const std::function<void(PacketSlot)>& on_dropped) {
-  const auto idx = static_cast<std::size_t>(flow);
-  if (idx >= slot_of_flow_.size() || slot_of_flow_[idx] < 0) return 0;
-  const auto slot = static_cast<std::size_t>(slot_of_flow_[idx]);
-  LocalFlow& lf = local_flows_[slot];
-  if (lf.queue.empty()) return 0;
-  const int dropped = static_cast<int>(lf.queue.size());
-  for (const QueuedPacket& q : lf.queue) on_dropped(q.slot);
-  lf.queue.clear();
+int Nic::drop_flow_queue(FlowId flow, std::int32_t local,
+                         const std::function<void(PacketSlot)>& on_dropped) {
+  LocalFlow& lf = local_flow(flow, local, "queue drop for a flow not sourced here");
+  if (lf.head == kInvalidSlot) return 0;
+  int dropped = 0;
+  for (PacketSlot s = lf.head; s != kInvalidSlot;) {
+    const PacketSlot next = pool_->at(s).next;  // on_dropped may recycle s
+    on_dropped(s);
+    s = next;
+    dropped += 1;
+  }
+  lf.head = lf.tail = kInvalidSlot;
   queued_total_ -= dropped;
-  nonempty_.erase(std::lower_bound(nonempty_.begin(), nonempty_.end(), slot));
+  const auto pos = static_cast<std::size_t>(local);
+  nonempty_.erase(std::lower_bound(nonempty_.begin(), nonempty_.end(), pos));
   return dropped;
 }
 
-void Nic::rewrite_queued_routes(FlowId flow, const SourceRoute& route) {
-  const auto idx = static_cast<std::size_t>(flow);
-  if (idx >= slot_of_flow_.size() || slot_of_flow_[idx] < 0) return;
-  LocalFlow& lf = local_flows_[static_cast<std::size_t>(slot_of_flow_[idx])];
-  for (const QueuedPacket& q : lf.queue) pool_->at(q.slot).route = route;
+void Nic::rewrite_queued_routes(FlowId flow, std::int32_t local, const SourceRoute& route) {
+  const LocalFlow& lf = local_flow(flow, local, "route rewrite for a flow not sourced here");
+  for (PacketSlot s = lf.head; s != kInvalidSlot; s = pool_->at(s).next) {
+    pool_->at(s).route = route;
+  }
 }
 
 void Nic::purge_flows(const std::vector<std::uint8_t>& affected,
@@ -254,11 +262,12 @@ void Nic::mark_busy_receive_vcs(std::array<bool, 16>& busy) const {
 }
 
 int Nic::retry_waiting(Cycle now) const {
-  const LocalFlow* flows = local_flows_.data();
   int waiting = 0;
-  for (std::size_t i = 0; i < local_flows_.size(); ++i) {
-    for (const QueuedPacket& q : flows[i].queue) {
-      if (q.not_before > now) waiting += 1;
+  for (const LocalFlow& lf : local_flows_) {
+    for (PacketSlot s = lf.head; s != kInvalidSlot;) {
+      const PacketPayload& pkt = pool_->at(s);
+      if (pkt.not_before > now) waiting += 1;
+      s = pkt.next;
     }
   }
   return waiting;

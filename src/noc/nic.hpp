@@ -9,22 +9,28 @@
 // Sink side: per-VC reassembly; a packet is consumed on tail arrival and
 // its receive-VC credit returns over the credit mesh.
 //
-// Hot-path layout: local flows live in a flat vector; the round-robin
-// injector picks from a sorted list of the slots with queued packets
-// (cyclic lower_bound from the round-robin cursor), so a NIC with many
-// registered flows but few busy ones no longer probes every slot each
-// cycle. The seed's linear scan survives behind use_reference_scan (wired
-// to MeshNetwork::use_reference_kernel and cross-pinned bit-identical by
-// the golden determinism matrix). Queued packets are 4-byte PacketSlots
-// into the network's PacketPool (the structure-of-arrays split: the pool
-// owns route/timestamps/ids once per packet), injected flits are 16-byte
-// FlitRefs, and reassembly is a small linear-scanned vector bounded by the
-// VC count. A running queued-packet counter makes idle() O(1) for the
-// network's active-set scheduler and drain check.
+// Hot-path layout: a NIC's state is sized by the flows it sources, never
+// by the network's flow count. register_flow hands back the flow's local
+// index; the network keeps the one FlowId -> local index table and passes
+// the index to every per-flow call, which verifies it against the stored
+// FlowId (O(1), no per-NIC FlowId table). Each local flow is a 12-byte
+// {id, head, tail}: its FIFO of queued packets is a singly linked list
+// threaded through the PacketPool payloads (`next`, plus the retransmission
+// gate `not_before`), so an empty queue costs nothing and push_back,
+// push_front (retransmission) and pop_front are O(1) with no allocation.
+// The round-robin injector picks from a sorted list of the local flows with
+// queued packets (cyclic lower_bound from the round-robin cursor), so a NIC
+// with many registered flows but few busy ones does not probe every flow
+// each cycle. The seed's linear scan survives behind use_reference_scan
+// (wired to MeshNetwork::use_reference_kernel and cross-pinned
+// bit-identical by the golden determinism matrix). Injected flits are
+// 16-byte FlitRefs, and reassembly is a small linear-scanned vector bounded
+// by the VC count. A running queued-packet counter makes idle() O(1) for
+// the network's active-set scheduler and drain check.
 #pragma once
 
 #include <array>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -48,8 +54,10 @@ class Nic {
 
   NodeId node() const { return node_; }
 
-  /// Registers a flow that originates here.
-  void register_flow(const Flow& flow);
+  /// Registers a flow that originates here and returns its local index, the
+  /// handle every per-flow call below takes (checked against the FlowId).
+  /// Flows register in ascending FlowId order (gaps allowed).
+  std::int32_t register_flow(const Flow& flow);
 
   /// Gives the source side `vcs` credits for its injection-segment endpoint.
   void init_source_credits(int vcs);
@@ -57,8 +65,9 @@ class Nic {
   /// Queue a packet for injection (infinite source queue; queueing time is
   /// measured separately from network latency). The slot's payload must be
   /// fully populated; the NIC inherits the slot's transmit reference and
-  /// releases it when the tail leaves.
-  void offer_packet(PacketSlot slot);
+  /// releases it when the tail leaves. `local` is the index register_flow
+  /// returned for the payload's flow.
+  void offer_packet(PacketSlot slot, std::int32_t local);
 
   /// Per-cycle injection phase: stream the active packet or start the next
   /// one (round-robin across this NIC's flows, one flit per cycle).
@@ -95,16 +104,17 @@ class Nic {
   /// queue for another transmission attempt, held back until `not_before`
   /// (exponential backoff). The caller has already refreshed the payload
   /// (attempts, route) and hands the slot's transmit reference back.
-  void requeue_front(PacketSlot slot, Cycle not_before);
+  void requeue_front(PacketSlot slot, std::int32_t local, Cycle not_before);
 
   /// Drops every queued packet of `flow` (a degraded, unreachable flow).
   /// `on_dropped` runs once per packet with its slot - the caller releases
   /// the transmit reference and records the drop. Returns the count.
-  int drop_flow_queue(FlowId flow, const std::function<void(PacketSlot)>& on_dropped);
+  int drop_flow_queue(FlowId flow, std::int32_t local,
+                      const std::function<void(PacketSlot)>& on_dropped);
 
   /// Rewrites the pool route of every queued packet of `flow` after an
   /// online reroute (queued payloads hold the route captured at offer time).
-  void rewrite_queued_routes(FlowId flow, const SourceRoute& route);
+  void rewrite_queued_routes(FlowId flow, std::int32_t local, const SourceRoute& route);
 
   /// Cancels an affected active transmission (handing its transmit
   /// reference to the caller via `on_cancelled`) and erases affected
@@ -132,13 +142,12 @@ class Nic {
   int retry_waiting(Cycle now) const;
 
  private:
-  struct QueuedPacket {
-    PacketSlot slot = kInvalidSlot;
-    Cycle not_before = 0;  ///< retransmission backoff gate (0 = immediate)
-  };
+  /// A flow sourced here and its FIFO of queued packets, linked oldest
+  /// first through PacketPayload::next (both ends kInvalidSlot when empty).
   struct LocalFlow {
     FlowId id = kInvalidFlow;
-    std::deque<QueuedPacket> queue;  ///< queued packets, payload in the pool
+    PacketSlot head = kInvalidSlot;
+    PacketSlot tail = kInvalidSlot;
   };
   struct ActiveTx {
     PacketSlot slot = kInvalidSlot;
@@ -160,13 +169,12 @@ class Nic {
   PacketPool* pool_;
   ShardSink* sink_ = nullptr;  ///< non-null only under the sharded protocol
 
-  /// First slot in `nonempty_` at or cyclically after `from` (the batched
-  /// injector's round-robin step; nonempty_ must not be empty).
-  std::size_t next_nonempty(std::size_t from) const;
+  /// The local flow at `local`, checked to be `flow` (`what` on mismatch:
+  /// an unregistered flow or a packet at the wrong NIC).
+  LocalFlow& local_flow(FlowId flow, std::int32_t local, const char* what);
 
   std::vector<LocalFlow> local_flows_;  ///< flows sourced at this NIC
-  std::vector<int> slot_of_flow_;      ///< FlowId -> local_flows_ index (-1 = not ours)
-  std::vector<std::size_t> nonempty_;  ///< sorted slots with queued packets
+  std::vector<std::size_t> nonempty_;  ///< sorted local flows with queued packets
   std::size_t rr_next_ = 0;            ///< round-robin over local_flows_
   int queued_total_ = 0;               ///< packets across all local queues
   bool reference_scan_ = false;        ///< linear-scan flow selection

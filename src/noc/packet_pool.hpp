@@ -1,10 +1,11 @@
 // Structure-of-arrays flit storage: the per-network PacketPool owns each
 // in-flight packet's *cold* payload (source route, flow id, endpoints,
 // timestamps) exactly once, while everything that moves per cycle - VC
-// rings, staging slots, segments, NIC queues - carries only a small
-// FlitRef (noc/flit.hpp). BW/SA/ST therefore touch ~16 B per flit instead
-// of the ~56 B the old AoS Flit cost, which is what keeps the inner tick
-// loop's working set inside L1 under load.
+// rings, staging slots, segments - carries only a small FlitRef
+// (noc/flit.hpp), and the NIC source queues are linked lists threaded
+// through the payloads' `next` fields. BW/SA/ST therefore touch ~16 B per
+// flit instead of the ~56 B the old AoS Flit cost, which is what keeps the
+// inner tick loop's working set inside L1 under load.
 //
 // Lifecycle: alloc() hands out a slot with one reference (the queued /
 // transmitting packet itself); every flit put in flight takes one more
@@ -39,6 +40,10 @@ struct PacketPayload {
   SourceRoute route;           ///< 2-bit-per-router source route (Sec. IV)
   Cycle created = 0;           ///< packet creation (traffic engine)
   Cycle injected = 0;          ///< head flit placed on the injection link
+  // Source-queue state, owned by the NIC while the packet waits to inject:
+  // the per-flow FIFO is a singly linked list threaded through the pool.
+  Cycle not_before = 0;        ///< retransmission backoff gate (0 = immediate)
+  PacketSlot next = kInvalidSlot;  ///< next packet in its flow's source queue
   std::uint8_t attempts = 0;   ///< transmissions so far (fault retries)
 };
 

@@ -4,6 +4,9 @@
 // synthetic patterns and injection rates.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 #include "helpers.hpp"
 #include "noc/network.hpp"
 #include "noc/traffic.hpp"
@@ -166,6 +169,48 @@ TEST(Load, CreditsKeepVcPoolBounded) {
     }
     EXPECT_EQ(smart.net->nic(n).source_free_vcs(), cfg.vcs_per_port) << "NIC " << n;
   }
+}
+
+/// Resident set size of this process in KiB (Linux /proc; -1 if unknown).
+long vm_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      long kib = -1;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(1 << 12, '\n');
+  }
+  return -1;
+}
+
+TEST(Load, NetworkStateScalesWithFlowsNotNodesTimesFlows) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow memory inflates the resident set";
+#endif
+  // 16384 nodes, one neighbour flow each. Per-NIC state indexed by the
+  // global FlowId costs ~nodes^2/2 ints here (about 0.5 GB); state sized by
+  // each NIC's own flows stays far below the ceiling.
+  NocConfig cfg = test_config();
+  cfg.width = 128;
+  cfg.height = 128;
+  cfg.fit_derived();
+  const MeshDims dims = cfg.dims();
+  const long before = vm_rss_kib();
+  if (before < 0) GTEST_SKIP() << "no VmRSS in /proc/self/status";
+  noc::FlowSet flows;
+  for (NodeId n = 0; n < dims.nodes(); ++n) {
+    const Dir d = dims.coord(n).x + 1 < dims.width() ? Dir::East : Dir::West;
+    const NodeId dst = dims.neighbor(n, d);
+    flows.add(n, dst, 100.0, noc::xy_path(dims, n, dst));
+  }
+  auto net = noc::make_baseline_mesh(cfg, std::move(flows));
+  ASSERT_EQ(net->flows().size(), dims.nodes());
+  const long grown_mib = (vm_rss_kib() - before) / 1024;
+  EXPECT_LT(grown_mib, 128) << "128x128 mesh with one flow per node grew the RSS by "
+                            << grown_mib << " MiB";
 }
 
 }  // namespace

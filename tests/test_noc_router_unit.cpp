@@ -261,7 +261,7 @@ TEST(NicUnit, StreamsWholePacketOneFlitPerCycle) {
 
   const RoutePath path = xy_path(cfg.dims(), 4, 6);
   const PacketSlot slot = offer(pool, 9, 0, path, cfg.flits_per_packet(), 5);
-  nic.offer_packet(slot);
+  nic.offer_packet(slot, 0);
 
   ActivityCounters act;
   for (Cycle t = 6; t < 6 + 8; ++t) nic.inject(t, act);
@@ -294,7 +294,7 @@ TEST(NicUnit, BlocksWithoutCredits) {
   ActivityCounters act;
   const RoutePath path = xy_path(cfg.dims(), 4, 6);
   for (int p = 0; p < 2; ++p) {
-    nic.offer_packet(offer(pool, static_cast<std::uint32_t>(p), 0, path, 1, 1));
+    nic.offer_packet(offer(pool, static_cast<std::uint32_t>(p), 0, path, 1, 1), 0);
   }
   nic.inject(2, act);
   nic.inject(3, act);
@@ -336,6 +336,148 @@ TEST(NicUnit, ReceiveAssemblesAndCredits) {
   // All four flit references consumed; only the test's own remains.
   EXPECT_EQ(pool.refs(slot), 1u);
   EXPECT_EQ(pool.live(), 1u);
+}
+
+/// A flow sourced at `src` with an explicit (possibly sparse) FlowId, as a
+/// network's flow table would hand it to the NIC.
+Flow sparse_flow(const NocConfig& cfg, FlowId id, NodeId src, NodeId dst) {
+  Flow f;
+  f.id = id;
+  f.src = src;
+  f.dst = dst;
+  f.path = xy_path(cfg.dims(), src, dst);
+  f.route = SourceRoute::encode(f.path);
+  return f;
+}
+
+/// NIC 4 sources FlowIds 0, 7 and 1000 (local indices 0, 1, 2), registered
+/// interleaved with FlowId 3 at NIC 5. Packets are single-flit.
+struct SparseNic {
+  NocConfig cfg = cfg4();
+  MockFabric fab;
+  NetworkStats stats;
+  PacketPool pool;
+  Nic nic{4, cfg, &fab, &stats, &pool};
+  Nic other{5, cfg, &fab, &stats, &pool};
+  RoutePath path = xy_path(cfg.dims(), 4, 6);
+  std::uint32_t next_id = 1;
+
+  SparseNic() {
+    EXPECT_EQ(nic.register_flow(sparse_flow(cfg, 0, 4, 6)), 0);
+    EXPECT_EQ(other.register_flow(sparse_flow(cfg, 3, 5, 6)), 0);
+    EXPECT_EQ(nic.register_flow(sparse_flow(cfg, 7, 4, 6)), 1);
+    EXPECT_EQ(nic.register_flow(sparse_flow(cfg, 1000, 4, 6)), 2);
+    nic.init_source_credits(cfg.vcs_per_port);
+  }
+
+  /// A fresh payload on `flow` (not yet queued).
+  PacketSlot packet(FlowId flow) { return offer(pool, next_id++, flow, path, 1, 0); }
+
+  /// Offers one packet on (flow, local index); returns its slot.
+  PacketSlot put(FlowId flow, std::int32_t local) {
+    const PacketSlot s = packet(flow);
+    nic.offer_packet(s, local);
+    return s;
+  }
+
+  /// Injects at `now` and returns the packet's slot (kInvalidSlot if none
+  /// left), consuming its flit and returning the credit as the sink would.
+  PacketSlot inject_one(Cycle now) {
+    ActivityCounters act;
+    const std::size_t before = fab.sent.size();
+    nic.inject(now, act);
+    if (fab.sent.size() == before) return kInvalidSlot;
+    const FlitRef f = fab.sent.back().flit;
+    nic.credit_arrived(f.vc);
+    pool.release(f.slot);
+    return f.slot;
+  }
+
+  /// Injects until the NIC has nothing eligible at `now`.
+  std::vector<PacketSlot> drain(Cycle now) {
+    std::vector<PacketSlot> order;
+    for (PacketSlot s = inject_one(now); s != kInvalidSlot; s = inject_one(now)) {
+      order.push_back(s);
+    }
+    return order;
+  }
+};
+
+TEST(NicUnit, SparseFlowIdsReachTheirOwnQueues) {
+  SparseNic t;
+  const PacketSlot a0 = t.put(1000, 2), b0 = t.put(0, 0), c0 = t.put(7, 1);
+  const PacketSlot a1 = t.put(1000, 2), b1 = t.put(0, 0);
+  EXPECT_EQ(t.nic.queued_packets(), 5);
+  // Round-robin over local indices 0 (FlowId 0), 1 (7), 2 (1000); FIFO per flow.
+  EXPECT_EQ(t.drain(10), (std::vector<PacketSlot>{b0, c0, a0, b1, a1}));
+  EXPECT_TRUE(t.nic.idle());
+  EXPECT_EQ(t.pool.live(), 0u);
+}
+
+TEST(NicUnit, RequeueFrontJumpsAheadAndKeepsFifo) {
+  for (const bool reference_scan : {false, true}) {
+    SCOPED_TRACE(reference_scan ? "reference scan" : "nonempty list");
+    SparseNic t;
+    t.nic.use_reference_scan(reference_scan);
+    const PacketSlot p1 = t.put(7, 1), p2 = t.put(7, 1), p3 = t.put(7, 1);
+    const PacketSlot retry = t.packet(7);
+    t.nic.requeue_front(retry, 1, /*not_before=*/50);
+    // Onto an empty queue, a requeued packet is both head and tail.
+    const PacketSlot lone = t.packet(0);
+    t.nic.requeue_front(lone, 0, /*not_before=*/50);
+    const PacketSlot after_lone = t.put(0, 0);
+    EXPECT_EQ(t.nic.queued_packets(), 6);
+    EXPECT_EQ(t.nic.retry_waiting(49), 2);
+    EXPECT_EQ(t.nic.retry_waiting(50), 0);
+    // Both heads serve their backoff: nothing injects before cycle 50.
+    EXPECT_TRUE(t.drain(49).empty());
+    EXPECT_EQ(t.drain(50), (std::vector<PacketSlot>{lone, retry, after_lone, p1, p2, p3}));
+    EXPECT_EQ(t.pool.live(), 0u);
+  }
+}
+
+TEST(NicUnit, DropAndRewriteTouchOnlyTheirFlow) {
+  SparseNic t;
+  const PacketSlot a0 = t.put(1000, 2), b0 = t.put(0, 0), a1 = t.put(1000, 2);
+  const PacketSlot c0 = t.put(7, 1), a2 = t.put(1000, 2), b1 = t.put(0, 0);
+
+  const SourceRoute detour = SourceRoute::encode(xy_path(t.cfg.dims(), 4, 14));
+  const SourceRoute original = t.pool.at(c0).route;
+  ASSERT_NE(detour, original);
+  t.nic.rewrite_queued_routes(0, 0, detour);
+  EXPECT_EQ(t.pool.at(b0).route, detour);
+  EXPECT_EQ(t.pool.at(b1).route, detour);
+  EXPECT_EQ(t.pool.at(c0).route, original);
+  EXPECT_EQ(t.pool.at(a1).route, original);
+
+  std::vector<PacketSlot> dropped;
+  EXPECT_EQ(t.nic.drop_flow_queue(1000, 2,
+                                  [&](PacketSlot s) {
+                                    dropped.push_back(s);
+                                    t.pool.release(s);
+                                  }),
+            3);
+  EXPECT_EQ(dropped, (std::vector<PacketSlot>{a0, a1, a2}));
+  EXPECT_EQ(t.nic.queued_packets(), 3);
+  EXPECT_EQ(t.nic.drop_flow_queue(1000, 2, [](PacketSlot) { FAIL(); }), 0);
+  EXPECT_EQ(t.drain(10), (std::vector<PacketSlot>{b0, c0, b1}));
+  // The emptied flow takes new packets again.
+  const PacketSlot a3 = t.put(1000, 2);
+  EXPECT_EQ(t.drain(11), (std::vector<PacketSlot>{a3}));
+  EXPECT_EQ(t.pool.live(), 0u);
+}
+
+TEST(NicUnitDeathTest, RejectsUnregisteredWrongNicAndDuplicateFlows) {
+  SparseNic t;
+  EXPECT_DEATH(t.nic.offer_packet(t.packet(7), 0), "unregistered flow");
+  EXPECT_DEATH(t.nic.offer_packet(t.packet(5000), 3), "unregistered flow");
+  EXPECT_DEATH(t.nic.requeue_front(t.packet(3), 0, 0), "wrong NIC");
+  EXPECT_DEATH(t.nic.drop_flow_queue(3, 0, [](PacketSlot) {}), "not sourced here");
+  EXPECT_DEATH(t.nic.rewrite_queued_routes(3, 0, SourceRoute{}), "not sourced here");
+  EXPECT_DEATH(t.nic.register_flow(sparse_flow(t.cfg, 0, 4, 6)), "registered twice");
+  EXPECT_DEATH(t.nic.register_flow(sparse_flow(t.cfg, 1000, 4, 6)), "registered twice");
+  EXPECT_DEATH(t.nic.register_flow(sparse_flow(t.cfg, 5, 4, 6)), "out of FlowId order");
+  EXPECT_DEATH(t.nic.register_flow(sparse_flow(t.cfg, 3, 5, 6)), "wrong NIC");
 }
 
 }  // namespace
