@@ -83,13 +83,8 @@ class CanonicalEncoder {
  public:
   void u8(std::uint8_t v) { buf_ += static_cast<char>(v); }
 
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_ += static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_ += static_cast<char>((v >> (8 * i)) & 0xff);
-  }
+  void u32(std::uint32_t v) { le(v, 4); }
+  void u64(std::uint64_t v) { le(v, 8); }
 
   /// Signed values two's-complement through the unsigned path (bit-exact on
   /// every platform this project targets).
@@ -108,6 +103,13 @@ class CanonicalEncoder {
   const std::string& bytes() const { return buf_; }
 
  private:
+  /// The low `n` bytes of v, little-endian, appended in one go.
+  void le(std::uint64_t v, int n) {
+    char b[8];
+    for (int i = 0; i < n; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    buf_.append(b, static_cast<std::size_t>(n));
+  }
+
   std::string buf_;
 };
 

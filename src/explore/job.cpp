@@ -57,44 +57,48 @@ sim::ScenarioSpec make_point_scenario(const SweepSpec& spec, const RunPoint& pt)
   return scenario;
 }
 
-RunRecord run_point(const SweepSpec& spec, const RunPoint& pt, int shard_cap) {
-  RunRecord rec;
+void stamp_point_echo(const RunPoint& pt, const sim::ScenarioSpec* resolved, RunRecord& rec) {
   rec.index = pt.index;
   rec.width = pt.mesh.width();
   rec.height = pt.mesh.height();
   rec.flit_bits = pt.flit_bits;
-  rec.hpc_max = pt.hpc_max;
   rec.injection = pt.injection;
   rec.workload = pt.scenario_file.empty() ? pt.workload.name() : "scenario:" + pt.scenario_file;
   rec.fault_rate = pt.fault_rate;
   rec.fault_schedule = pt.fault_schedule;
   rec.design = design_name(pt.design);
   rec.seed = pt.seed;
+  if (pt.scenario_file.empty() || resolved == nullptr) return;
+  // Echo what the scenario file resolved to, so the row is self-describing
+  // like any grid point's.
+  const sim::ScenarioSpec& sc = *resolved;
+  rec.width = sc.config.width;
+  rec.height = sc.config.height;
+  rec.flit_bits = sc.config.flit_bits;
+  rec.fault_rate = sc.fault_rate;
+  rec.fault_schedule =
+      sc.fault_events.empty() ? "none" : noc::format_fault_schedule_token(sc.fault_events);
+  rec.design = design_name(sc.design);
+  rec.seed = sc.config.seed;
+  for (const sim::PhaseSpec& ph : sc.phases) {
+    if (ph.injection > 0.0) {
+      rec.injection = ph.injection;
+      break;
+    }
+  }
+}
+
+RunRecord run_point(const SweepSpec& spec, const RunPoint& pt, int shard_cap) {
+  RunRecord rec;
+  stamp_point_echo(pt, nullptr, rec);
+  rec.hpc_max = pt.hpc_max;
 
   try {
     sim::ScenarioSpec scenario = make_point_scenario(spec, pt);
+    stamp_point_echo(pt, &scenario, rec);
+    rec.hpc_max = scenario.config.hpc_max_override;
     if (shard_cap > 0 && scenario.config.shard_threads > shard_cap) {
       scenario.config.shard_threads = shard_cap;
-    }
-    if (!pt.scenario_file.empty()) {
-      // Echo what the scenario file resolved to, so the row is
-      // self-describing like any grid point's.
-      rec.width = scenario.config.width;
-      rec.height = scenario.config.height;
-      rec.flit_bits = scenario.config.flit_bits;
-      rec.hpc_max = scenario.config.hpc_max_override;
-      rec.fault_rate = scenario.fault_rate;
-      rec.fault_schedule = scenario.fault_events.empty()
-                               ? "none"
-                               : noc::format_fault_schedule_token(scenario.fault_events);
-      rec.design = design_name(scenario.design);
-      rec.seed = scenario.config.seed;
-      for (const sim::PhaseSpec& ph : scenario.phases) {
-        if (ph.injection > 0.0) {
-          rec.injection = ph.injection;
-          break;
-        }
-      }
     }
 
     sim::Session session(std::move(scenario));
@@ -102,8 +106,9 @@ RunRecord run_point(const SweepSpec& spec, const RunPoint& pt, int shard_cap) {
     const sim::RunResult run = sim::session_to_run_result(sr);
 
     if (!sr.phases.empty()) rec.dropped_flows = sr.phases.front().dropped_flows;
-    const Design design = pt.scenario_file.empty() ? pt.design : session.spec().design;
-    if (design == Design::Smart && session.hpc_max() > 0) rec.hpc_max = session.hpc_max();
+    if (session.spec().design == Design::Smart && session.hpc_max() > 0) {
+      rec.hpc_max = session.hpc_max();
+    }
     try {
       rec.flows = session.network().flows().size();
       // Degradation columns: how much the fault campaign actually cost.

@@ -21,6 +21,14 @@ namespace smartnoc::explore {
 /// any input that can change a result must flow through here.
 sim::ScenarioSpec make_point_scenario(const SweepSpec& spec, const RunPoint& pt);
 
+/// Stamps the point echo columns of `rec` (all but hpc_max, whose effective
+/// value comes out of the session): from the point's axes, or - for a
+/// scenario point - from `resolved`, the scenario it resolved to (nullptr
+/// when it did not resolve). run_point and the serving cache's hits both
+/// stamp through here, so a hit is byte-identical to a computed record no
+/// matter which sweep inserted it.
+void stamp_point_echo(const RunPoint& pt, const sim::ScenarioSpec* resolved, RunRecord& rec);
+
 /// Runs one point of the matrix to completion. Never throws: configuration
 /// errors, simulation errors and drain timeouts all come back as a record
 /// with ok=false and the cause in `error`.

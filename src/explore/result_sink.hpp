@@ -14,7 +14,9 @@
 namespace smartnoc::explore {
 
 /// One completed (or failed) run of the matrix. Echoes the point's
-/// configuration so an exported table is self-describing.
+/// configuration so an exported table is self-describing. Member order is
+/// the CSV/JSON column order: the column table in result_sink.cpp lists
+/// each member once, and every reader and writer walks it.
 struct RunRecord {
   // --- Point echo -------------------------------------------------------
   std::uint64_t index = 0;

@@ -142,27 +142,6 @@ std::vector<std::string> split_list(const std::string& s) {
 
 }  // namespace
 
-int parse_axis_int(const std::string& s, const char* what) {
-  return parse_int_token(s, what);
-}
-
-double parse_axis_double(const std::string& s, const char* what) {
-  return parse_double_token(s, what);
-}
-
-std::uint64_t parse_axis_u64(const std::string& s, const char* what) {
-  return parse_u64_token(s, what);
-}
-
-MeshDims parse_mesh(const std::string& token) {
-  const auto x = token.find_first_of("xX");
-  if (x == std::string::npos || x == 0 || x + 1 >= token.size()) {
-    throw ConfigError("malformed mesh '" + token + "' (expected WxH, e.g. 4x4)");
-  }
-  return MeshDims(parse_axis_int(token.substr(0, x), "mesh width"),
-                  parse_axis_int(token.substr(x + 1), "mesh height"));
-}
-
 Workload parse_workload(const std::string& token) {
   const std::string t = lower_token(token);
   using SP = noc::SyntheticPattern;
@@ -185,24 +164,64 @@ Workload parse_workload(const std::string& token) {
                     "apps: h264, mms_dec, mms_enc, mms_mp3, mwd, vopd, wlan, pip)");
 }
 
-Design parse_design(const std::string& token) {
-  const std::string t = lower_token(token);
-  if (t == "mesh" || t == "baseline") return Design::Mesh;
-  if (t == "smart") return Design::Smart;
-  if (t == "dedicated") return Design::Dedicated;
-  throw ConfigError("unknown design '" + token + "' (mesh, smart, dedicated)");
+void apply_sweep_key(SweepSpec& spec, const std::string& key, const std::string& values,
+                     bool& workloads_replaced) {
+  const std::vector<std::string> items = split_list(values);
+  if (items.empty()) throw ConfigError("no values for '" + key + "'");
+  auto axis = [&](auto& out, auto parse) {
+    out.clear();
+    for (const auto& s : items) out.push_back(parse(s));
+    spec.config_points = true;
+  };
+  auto single = [&]() -> const std::string& {
+    if (items.size() != 1) throw ConfigError("'" + key + "' takes one value");
+    return items.front();
+  };
+  if (key == "mesh") {
+    axis(spec.meshes, [](const std::string& s) { return parse_mesh(s); });
+  } else if (key == "flit_bits" || key == "flits") {
+    axis(spec.flit_bits, [](const std::string& s) { return parse_int_token(s, "flit_bits"); });
+  } else if (key == "hpc_max" || key == "hpc") {
+    axis(spec.hpc_max, [](const std::string& s) { return parse_int_token(s, "hpc_max"); });
+  } else if (key == "injection" || key == "inj") {
+    axis(spec.injections, [](const std::string& s) { return parse_double_token(s, "injection"); });
+  } else if (key == "pattern" || key == "app" || key == "workload") {
+    // The first workload key replaces the axis; later ones append, so one
+    // sweep can mix synthetic patterns and SoC apps.
+    if (!workloads_replaced) spec.workloads.clear();
+    workloads_replaced = true;
+    for (const auto& s : items) spec.workloads.push_back(parse_workload(s));
+    spec.config_points = true;
+  } else if (key == "fault_rate" || key == "faults") {
+    axis(spec.fault_rates, [](const std::string& s) { return parse_double_token(s, "fault_rate"); });
+  } else if (key == "fault_schedule" || key == "fault_events") {
+    axis(spec.fault_schedules, [](const std::string& s) { return s; });
+  } else if (key == "design") {
+    axis(spec.designs, [](const std::string& s) { return parse_design(s); });
+  } else if (key == "scenario_files" || key == "scenario") {
+    spec.scenario_files.insert(spec.scenario_files.end(), items.begin(), items.end());
+  } else if (key == "seed") {
+    spec.base_seed = parse_u64_token(single(), "seed");
+  } else if (key == "warmup") {
+    spec.warmup_cycles = parse_u64_token(single(), "warmup");
+  } else if (key == "measure") {
+    spec.measure_cycles = parse_u64_token(single(), "measure");
+  } else if (key == "drain_timeout" || key == "drain") {
+    spec.drain_timeout = parse_u64_token(single(), "drain_timeout");
+  } else if (key == "shard_threads") {
+    spec.shard_threads = parse_int_token(single(), "shard_threads");
+  } else {
+    throw ConfigError("unknown key '" + key + "'");
+  }
 }
 
 SweepSpec parse_sweep(const std::string& text) {
   SweepSpec spec;
-  // Axes named in the file replace the defaults; `pattern` and `app` both
-  // append to the workload axis so a sweep can mix the two kinds.
-  bool saw_workload = false;
-  // A file that names scenario_files and no config axis sweeps only those
-  // scenarios - the default 1-point grid would otherwise always ride along.
-  bool saw_config_axis = false;
-  std::vector<Workload> workloads;
-
+  // Config-axis keys set config_points back; a file that names only
+  // scenario_files sweeps exactly those scenarios, without the default
+  // 1-point grid riding along.
+  spec.config_points = false;
+  bool workloads_replaced = false;
   std::stringstream ss(text);
   std::string line;
   int lineno = 0;
@@ -216,63 +235,14 @@ SweepSpec parse_sweep(const std::string& text) {
     if (eq == std::string::npos) {
       throw ConfigError("sweep line " + std::to_string(lineno) + ": expected 'key = values'");
     }
-    const std::string key = lower_token(trim_token(line.substr(0, eq)));
-    const std::string val = trim_token(line.substr(eq + 1));
-    const std::vector<std::string> items = split_list(val);
-    if (items.empty()) {
-      throw ConfigError("sweep line " + std::to_string(lineno) + ": no values for '" + key + "'");
-    }
     try {
-      if (key != "seed" && key != "warmup" && key != "measure" && key != "drain_timeout" &&
-          key != "drain" && key != "scenario_files" && key != "scenario" &&
-          key != "shard_threads") {
-        saw_config_axis = true;
-      }
-      if (key == "mesh") {
-        spec.meshes.clear();
-        for (const auto& s : items) spec.meshes.push_back(parse_mesh(s));
-      } else if (key == "flit_bits" || key == "flits") {
-        spec.flit_bits.clear();
-        for (const auto& s : items) spec.flit_bits.push_back(parse_axis_int(s, "flit_bits"));
-      } else if (key == "hpc_max" || key == "hpc") {
-        spec.hpc_max.clear();
-        for (const auto& s : items) spec.hpc_max.push_back(parse_axis_int(s, "hpc_max"));
-      } else if (key == "injection" || key == "inj") {
-        spec.injections.clear();
-        for (const auto& s : items) spec.injections.push_back(parse_axis_double(s, "injection"));
-      } else if (key == "pattern" || key == "app" || key == "workload") {
-        saw_workload = true;
-        for (const auto& s : items) workloads.push_back(parse_workload(s));
-      } else if (key == "fault_rate" || key == "faults") {
-        spec.fault_rates.clear();
-        for (const auto& s : items) spec.fault_rates.push_back(parse_axis_double(s, "fault_rate"));
-      } else if (key == "fault_schedule" || key == "fault_events") {
-        spec.fault_schedules.clear();
-        for (const auto& s : items) spec.fault_schedules.push_back(s);
-      } else if (key == "design") {
-        spec.designs.clear();
-        for (const auto& s : items) spec.designs.push_back(parse_design(s));
-      } else if (key == "scenario_files" || key == "scenario") {
-        for (const auto& s : items) spec.scenario_files.push_back(s);
-      } else if (key == "seed") {
-        spec.base_seed = parse_axis_u64(items.at(0), "seed");
-      } else if (key == "warmup") {
-        spec.warmup_cycles = parse_axis_u64(items.at(0), "warmup");
-      } else if (key == "measure") {
-        spec.measure_cycles = parse_axis_u64(items.at(0), "measure");
-      } else if (key == "drain_timeout" || key == "drain") {
-        spec.drain_timeout = parse_axis_u64(items.at(0), "drain_timeout");
-      } else if (key == "shard_threads") {
-        spec.shard_threads = parse_axis_int(items.at(0), "shard_threads");
-      } else {
-        throw ConfigError("unknown key '" + key + "'");
-      }
+      apply_sweep_key(spec, lower_token(trim_token(line.substr(0, eq))), line.substr(eq + 1),
+                      workloads_replaced);
     } catch (const ConfigError& e) {
       throw ConfigError("sweep line " + std::to_string(lineno) + ": " + e.what());
     }
   }
-  if (saw_workload) spec.workloads = std::move(workloads);
-  if (!spec.scenario_files.empty() && !saw_config_axis) spec.config_points = false;
+  if (spec.scenario_files.empty()) spec.config_points = true;
   spec.validate();
   return spec;
 }

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
+#include "common/config_fields.hpp"
 #include "common/geometry.hpp"
 #include "mapping/apps.hpp"
 #include "noc/traffic.hpp"
@@ -153,14 +153,16 @@ struct SweepSpec {
 /// values throw ConfigError with the line number.
 SweepSpec parse_sweep(const std::string& text);
 
-// Single-value parsers shared by the sweep file and the explorer CLI flags.
-// All throw ConfigError on malformed input (including trailing garbage, so
-// a typo'd list separator cannot silently truncate an axis).
-MeshDims parse_mesh(const std::string& token);          ///< "4x4"
-Workload parse_workload(const std::string& token);      ///< pattern or app name
-Design parse_design(const std::string& token);          ///< "mesh"/"smart"/"dedicated"
-int parse_axis_int(const std::string& token, const char* what);
-double parse_axis_double(const std::string& token, const char* what);
-std::uint64_t parse_axis_u64(const std::string& token, const char* what);  ///< rejects negatives
+/// Applies one `key = v1, v2, ...` assignment: a sweep-file line, or an
+/// explorer axis flag (--mesh V is key "mesh"). An axis key replaces that
+/// axis and sets config_points; the first workload key (pattern, app,
+/// workload) replaces the workload axis and later ones append, which
+/// `workloads_replaced` tracks across calls. Scalar keys take one value.
+void apply_sweep_key(SweepSpec& spec, const std::string& key, const std::string& values,
+                     bool& workloads_replaced);
+
+/// A pattern or app name. Throws ConfigError on an unknown one. (The other
+/// value parsers are common/parse.hpp's and common/config_fields.hpp's.)
+Workload parse_workload(const std::string& token);
 
 }  // namespace smartnoc::explore

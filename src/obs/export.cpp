@@ -1,11 +1,11 @@
 #include "obs/export.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
 #include "common/error.hpp"
+#include "common/flat_json.hpp"
 #include "common/float_io.hpp"
 #include "common/table.hpp"
 
@@ -159,88 +159,22 @@ std::string to_json(const Heartbeat& hb) {
   return out;
 }
 
-namespace {
-
-/// Minimal reader for the flat object to_json(Heartbeat) emits.
-class FlatJson {
- public:
-  explicit FlatJson(const std::string& s) : s_(s) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      throw ConfigError(strf("heartbeat JSON: expected '%c' at byte %zu", c, pos_));
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string read_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) c = s_[pos_++];
-      out += c;
-    }
-    expect('"');
-    return out;
-  }
-
-  std::string read_scalar() {
-    skip_ws();
-    std::string out;
-    while (pos_ < s_.size() && (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-                                s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-                                s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      out += s_[pos_++];
-    }
-    if (out.empty()) throw ConfigError(strf("heartbeat JSON: expected number at byte %zu", pos_));
-    return out;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 Heartbeat heartbeat_from_json(const std::string& json) {
-  FlatJson rd(json);
+  FlatJsonReader rd(json);
   Heartbeat hb;
   rd.expect('{');
   if (!rd.consume('}')) {
     do {
-      const std::string key = rd.read_string();
+      const std::string_view key = rd.read_key();
       rd.expect(':');
-      if (key == "job") {
-        hb.job = rd.read_string();
-      } else {
-        const std::string tok = rd.read_scalar();
-        if (key == "pid") hb.pid = std::strtoll(tok.c_str(), nullptr, 10);
-        else if (key == "uptime_seconds") hb.uptime_seconds = parse_double_rt(tok, "uptime");
-        else if (key == "points_done") hb.points_done = std::strtoull(tok.c_str(), nullptr, 10);
-        else if (key == "points_total") hb.points_total = std::strtoull(tok.c_str(), nullptr, 10);
-        else if (key == "points_per_sec") hb.points_per_sec = parse_double_rt(tok, "rate");
-        else if (key == "eta_seconds") hb.eta_seconds = parse_double_rt(tok, "eta");
-        else throw ConfigError("heartbeat JSON: unknown key '" + key + "'");
-      }
+      if (key == "job") rd.read_string(hb.job);
+      else if (key == "pid") parse_number(rd.read_scalar(), hb.pid, "pid");
+      else if (key == "uptime_seconds") parse_number(rd.read_scalar(), hb.uptime_seconds, "uptime");
+      else if (key == "points_done") parse_number(rd.read_scalar(), hb.points_done, "points_done");
+      else if (key == "points_total") parse_number(rd.read_scalar(), hb.points_total, "total");
+      else if (key == "points_per_sec") parse_number(rd.read_scalar(), hb.points_per_sec, "rate");
+      else if (key == "eta_seconds") parse_number(rd.read_scalar(), hb.eta_seconds, "eta");
+      else throw ConfigError("heartbeat JSON: unknown key '" + std::string(key) + "'");
     } while (rd.consume(','));
     rd.expect('}');
   }

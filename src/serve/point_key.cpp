@@ -1,67 +1,44 @@
 #include "serve/point_key.hpp"
 
+#include <type_traits>
+
 #include "noc/traffic.hpp"
 
 namespace smartnoc::serve {
 
-// Layout tripwires: if one of these structs grows a field, the canonical
-// encoding below silently stops covering part of the point's identity and
-// the cache would alias distinct computations. The assert forces whoever
-// adds the field to extend encode_* AND bump kPointKeyVersion. (Sizes are
-// for the LP64 ABI every supported target uses; adjust alongside the
-// encoding if that ever changes.)
+// Layout tripwires: if one of these structs grows a field, the field table
+// (sim/scenario.hpp, common/config_fields.hpp) silently stops covering part
+// of the point's identity and the cache would alias distinct computations.
+// The assert forces whoever adds the field to add its row (and, if the row
+// is in the key, bump kPointKeyVersion). Sizes are for the LP64 ABI every
+// supported target uses; adjust alongside the table if that ever changes.
 static_assert(sizeof(NocConfig) == 144,
-              "NocConfig changed: extend canonical_point_bytes and bump kPointKeyVersion");
+              "NocConfig changed: add a row to for_each_config_field");
 static_assert(sizeof(sim::PhaseSpec) == 96,
-              "PhaseSpec changed: extend canonical_point_bytes and bump kPointKeyVersion");
+              "PhaseSpec changed: add a row to for_each_phase_field");
 static_assert(sizeof(noc::FaultEventSpec) == 32,
-              "FaultEventSpec changed: extend canonical_point_bytes and bump kPointKeyVersion");
+              "FaultEventSpec changed: extend encode_fault_event and bump kPointKeyVersion");
 static_assert(sizeof(sim::ScenarioSpec) == 432,
-              "ScenarioSpec changed: extend canonical_point_bytes and bump kPointKeyVersion");
+              "ScenarioSpec changed: add a row to sim::for_each_field");
 
 namespace {
 
-void encode_config(CanonicalEncoder& e, const NocConfig& c) {
-  e.i64(c.width);
-  e.i64(c.height);
-  e.i64(c.flit_bits);
-  e.i64(c.packet_bits);
-  e.i64(c.vcs_per_port);
-  e.i64(c.vc_depth_flits);
-  e.i64(c.header_bits);
-  e.i64(c.credit_bits);
-  e.f64(c.freq_ghz);
-  e.f64(c.hop_mm);
-  e.u8(static_cast<std::uint8_t>(c.link_swing));
-  e.i64(c.hpc_max_override);
-  e.i64(c.router_stages);
-  e.u8(c.clock_gate_unused_ports ? 1 : 0);
-  e.u64(c.seed);
-  e.u64(c.warmup_cycles);
-  e.u64(c.measure_cycles);
-  e.u64(c.drain_timeout);
-  e.u8(static_cast<std::uint8_t>(c.routing));
-  e.f64(c.bandwidth_scale);
-  e.u64(c.watchdog_window);
-  e.i64(c.retry_limit);
-  e.u64(c.retry_backoff_cycles);
-  // c.shard_threads is excluded on purpose: like the executor's sweep thread
-  // count, it cannot change a RunRecord (bit-identity at any shard count is
-  // pinned by the GoldenShards matrix), so cached results stay valid across
-  // shard settings and the encoded bytes - hence kPointKeyVersion - are
-  // unchanged by the knob's introduction.
-}
-
-void encode_phase(CanonicalEncoder& e, const sim::PhaseSpec& p) {
-  // p.name is a display label only - excluded on purpose.
-  e.str(p.workload);
-  e.f64(p.injection);
-  e.u64(p.cycles);
-  e.u8(p.measure ? 1 : 0);
-  e.u8(p.traffic ? 1 : 0);
-  e.u8(p.drain ? 1 : 0);
-  e.u8(p.reconfigure ? 1 : 0);
-  e.f64(p.fault_rate);
+// Key encoding follows the row's type. The mesh view row is never in the
+// key (its width and height rows are), but every row type has an encoding.
+template <class T>
+void put(CanonicalEncoder& e, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) e.u8(v ? 1 : 0);
+  else if constexpr (std::is_same_v<T, int>) e.i64(v);
+  else if constexpr (std::is_same_v<T, std::uint64_t>) e.u64(v);
+  else if constexpr (std::is_same_v<T, double>) e.f64(v);
+  else if constexpr (std::is_same_v<T, std::string>) e.str(v);
+  else if constexpr (std::is_enum_v<T>) {
+    static_assert(sizeof(T) == 1, "enum rows encode as one byte");
+    e.u8(static_cast<std::uint8_t>(v));
+  } else {  // MeshRef: the bytes of its width and height rows
+    e.i64(v.width);
+    e.i64(v.height);
+  }
 }
 
 void encode_fault_event(CanonicalEncoder& e, const noc::FaultEventSpec& f) {
@@ -78,11 +55,10 @@ std::string canonical_point_bytes(const sim::ScenarioSpec& s) {
   CanonicalEncoder e;
   e.str("SNPK");  // magic: smartnoc point key
   e.u32(kPointKeyVersion);
-  e.u8(static_cast<std::uint8_t>(s.design));
-  encode_config(e, s.config);
-  e.f64(s.fault_rate);
-  e.u8(s.single_config_core ? 1 : 0);
-  e.u64(s.store_issue_cycles);
+  auto encode_row = [&e](const FieldMeta& m, const auto& v) {
+    if (m.in_point_key) put(e, v);
+  };
+  sim::for_each_field(encode_row, s);
   // Two retired slots (traffic mode, reference kernel), written as the
   // constants they always held - GapSkip, then 0 - so every key minted
   // before their retirement stays valid under this kPointKeyVersion.
@@ -91,8 +67,7 @@ std::string canonical_point_bytes(const sim::ScenarioSpec& s) {
   e.u32(static_cast<std::uint32_t>(s.fault_events.size()));
   for (const noc::FaultEventSpec& f : s.fault_events) encode_fault_event(e, f);
   e.u32(static_cast<std::uint32_t>(s.phases.size()));
-  for (const sim::PhaseSpec& p : s.phases) encode_phase(e, p);
-  // s.name and s.telemetry are excluded: neither can change a RunRecord.
+  for (const sim::PhaseSpec& p : s.phases) sim::for_each_phase_field(encode_row, p);
   return e.bytes();
 }
 

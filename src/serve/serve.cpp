@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include "common/error.hpp"
-#include "noc/fault_engine.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
@@ -106,46 +105,6 @@ class StatusWriter {
   bool wrote_once_ = false;
 };
 
-/// Re-stamps the point echo on a cached record, mirroring run_point line
-/// for line, so a hit is byte-identical to the computed record no matter
-/// which sweep originally inserted it (the cache key covers the resolved
-/// scenario, not the spelling of the point that produced it). hpc_max is
-/// deliberately kept from the cached record: its effective value comes out
-/// of the session and is determined by the key.
-void stamp_point_echo(const explore::RunPoint& pt, const sim::ScenarioSpec& scenario,
-                      explore::RunRecord& rec) {
-  rec.index = pt.index;
-  if (pt.scenario_file.empty()) {
-    rec.width = pt.mesh.width();
-    rec.height = pt.mesh.height();
-    rec.flit_bits = pt.flit_bits;
-    rec.injection = pt.injection;
-    rec.workload = pt.workload.name();
-    rec.fault_rate = pt.fault_rate;
-    rec.fault_schedule = pt.fault_schedule;
-    rec.design = design_name(pt.design);
-    rec.seed = pt.seed;
-  } else {
-    rec.width = scenario.config.width;
-    rec.height = scenario.config.height;
-    rec.flit_bits = scenario.config.flit_bits;
-    rec.workload = "scenario:" + pt.scenario_file;
-    rec.fault_rate = scenario.fault_rate;
-    rec.fault_schedule = scenario.fault_events.empty()
-                             ? "none"
-                             : noc::format_fault_schedule_token(scenario.fault_events);
-    rec.design = design_name(scenario.design);
-    rec.seed = scenario.config.seed;
-    rec.injection = pt.injection;
-    for (const sim::PhaseSpec& ph : scenario.phases) {
-      if (ph.injection > 0.0) {
-        rec.injection = ph.injection;
-        break;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 explore::SweepHooks cache_hooks(ResultCache& cache) {
@@ -181,11 +140,13 @@ explore::SweepHooks cache_hooks(ResultCache& cache) {
     if (!spec.telemetry_prefix.empty() || !spec.trace_prefix.empty()) return false;
     auto hit = cache.lookup(key);
     if (!hit) return false;
+    // hpc_max stays the cached value: it comes out of the session and is
+    // determined by the key.
     rec = std::move(*hit);
-    stamp_point_echo(pt, scenario, rec);
+    explore::stamp_point_echo(pt, &scenario, rec);
     return true;
   };
-  hooks.store = [&cache, memo](const explore::SweepSpec& spec, const explore::RunPoint& pt,
+  hooks.store = [&cache, memo](const explore::SweepSpec&, const explore::RunPoint& pt,
                                const explore::RunRecord& rec) {
     Hash128 key;
     {

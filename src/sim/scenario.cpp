@@ -1,11 +1,9 @@
 #include "sim/scenario.hpp"
 
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
@@ -58,21 +56,27 @@ void ScenarioSpec::validate() const {
       telemetry.epoch_cycles == 0) {
     throw ConfigError("telemetry exports need a sample window: set telemetry_epoch > 0");
   }
-  // The line-oriented text form tokenizes on whitespace and strips '#'
-  // comments, so such paths cannot survive a serialize -> parse round
-  // trip; reject them rather than silently truncating.
-  auto check_path = [](const std::string& path, const char* what) {
-    if (path.find_first_of(" \t#") != std::string::npos) {
-      throw ConfigError(std::string(what) + " path '" + path +
-                        "' contains whitespace or '#', which the scenario text form "
-                        "cannot represent");
+  // The line-oriented text form strips '#' comments, reads one line per key,
+  // trims values and splits phase lines on whitespace, so such strings
+  // cannot survive a serialize -> parse round trip; reject them rather than
+  // silently truncating.
+  auto representable = [](const std::string& s, const char* banned, const std::string& what) {
+    if (s.find_first_of(banned) != std::string::npos) {
+      throw ConfigError(what + " '" + s + "' contains whitespace or '#', which the scenario "
+                        "text form cannot represent");
     }
   };
-  check_path(telemetry.record_trace, "record_trace");
-  check_path(telemetry.csv, "telemetry_csv");
-  check_path(telemetry.power_csv, "telemetry_power_csv");
-  check_path(telemetry.heatmap, "telemetry_heatmap");
-  check_path(telemetry.chrome, "telemetry_chrome");
+  const char* kAnySpace = " \t\n\r\f\v#";
+  representable(name, "#\n\r", "scenario name");
+  if (name != trim_token(name)) {
+    throw ConfigError("scenario name '" + name + "' has leading or trailing whitespace, which "
+                      "the scenario text form cannot represent");
+  }
+  representable(telemetry.record_trace, kAnySpace, "record_trace path");
+  representable(telemetry.csv, kAnySpace, "telemetry_csv path");
+  representable(telemetry.power_csv, kAnySpace, "telemetry_power_csv path");
+  representable(telemetry.heatmap, kAnySpace, "telemetry_heatmap path");
+  representable(telemetry.chrome, kAnySpace, "telemetry_chrome path");
   for (const noc::FaultEventSpec& ev : fault_events) ev.validate(config.dims());
   if (!fault_events.empty() && design == Design::Dedicated) {
     throw ConfigError("fault events target mesh links and routers; the dedicated design "
@@ -83,15 +87,12 @@ void ScenarioSpec::validate() const {
     const PhaseSpec& ph = phases[i];
     const std::string ctx = "phase " + std::to_string(i) + " ('" + ph.name + "')";
     if (ph.name.empty()) throw ConfigError("phase " + std::to_string(i) + " has no name");
+    representable(ph.name, kAnySpace, ctx + ": phase name");
     if (ph.drain && ph.traffic) {
       throw ConfigError(ctx + ": drain phases run with traffic off (add no-traffic)");
     }
     if (!ph.workload.empty()) {
-      if (ph.workload.find_first_of(" \t#") != std::string::npos) {
-        throw ConfigError(ctx + ": workload key '" + ph.workload +
-                          "' contains whitespace or '#', which the scenario text form "
-                          "cannot represent");
-      }
+      representable(ph.workload, kAnySpace, ctx + ": workload key");
       wl = ph.workload;
     }
     if (ph.injection < 0.0) throw ConfigError(ctx + ": injection must be >= 0");
@@ -122,97 +123,71 @@ void ScenarioSpec::validate() const {
   }
 }
 
-// --- Shared token parsing ----------------------------------------------------
+// --- Shared field codecs -----------------------------------------------------
 
 namespace {
 
 using smartnoc::lower_token;
 using smartnoc::trim_token;
 
-Design parse_design_token(const std::string& tok) {
-  const std::string t = lower_token(tok);
-  if (t == "mesh" || t == "baseline") return Design::Mesh;
-  if (t == "smart") return Design::Smart;
-  if (t == "dedicated") return Design::Dedicated;
-  throw ConfigError("unknown design '" + tok + "' (mesh, smart, dedicated)");
-}
+const ScenarioSpec kDefaultSpec;
+const PhaseSpec kDefaultPhase;
 
-RoutingPolicy parse_routing_token(const std::string& tok) {
-  const std::string t = lower_token(tok);
-  if (t == "xy") return RoutingPolicy::XY;
-  if (t == "west-first" || t == "westfirst") return RoutingPolicy::WestFirst;
-  throw ConfigError("unknown routing policy '" + tok + "' (xy, west-first)");
-}
-
-void parse_mesh_token(const std::string& tok, NocConfig& cfg) {
-  const auto x = tok.find('x');
-  if (x == std::string::npos) throw ConfigError("mesh: expected WxH, got '" + tok + "'");
-  cfg.width = parse_int_token(tok.substr(0, x), "mesh width");
-  cfg.height = parse_int_token(tok.substr(x + 1), "mesh height");
-}
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-const char* routing_name(RoutingPolicy p) {
-  return p == RoutingPolicy::XY ? "xy" : "west-first";
-}
+template <class T>
+constexpr bool is_bool_v = std::is_same_v<std::decay_t<T>, bool>;
 
 /// Applies one scenario-level `key = value` assignment (shared by the text
 /// and JSON front-ends so both dialects accept exactly the same keys).
 void apply_scalar(ScenarioSpec& spec, const std::string& key, const std::string& value) {
-  NocConfig& cfg = spec.config;
-  if (key == "name") spec.name = value;
-  else if (key == "design") spec.design = parse_design_token(value);
-  else if (key == "mesh") parse_mesh_token(value, cfg);
-  else if (key == "flit_bits") cfg.flit_bits = parse_int_token(value, "flit_bits");
-  else if (key == "packet_bits") cfg.packet_bits = parse_int_token(value, "packet_bits");
-  else if (key == "vcs") cfg.vcs_per_port = parse_int_token(value, "vcs");
-  else if (key == "vc_depth") cfg.vc_depth_flits = parse_int_token(value, "vc_depth");
-  else if (key == "freq_ghz") cfg.freq_ghz = parse_double_token(value, "freq_ghz");
-  else if (key == "hop_mm") cfg.hop_mm = parse_double_token(value, "hop_mm");
-  else if (key == "hpc") cfg.hpc_max_override = parse_int_token(value, "hpc");
-  else if (key == "routing") cfg.routing = parse_routing_token(value);
-  else if (key == "seed") cfg.seed = parse_u64_token(value, "seed");
-  else if (key == "warmup") cfg.warmup_cycles = parse_u64_token(value, "warmup");
-  else if (key == "measure") cfg.measure_cycles = parse_u64_token(value, "measure");
-  else if (key == "drain_timeout") cfg.drain_timeout = parse_u64_token(value, "drain_timeout");
-  else if (key == "bandwidth_scale") cfg.bandwidth_scale = parse_double_token(value, "bandwidth_scale");
-  else if (key == "fault_rate") spec.fault_rate = parse_double_token(value, "fault_rate");
-  else if (key == "watchdog") cfg.watchdog_window = parse_u64_token(value, "watchdog");
-  else if (key == "retry_limit") cfg.retry_limit = parse_int_token(value, "retry_limit");
-  else if (key == "retry_backoff")
-    cfg.retry_backoff_cycles = parse_u64_token(value, "retry_backoff");
-  else if (key == "shard_threads") cfg.shard_threads = parse_int_token(value, "shard_threads");
-  else if (key == "single_config_core")
-    spec.single_config_core = parse_bool_token(value, "single_config_core");
-  else if (key == "store_issue") spec.store_issue_cycles = parse_u64_token(value, "store_issue");
   // Retired test-only switches: the reference kernel and the per-cycle
   // Bernoulli stream are oracles reached through MeshNetwork and
   // TrafficEngine. Scenarios saved before the retirement carry both keys at
   // their defaults, which still parse; any other value is refused.
-  else if (key == "reference_kernel") {
+  if (key == "reference_kernel") {
     if (parse_bool_token(value, "reference_kernel")) {
       throw ConfigError("scenario key 'reference_kernel' is retired; only 'false' is accepted");
     }
-  } else if (key == "traffic_mode") {
+    return;
+  }
+  if (key == "traffic_mode") {
     if (lower_token(value) != "gap-skip") {
       throw ConfigError("scenario key 'traffic_mode' is retired; only 'gap-skip' is accepted");
     }
+    return;
   }
-  else if (key == "telemetry_epoch")
-    spec.telemetry.epoch_cycles = parse_u64_token(value, "telemetry_epoch");
-  else if (key == "record_trace") spec.telemetry.record_trace = value;
-  else if (key == "telemetry_csv") spec.telemetry.csv = value;
-  else if (key == "telemetry_power_csv") spec.telemetry.power_csv = value;
-  else if (key == "telemetry_heatmap") spec.telemetry.heatmap = value;
-  else if (key == "telemetry_chrome") spec.telemetry.chrome = value;
-  else if (key == "telemetry_chrome_events")
-    spec.telemetry.chrome_events = parse_u64_token(value, "telemetry_chrome_events");
-  else throw ConfigError("unknown scenario key '" + key + "'");
+  bool found = false;
+  for_each_field(
+      [&](const FieldMeta& m, auto&& v) {
+        if (found || m.key.empty() || m.key != key) return;
+        parse_token(value, v, key);
+        found = true;
+      },
+      spec);
+  if (!found) throw ConfigError("unknown scenario key '" + key + "'");
+}
+
+/// Sets the phase row a text token (`json` false: by key) or a JSON member
+/// (by member name) names. Returns false when no row matches.
+bool apply_phase_value(PhaseSpec& ph, std::string_view name, const std::string& value, bool json,
+                       const std::string& ctx) {
+  bool found = false;
+  for_each_phase_field(
+      [&](const FieldMeta& m, auto&& v) {
+        if (found || (json ? m.member : m.key) != name || (!json && is_bool_v<decltype(v)>)) {
+          return;
+        }
+        parse_token(value, v, ctx + std::string(name));
+        found = true;
+      },
+      ph);
+  return found;
+}
+
+/// What both phase front-ends finish with: workload keys in canonical
+/// spelling, and no traffic during a drain.
+void finish_phase(PhaseSpec& ph) {
+  ph.workload = normalize_workload_key(ph.workload);
+  if (ph.drain) ph.traffic = false;
 }
 
 }  // namespace
@@ -220,68 +195,31 @@ void apply_scalar(ScenarioSpec& spec, const std::string& key, const std::string&
 // --- Text form ---------------------------------------------------------------
 
 std::string serialize_scenario_text(const ScenarioSpec& spec) {
-  const NocConfig& cfg = spec.config;
   std::ostringstream out;
   out << "# smartnoc scenario\n";
-  out << "name = " << spec.name << "\n";
-  out << "design = " << lower_token(design_name(spec.design)) << "\n";
-  out << "mesh = " << cfg.width << "x" << cfg.height << "\n";
-  out << "flit_bits = " << cfg.flit_bits << "\n";
-  out << "packet_bits = " << cfg.packet_bits << "\n";
-  out << "vcs = " << cfg.vcs_per_port << "\n";
-  out << "vc_depth = " << cfg.vc_depth_flits << "\n";
-  out << "freq_ghz = " << fmt_double(cfg.freq_ghz) << "\n";
-  out << "hop_mm = " << fmt_double(cfg.hop_mm) << "\n";
-  out << "hpc = " << cfg.hpc_max_override << "\n";
-  out << "routing = " << routing_name(cfg.routing) << "\n";
-  out << "seed = " << cfg.seed << "\n";
-  out << "warmup = " << cfg.warmup_cycles << "\n";
-  out << "measure = " << cfg.measure_cycles << "\n";
-  out << "drain_timeout = " << cfg.drain_timeout << "\n";
-  out << "bandwidth_scale = " << fmt_double(cfg.bandwidth_scale) << "\n";
-  out << "fault_rate = " << fmt_double(spec.fault_rate) << "\n";
-  out << "single_config_core = " << (spec.single_config_core ? "true" : "false") << "\n";
-  out << "store_issue = " << spec.store_issue_cycles << "\n";
-  // Fault-robustness knobs serialize only when set, so pre-fault scenario
-  // files round-trip byte-for-byte.
-  if (cfg.watchdog_window != NocConfig{}.watchdog_window) {
-    out << "watchdog = " << cfg.watchdog_window << "\n";
-  }
-  if (cfg.retry_limit != NocConfig{}.retry_limit) {
-    out << "retry_limit = " << cfg.retry_limit << "\n";
-  }
-  if (cfg.retry_backoff_cycles != NocConfig{}.retry_backoff_cycles) {
-    out << "retry_backoff = " << cfg.retry_backoff_cycles << "\n";
-  }
-  // Like the fault knobs: only when set, so pre-sharding files round-trip.
-  if (cfg.shard_threads != NocConfig{}.shard_threads) {
-    out << "shard_threads = " << cfg.shard_threads << "\n";
-  }
-  // The telemetry block serializes only when configured, so pre-telemetry
-  // scenario files round-trip byte-for-byte.
-  const TelemetrySpec& tel = spec.telemetry;
-  if (tel.epoch_cycles > 0) out << "telemetry_epoch = " << tel.epoch_cycles << "\n";
-  if (!tel.record_trace.empty()) out << "record_trace = " << tel.record_trace << "\n";
-  if (!tel.csv.empty()) out << "telemetry_csv = " << tel.csv << "\n";
-  if (!tel.power_csv.empty()) out << "telemetry_power_csv = " << tel.power_csv << "\n";
-  if (!tel.heatmap.empty()) out << "telemetry_heatmap = " << tel.heatmap << "\n";
-  if (!tel.chrome.empty()) out << "telemetry_chrome = " << tel.chrome << "\n";
-  if (tel.chrome_events != TelemetrySpec{}.chrome_events) {
-    out << "telemetry_chrome_events = " << tel.chrome_events << "\n";
-  }
+  // Rows written only when set keep files saved before their knob existed
+  // round-tripping byte for byte.
+  for_each_field(
+      [&](const FieldMeta& m, const auto& v, const auto& d) {
+        if (m.key.empty() || (m.omit_default && v == d)) return;
+        out << m.key << " = " << format_token(v) << "\n";
+      },
+      spec, kDefaultSpec);
   for (const noc::FaultEventSpec& ev : spec.fault_events) {
     out << "fault_event " << noc::format_fault_schedule_token({ev}) << "\n";
   }
   for (const PhaseSpec& ph : spec.phases) {
     out << "phase " << ph.name;
-    if (!ph.workload.empty()) out << " workload=" << ph.workload;
-    if (ph.injection > 0.0) out << " injection=" << fmt_double(ph.injection);
-    if (ph.cycles > 0) out << " cycles=" << ph.cycles;
-    if (ph.fault_rate >= 0.0) out << " fault=" << fmt_double(ph.fault_rate);
-    if (ph.measure) out << " measure";
-    if (!ph.traffic) out << " no-traffic";
-    if (ph.drain) out << " drain";
-    if (ph.reconfigure) out << " reconfigure";
+    for_each_phase_field(
+        [&](const FieldMeta& m, const auto& v, const auto& d) {
+          if (!m.omit_default || v == d) return;
+          if constexpr (is_bool_v<decltype(v)>) {
+            out << ' ' << (d ? "no-" : "") << m.key;
+          } else {
+            out << ' ' << m.key << '=' << format_token(v);
+          }
+        },
+        ph, kDefaultPhase);
     out << "\n";
   }
   return out.str();
@@ -289,40 +227,48 @@ std::string serialize_scenario_text(const ScenarioSpec& spec) {
 
 namespace {
 
-PhaseSpec parse_phase_line(const std::string& rest, int line_no) {
+PhaseSpec parse_phase_line(const std::string& rest) {
   std::istringstream ss(rest);
   std::string tok;
   PhaseSpec ph;
-  if (!(ss >> tok)) {
-    throw ConfigError("line " + std::to_string(line_no) + ": phase needs a name");
-  }
+  if (!(ss >> tok)) throw ConfigError("phase needs a name");
   ph.name = tok;
-  const std::string ctx = "line " + std::to_string(line_no) + " (phase '" + ph.name + "')";
+  const std::string ctx = "phase '" + ph.name + "'";
   while (ss >> tok) {
     const auto eq = tok.find('=');
     if (eq != std::string::npos) {
       const std::string key = lower_token(tok.substr(0, eq));
-      const std::string value = tok.substr(eq + 1);
-      if (key == "workload") ph.workload = normalize_workload_key(value);
-      else if (key == "injection") ph.injection = parse_double_token(value, ctx + " injection");
-      else if (key == "cycles") ph.cycles = parse_u64_token(value, ctx + " cycles");
-      else if (key == "fault") {
-        ph.fault_rate = parse_double_token(value, ctx + " fault");
-        if (ph.fault_rate < 0.0) {
-          throw ConfigError(ctx + ": fault rate must be in [0,1] (omit the key to inherit)");
-        }
+      if (!apply_phase_value(ph, key, tok.substr(eq + 1), false, ctx + " ")) {
+        throw ConfigError(ctx + ": unknown phase key '" + key + "'");
       }
-      else throw ConfigError(ctx + ": unknown phase key '" + key + "'");
-    } else {
-      const std::string flag = lower_token(tok);
-      if (flag == "measure") ph.measure = true;
-      else if (flag == "drain") { ph.drain = true; ph.traffic = false; }
-      else if (flag == "no-traffic") ph.traffic = false;
-      else if (flag == "reconfigure") ph.reconfigure = true;
-      else throw ConfigError(ctx + ": unknown phase flag '" + flag + "'");
+      continue;
     }
+    // A bare flag sets a bool row to the value its default is not.
+    const std::string flag = lower_token(tok);
+    bool found = false;
+    for_each_phase_field(
+        [&](const FieldMeta& m, auto& v, const auto& d) {
+          if constexpr (is_bool_v<decltype(v)>) {
+            if (!found && flag == (d ? "no-" : "") + std::string(m.key)) {
+              v = !d;
+              found = true;
+            }
+          }
+        },
+        ph, kDefaultPhase);
+    if (!found) throw ConfigError(ctx + ": unknown phase flag '" + flag + "'");
   }
+  finish_phase(ph);
   return ph;
+}
+
+/// The text after `word` when `line` starts with it as a whole word.
+std::optional<std::string> after_word(const std::string& line, std::string_view word) {
+  if (line.rfind(word, 0) != 0) return std::nullopt;
+  if (line.size() > word.size() && !std::isspace(static_cast<unsigned char>(line[word.size()]))) {
+    return std::nullopt;
+  }
+  return line.substr(word.size());
 }
 
 ScenarioSpec parse_scenario_text(const std::string& text) {
@@ -337,28 +283,18 @@ ScenarioSpec parse_scenario_text(const std::string& text) {
     if (hash != std::string::npos) raw = raw.substr(0, hash);
     const std::string line = trim_token(raw);
     if (line.empty()) continue;
-    if (line.rfind("phase", 0) == 0 &&
-        (line.size() == 5 || std::isspace(static_cast<unsigned char>(line[5])))) {
-      spec.phases.push_back(parse_phase_line(line.substr(5), line_no));
-      continue;
-    }
-    if (line.rfind("fault_event", 0) == 0 &&
-        (line.size() == 11 || std::isspace(static_cast<unsigned char>(line[11])))) {
-      try {
-        const auto evs = noc::parse_fault_schedule_token(trim_token(line.substr(11)));
-        spec.fault_events.insert(spec.fault_events.end(), evs.begin(), evs.end());
-      } catch (const ConfigError& e) {
-        throw ConfigError("line " + std::to_string(line_no) + ": " + e.what());
-      }
-      continue;
-    }
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw ConfigError("line " + std::to_string(line_no) +
-                        ": expected 'key = value' or 'phase ...', got '" + line + "'");
-    }
     try {
-      apply_scalar(spec, lower_token(trim_token(line.substr(0, eq))), trim_token(line.substr(eq + 1)));
+      if (const auto rest = after_word(line, "phase")) {
+        spec.phases.push_back(parse_phase_line(*rest));
+      } else if (const auto token = after_word(line, "fault_event")) {
+        const auto evs = noc::parse_fault_schedule_token(trim_token(*token));
+        spec.fault_events.insert(spec.fault_events.end(), evs.begin(), evs.end());
+      } else if (const auto eq = line.find('='); eq != std::string::npos) {
+        apply_scalar(spec, lower_token(trim_token(line.substr(0, eq))),
+                     trim_token(line.substr(eq + 1)));
+      } else {
+        throw ConfigError("expected 'key = value' or 'phase ...', got '" + line + "'");
+      }
     } catch (const ConfigError& e) {
       throw ConfigError("line " + std::to_string(line_no) + ": " + e.what());
     }
@@ -587,25 +523,11 @@ ScenarioSpec parse_scenario_json(const std::string& text) {
         }
         PhaseSpec ph;
         for (const auto& [pk, pv] : p.obj) {
-          if (pk == "name") ph.name = scalar_token(pv, pk);
-          else if (pk == "workload") ph.workload = normalize_workload_key(scalar_token(pv, pk));
-          else if (pk == "injection") ph.injection = parse_double_token(scalar_token(pv, pk), pk);
-          else if (pk == "cycles") ph.cycles = parse_u64_token(scalar_token(pv, pk), pk);
-          else if (pk == "fault_rate") {
-            ph.fault_rate = parse_double_token(scalar_token(pv, pk), pk);
-            if (ph.fault_rate < 0.0) {
-              throw ConfigError(
-                  "scenario JSON: phase fault_rate must be in [0,1] (omit to inherit)");
-            }
+          if (!apply_phase_value(ph, pk, scalar_token(pv, pk), true, "")) {
+            throw ConfigError("scenario JSON: unknown phase key '" + pk + "'");
           }
-          else if (pk == "measure") ph.measure = parse_bool_token(scalar_token(pv, pk), pk);
-          else if (pk == "traffic") ph.traffic = parse_bool_token(scalar_token(pv, pk), pk);
-          else if (pk == "drain") ph.drain = parse_bool_token(scalar_token(pv, pk), pk);
-          else if (pk == "reconfigure")
-            ph.reconfigure = parse_bool_token(scalar_token(pv, pk), pk);
-          else throw ConfigError("scenario JSON: unknown phase key '" + pk + "'");
         }
-        if (ph.drain) ph.traffic = false;
+        finish_phase(ph);
         spec.phases.push_back(std::move(ph));
       }
       continue;
@@ -633,58 +555,19 @@ ScenarioSpec parse_scenario_json(const std::string& text) {
 }  // namespace
 
 std::string serialize_scenario_json(const ScenarioSpec& spec) {
-  const NocConfig& cfg = spec.config;
+  // Strings and tokens are quoted; numbers and booleans are bare.
+  auto value = [](const auto& v) {
+    if constexpr (std::is_arithmetic_v<std::decay_t<decltype(v)>>) return format_token(v);
+    else return "\"" + json_escape(format_token(v)) + "\"";
+  };
   std::ostringstream out;
   out << "{\n";
-  out << "  \"name\": \"" << json_escape(spec.name) << "\",\n";
-  out << "  \"design\": \"" << lower_token(design_name(spec.design)) << "\",\n";
-  out << "  \"mesh\": \"" << cfg.width << "x" << cfg.height << "\",\n";
-  out << "  \"flit_bits\": " << cfg.flit_bits << ",\n";
-  out << "  \"packet_bits\": " << cfg.packet_bits << ",\n";
-  out << "  \"vcs\": " << cfg.vcs_per_port << ",\n";
-  out << "  \"vc_depth\": " << cfg.vc_depth_flits << ",\n";
-  out << "  \"freq_ghz\": " << fmt_double(cfg.freq_ghz) << ",\n";
-  out << "  \"hop_mm\": " << fmt_double(cfg.hop_mm) << ",\n";
-  out << "  \"hpc\": " << cfg.hpc_max_override << ",\n";
-  out << "  \"routing\": \"" << routing_name(cfg.routing) << "\",\n";
-  out << "  \"seed\": " << cfg.seed << ",\n";
-  out << "  \"warmup\": " << cfg.warmup_cycles << ",\n";
-  out << "  \"measure\": " << cfg.measure_cycles << ",\n";
-  out << "  \"drain_timeout\": " << cfg.drain_timeout << ",\n";
-  out << "  \"bandwidth_scale\": " << fmt_double(cfg.bandwidth_scale) << ",\n";
-  out << "  \"fault_rate\": " << fmt_double(spec.fault_rate) << ",\n";
-  out << "  \"single_config_core\": " << (spec.single_config_core ? "true" : "false") << ",\n";
-  out << "  \"store_issue\": " << spec.store_issue_cycles << ",\n";
-  if (cfg.watchdog_window != NocConfig{}.watchdog_window) {
-    out << "  \"watchdog\": " << cfg.watchdog_window << ",\n";
-  }
-  if (cfg.retry_limit != NocConfig{}.retry_limit) {
-    out << "  \"retry_limit\": " << cfg.retry_limit << ",\n";
-  }
-  if (cfg.retry_backoff_cycles != NocConfig{}.retry_backoff_cycles) {
-    out << "  \"retry_backoff\": " << cfg.retry_backoff_cycles << ",\n";
-  }
-  if (cfg.shard_threads != NocConfig{}.shard_threads) {
-    out << "  \"shard_threads\": " << cfg.shard_threads << ",\n";
-  }
-  const TelemetrySpec& tel = spec.telemetry;
-  if (tel.epoch_cycles > 0) out << "  \"telemetry_epoch\": " << tel.epoch_cycles << ",\n";
-  if (!tel.record_trace.empty()) {
-    out << "  \"record_trace\": \"" << json_escape(tel.record_trace) << "\",\n";
-  }
-  if (!tel.csv.empty()) out << "  \"telemetry_csv\": \"" << json_escape(tel.csv) << "\",\n";
-  if (!tel.power_csv.empty()) {
-    out << "  \"telemetry_power_csv\": \"" << json_escape(tel.power_csv) << "\",\n";
-  }
-  if (!tel.heatmap.empty()) {
-    out << "  \"telemetry_heatmap\": \"" << json_escape(tel.heatmap) << "\",\n";
-  }
-  if (!tel.chrome.empty()) {
-    out << "  \"telemetry_chrome\": \"" << json_escape(tel.chrome) << "\",\n";
-  }
-  if (tel.chrome_events != TelemetrySpec{}.chrome_events) {
-    out << "  \"telemetry_chrome_events\": " << tel.chrome_events << ",\n";
-  }
+  for_each_field(
+      [&](const FieldMeta& m, const auto& v, const auto& d) {
+        if (m.key.empty() || (m.omit_default && v == d)) return;
+        out << "  \"" << m.key << "\": " << value(v) << ",\n";
+      },
+      spec, kDefaultSpec);
   if (!spec.fault_events.empty()) {
     out << "  \"fault_events\": [";
     for (std::size_t i = 0; i < spec.fault_events.size(); ++i) {
@@ -696,15 +579,14 @@ std::string serialize_scenario_json(const ScenarioSpec& spec) {
   out << "  \"phases\": [\n";
   for (std::size_t i = 0; i < spec.phases.size(); ++i) {
     const PhaseSpec& ph = spec.phases[i];
-    out << "    {\"name\": \"" << json_escape(ph.name) << "\"";
-    if (!ph.workload.empty()) out << ", \"workload\": \"" << json_escape(ph.workload) << "\"";
-    if (ph.injection > 0.0) out << ", \"injection\": " << fmt_double(ph.injection);
-    if (ph.cycles > 0) out << ", \"cycles\": " << ph.cycles;
-    if (ph.fault_rate >= 0.0) out << ", \"fault_rate\": " << fmt_double(ph.fault_rate);
-    if (ph.measure) out << ", \"measure\": true";
-    if (!ph.traffic && !ph.drain) out << ", \"traffic\": false";
-    if (ph.drain) out << ", \"drain\": true";
-    if (ph.reconfigure) out << ", \"reconfigure\": true";
+    out << "    {\"name\": " << value(ph.name);
+    for_each_phase_field(
+        [&](const FieldMeta& m, const auto& v, const auto& d) {
+          // A drain phase's traffic = false is implied by "drain": true.
+          if (!m.omit_default || v == d || (m.member == "traffic" && ph.drain)) return;
+          out << ", \"" << m.member << "\": " << value(v);
+        },
+        ph, kDefaultPhase);
     out << "}" << (i + 1 < spec.phases.size() ? "," : "") << "\n";
   }
   out << "  ]\n";

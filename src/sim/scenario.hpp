@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/config_fields.hpp"
 #include "noc/fault_engine.hpp"
 
 namespace smartnoc::sim {
@@ -106,6 +107,54 @@ struct ScenarioSpec {
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
+
+/// The scenario field table: f(meta, specs.member...) once per scalar field
+/// (name, design, the NocConfig rows, fault_rate, single_config_core,
+/// store_issue, then the telemetry block) in point-key order. Text and JSON
+/// write the keyed rows in this order; apply and the point key walk it too.
+template <class F, class... S>
+void for_each_field(F&& f, S&... s) {
+  using R = FieldMeta;
+  f(R{.member = "name", .key = "name", .in_point_key = false}, s.name...);
+  f(R{.member = "design", .key = "design"}, s.design...);
+  for_each_config_field(f, s.config...);
+  f(R{.member = "fault_rate", .key = "fault_rate"}, s.fault_rate...);
+  f(R{.member = "single_config_core", .key = "single_config_core"}, s.single_config_core...);
+  f(R{.member = "store_issue_cycles", .key = "store_issue"}, s.store_issue_cycles...);
+  // Telemetry observes a run without changing it (gated by the telemetry
+  // tests), so runs with and without a probe share one cache entry.
+  auto observe = [](std::string_view member, std::string_view key) {
+    return R{.member = member, .key = key, .in_point_key = false, .omit_default = true};
+  };
+  f(observe("telemetry.epoch_cycles", "telemetry_epoch"), s.telemetry.epoch_cycles...);
+  f(observe("telemetry.record_trace", "record_trace"), s.telemetry.record_trace...);
+  f(observe("telemetry.csv", "telemetry_csv"), s.telemetry.csv...);
+  f(observe("telemetry.power_csv", "telemetry_power_csv"), s.telemetry.power_csv...);
+  f(observe("telemetry.heatmap", "telemetry_heatmap"), s.telemetry.heatmap...);
+  f(observe("telemetry.chrome", "telemetry_chrome"), s.telemetry.chrome...);
+  f(observe("telemetry.chrome_events", "telemetry_chrome_events"), s.telemetry.chrome_events...);
+}
+
+/// The phase table, in struct (= point-key) order. The text phase line
+/// spells a row by `key`, a bool row as a bare flag (the key, or no-<key>
+/// for a row that defaults to true); a JSON phase object by member name.
+/// The name is positional in text and first in JSON, so its row has no key.
+template <class F, class... P>
+void for_each_phase_field(F&& f, P&... p) {
+  using R = FieldMeta;
+  auto row = [](std::string_view member, std::string_view key) {
+    return R{.member = member, .key = key, .omit_default = true};
+  };
+  f(R{.member = "name", .in_point_key = false}, p.name...);
+  f(row("workload", "workload"), p.workload...);
+  f(row("injection", "injection"), p.injection...);
+  f(row("cycles", "cycles"), p.cycles...);
+  f(row("measure", "measure"), p.measure...);
+  f(row("traffic", "traffic"), p.traffic...);
+  f(row("drain", "drain"), p.drain...);
+  f(row("reconfigure", "reconfigure"), p.reconfigure...);
+  f(row("fault_rate", "fault"), p.fault_rate...);
+}
 
 /// The classic 3 phases alone (for Session's borrowing mode, where the
 /// caller provides network and workload and only the protocol is needed).

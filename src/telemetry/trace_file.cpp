@@ -4,7 +4,9 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
+#include "common/config_fields.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
 
@@ -514,36 +516,23 @@ TraceDiff diff_traces(const TraceFile& a, const TraceFile& b) {
   };
 
   // Configuration, field by field (operator== would only say "different").
-  auto cfg_field = [&](const char* name, auto va, auto vb) {
-    if (va != vb) {
-      std::ostringstream os;
-      os << "config." << name << ": " << va << " vs " << vb;
-      differ(os.str());
-    }
+  auto print = [](std::ostream& os, const auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_enum_v<T>) os << static_cast<int>(v);
+    else if constexpr (std::is_arithmetic_v<T>) os << v;
+    else os << format_token(v);
   };
-  const NocConfig& ca = a.config;
-  const NocConfig& cb = b.config;
-  cfg_field("width", ca.width, cb.width);
-  cfg_field("height", ca.height, cb.height);
-  cfg_field("flit_bits", ca.flit_bits, cb.flit_bits);
-  cfg_field("packet_bits", ca.packet_bits, cb.packet_bits);
-  cfg_field("vcs_per_port", ca.vcs_per_port, cb.vcs_per_port);
-  cfg_field("vc_depth_flits", ca.vc_depth_flits, cb.vc_depth_flits);
-  cfg_field("header_bits", ca.header_bits, cb.header_bits);
-  cfg_field("credit_bits", ca.credit_bits, cb.credit_bits);
-  cfg_field("freq_ghz", ca.freq_ghz, cb.freq_ghz);
-  cfg_field("hop_mm", ca.hop_mm, cb.hop_mm);
-  cfg_field("link_swing", static_cast<int>(ca.link_swing), static_cast<int>(cb.link_swing));
-  cfg_field("hpc_max_override", ca.hpc_max_override, cb.hpc_max_override);
-  cfg_field("router_stages", ca.router_stages, cb.router_stages);
-  cfg_field("clock_gate_unused_ports", ca.clock_gate_unused_ports,
-            cb.clock_gate_unused_ports);
-  cfg_field("seed", ca.seed, cb.seed);
-  cfg_field("warmup_cycles", ca.warmup_cycles, cb.warmup_cycles);
-  cfg_field("measure_cycles", ca.measure_cycles, cb.measure_cycles);
-  cfg_field("drain_timeout", ca.drain_timeout, cb.drain_timeout);
-  cfg_field("routing", static_cast<int>(ca.routing), static_cast<int>(cb.routing));
-  cfg_field("bandwidth_scale", ca.bandwidth_scale, cb.bandwidth_scale);
+  for_each_config_field(
+      [&](const FieldMeta& m, const auto& va, const auto& vb) {
+        if (m.member.empty() || va == vb) return;
+        std::ostringstream os;
+        os << m.member << ": ";
+        print(os, va);
+        os << " vs ";
+        print(os, vb);
+        differ(os.str());
+      },
+      a.config, b.config);
 
   // Flow tables: count, then the first differing entry.
   if (a.flows.size() != b.flows.size()) {

@@ -27,11 +27,13 @@
 // rerun) through the shared content-addressed result cache, and
 // status/results/pareto answer queries about any job - running or done.
 // `--cache DIR` gives a plain sweep the same cache without the queue.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "explore/explore.hpp"
 #include "obs/export.hpp"
@@ -179,16 +182,6 @@ int run_scenario_file(const std::string& path, const std::string& json_path, boo
   return 0;
 }
 
-std::vector<std::string> split_csv_arg(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream f(path, std::ios::binary);
   if (!f) return false;
@@ -241,14 +234,14 @@ int serve_cli(const std::string& cmd, int argc, char** argv) {
       if (i + 1 >= argc) throw ConfigError(a + " needs a value");
       return argv[++i];
     };
-    if (a == "--threads") opt.threads = explore::parse_axis_int(next(), "threads");
+    if (a == "--threads") opt.threads = parse_int_token(next(), "threads");
     else if (a == "--once") opt.once = true;
-    else if (a == "--poll") opt.poll_seconds = explore::parse_axis_double(next(), "poll");
+    else if (a == "--poll") opt.poll_seconds = parse_double_token(next(), "poll");
     else if (a == "--quiet") opt.quiet = true;
     else if (a == "--json") json_out = true;
     else if (a == "--watch") watch = true;
     else if (a == "--heartbeat") {
-      opt.heartbeat_seconds = explore::parse_axis_double(next(), "heartbeat");
+      opt.heartbeat_seconds = parse_double_token(next(), "heartbeat");
     } else if (a == "--trace-spans") opt.trace_spans = true;
     else if (!a.empty() && a[0] == '-') {
       std::fprintf(stderr, "unknown option '%s' for '%s'\n", a.c_str(), cmd.c_str());
@@ -421,29 +414,22 @@ int main(int argc, char** argv) {
   std::string metrics_out, spans_out;
   TelemetryArgs telemetry;
   bool quiet = false;
-  bool workloads_cleared = false;
-
-  // Workload flags accumulate (--pattern and --app can mix); the first one
-  // seen replaces the default/file-provided axis.
-  auto add_workloads = [&](const std::string& arg) {
-    if (!workloads_cleared) {
-      spec.workloads.clear();
-      workloads_cleared = true;
-    }
-    spec.config_points = true;
-    for (const auto& s : split_csv_arg(arg)) {
-      spec.workloads.push_back(explore::parse_workload(s));
-    }
-  };
+  // The first --pattern/--app replaces the file's workload axis.
+  bool workloads_replaced = false;
 
   try {
-    auto takes_value = [](const std::string& a) {
-      return a == "--threads" || a == "--csv" || a == "--json" || a == "--mesh" ||
-             a == "--flits" || a == "--hpc" || a == "--inj" || a == "--pattern" ||
-             a == "--app" || a == "--faults" || a == "--design" || a == "--seed" ||
-             a == "--warmup" || a == "--measure" || a == "--drain" || a == "--scenario" ||
-             a == "--telemetry" || a == "--telemetry-epoch" || a == "--record-trace" ||
-             a == "--cache" || a == "--metrics-out" || a == "--trace-spans";
+    // Axis flags are sweep-file keys: `--mesh 4x4,8x8` is `mesh = 4x4, 8x8`.
+    auto is_axis_flag = [](const std::string& a) {
+      static const char* const kAxisFlags[] = {"--mesh",   "--flits",  "--hpc",    "--inj",
+                                               "--pattern", "--app",   "--faults", "--design",
+                                               "--seed",   "--warmup", "--measure", "--drain"};
+      return std::find(std::begin(kAxisFlags), std::end(kAxisFlags), a) != std::end(kAxisFlags);
+    };
+    auto takes_value = [&](const std::string& a) {
+      return is_axis_flag(a) || a == "--threads" || a == "--csv" || a == "--json" ||
+             a == "--scenario" || a == "--telemetry" || a == "--telemetry-epoch" ||
+             a == "--record-trace" || a == "--cache" || a == "--metrics-out" ||
+             a == "--trace-spans";
     };
 
     // Pass 1: load the sweep file (the positional argument) first, so axis
@@ -485,7 +471,7 @@ int main(int argc, char** argv) {
     for (; i < argc; ++i) {
       const std::string a = argv[i];
       if (a == "--help" || a == "-h") return usage(argv[0], 0);
-      if (a == "--threads") threads = explore::parse_axis_int(next_arg("--threads"), "threads");
+      if (a == "--threads") threads = parse_int_token(next_arg("--threads"), "threads");
       else if (a == "--csv") csv_path = next_arg("--csv");
       else if (a == "--json") json_path = next_arg("--json");
       else if (a == "--cache") cache_dir = next_arg("--cache");
@@ -494,50 +480,12 @@ int main(int argc, char** argv) {
       else if (a == "--scenario") scenario_path = next_arg("--scenario");
       else if (a == "--telemetry") telemetry.prefix = next_arg("--telemetry");
       else if (a == "--telemetry-epoch") {
-        telemetry.epoch = explore::parse_axis_u64(next_arg("--telemetry-epoch"),
+        telemetry.epoch = parse_u64_token(next_arg("--telemetry-epoch"),
                                                   "telemetry-epoch");
       } else if (a == "--record-trace") telemetry.trace_prefix = next_arg("--record-trace");
       else if (a == "--quiet") quiet = true;
-      else if (a == "--mesh") {
-        spec.meshes.clear();
-        spec.config_points = true;
-        for (const auto& s : split_csv_arg(next_arg("--mesh")))
-          spec.meshes.push_back(explore::parse_mesh(s));
-      } else if (a == "--flits") {
-        spec.flit_bits.clear();
-        spec.config_points = true;
-        for (const auto& s : split_csv_arg(next_arg("--flits")))
-          spec.flit_bits.push_back(explore::parse_axis_int(s, "flits"));
-      } else if (a == "--hpc") {
-        spec.hpc_max.clear();
-        spec.config_points = true;
-        for (const auto& s : split_csv_arg(next_arg("--hpc")))
-          spec.hpc_max.push_back(explore::parse_axis_int(s, "hpc"));
-      } else if (a == "--inj") {
-        spec.injections.clear();
-        spec.config_points = true;
-        for (const auto& s : split_csv_arg(next_arg("--inj")))
-          spec.injections.push_back(explore::parse_axis_double(s, "inj"));
-      } else if (a == "--pattern" || a == "--app") {
-        add_workloads(next_arg(a.c_str()));
-      } else if (a == "--faults") {
-        spec.fault_rates.clear();
-        spec.config_points = true;
-        for (const auto& s : split_csv_arg(next_arg("--faults")))
-          spec.fault_rates.push_back(explore::parse_axis_double(s, "faults"));
-      } else if (a == "--design") {
-        spec.designs.clear();
-        spec.config_points = true;
-        for (const auto& s : split_csv_arg(next_arg("--design")))
-          spec.designs.push_back(explore::parse_design(s));
-      } else if (a == "--seed") {
-        spec.base_seed = explore::parse_axis_u64(next_arg("--seed"), "seed");
-      } else if (a == "--warmup") {
-        spec.warmup_cycles = explore::parse_axis_u64(next_arg("--warmup"), "warmup");
-      } else if (a == "--measure") {
-        spec.measure_cycles = explore::parse_axis_u64(next_arg("--measure"), "measure");
-      } else if (a == "--drain") {
-        spec.drain_timeout = explore::parse_axis_u64(next_arg("--drain"), "drain");
+      else if (is_axis_flag(a)) {
+        explore::apply_sweep_key(spec, a.substr(2), next_arg(a.c_str()), workloads_replaced);
       } else if (!a.empty() && a[0] == '-') {
         std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
         return usage(argv[0], 2);

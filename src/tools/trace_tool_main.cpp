@@ -20,10 +20,10 @@
 #include <cstring>
 #include <string>
 
+#include "common/config_fields.hpp"
 #include "common/error.hpp"
 #include "common/parse.hpp"
 #include "common/table.hpp"
-#include "explore/sweep.hpp"
 #include "noc/traffic.hpp"
 #include "power/energy_model.hpp"
 #include "sim/session.hpp"
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
     }
     if (cmd == "power") {
       const Cycle epoch = argc >= 4 ? parse_u64_token(argv[3], "epoch") : 1024;
-      const Design design = argc >= 5 ? explore::parse_design(argv[4]) : Design::Smart;
+      const Design design = argc >= 5 ? parse_design(argv[4]) : Design::Smart;
       return cmd_power(path, trace, epoch, design);
     }
     std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());

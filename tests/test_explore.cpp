@@ -101,10 +101,34 @@ TEST(SweepSpec, ParserRejectsNegativeAndGarbageValues) {
   EXPECT_THROW(explore::parse_sweep("measure = -1\n"), ConfigError);
   EXPECT_THROW(explore::parse_sweep("drain_timeout = -1\n"), ConfigError);
   // Trailing garbage must not silently truncate ("32x64" is not 32).
-  EXPECT_THROW(explore::parse_axis_int("32x64", "flits"), ConfigError);
-  EXPECT_THROW(explore::parse_axis_double("0.05;0.1", "inj"), ConfigError);
+  EXPECT_THROW(parse_int_token("32x64", "flits"), ConfigError);
+  EXPECT_THROW(parse_double_token("0.05;0.1", "inj"), ConfigError);
   // Seeds are full uint64: values beyond INT_MAX must parse.
   EXPECT_EQ(explore::parse_sweep("seed = 5000000000\n").base_seed, 5000000000ULL);
+}
+
+TEST(SweepSpec, ExplorerFlagsApplyAsSweepKeys) {
+  // A scenario-only file sweeps just its scenarios...
+  SweepSpec spec = explore::parse_sweep("scenario_files = a.scn\npattern = transpose\n");
+  EXPECT_TRUE(spec.config_points);  // ...unless a config axis is named too
+  spec = explore::parse_sweep("scenario_files = a.scn\nseed = 3\n");
+  EXPECT_FALSE(spec.config_points);
+  EXPECT_EQ(spec.size(), 1u);
+
+  // The explorer forwards --mesh/--app/... here: an axis flag brings the
+  // grid back, and the first workload flag replaces the file's axis.
+  bool workloads_replaced = false;
+  explore::apply_sweep_key(spec, "mesh", "2x2,4x4", workloads_replaced);
+  EXPECT_TRUE(spec.config_points);
+  EXPECT_EQ(spec.meshes.size(), 2u);
+  explore::apply_sweep_key(spec, "app", "vopd", workloads_replaced);
+  explore::apply_sweep_key(spec, "pattern", "uniform", workloads_replaced);
+  ASSERT_EQ(spec.workloads.size(), 2u);
+  EXPECT_EQ(spec.workloads[0].name(), "VOPD");
+  EXPECT_EQ(spec.workloads[1].name(), "uniform-random");
+  // Scalar keys take exactly one value.
+  EXPECT_THROW(explore::apply_sweep_key(spec, "seed", "1, 2", workloads_replaced), ConfigError);
+  EXPECT_THROW(explore::parse_sweep("warmup = 100, 200\n"), ConfigError);
 }
 
 // --- Executor determinism ----------------------------------------------------

@@ -24,6 +24,7 @@
 #include "explore/job.hpp"
 #include "helpers.hpp"
 #include "mapping/nmap.hpp"
+#include "noc/fault_engine.hpp"
 #include "noc/network.hpp"
 #include "noc/traffic.hpp"
 #include "sim/runner.hpp"
@@ -323,6 +324,117 @@ TEST(ScenarioParse, RetiredKeysAcceptOnlyTheirDefaults) {
       EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
     }
   }
+}
+
+// Every keyed row at a non-default value, so both dialects must carry each.
+sim::ScenarioSpec every_row_set() {
+  sim::ScenarioSpec spec;
+  spec.name = "all rows";
+  spec.design = Design::Mesh;
+  NocConfig& cfg = spec.config;
+  cfg.width = 8;
+  cfg.height = 4;
+  cfg.flit_bits = 64;
+  cfg.packet_bits = 512;
+  cfg.vcs_per_port = 4;
+  cfg.vc_depth_flits = 12;
+  cfg.freq_ghz = 1.5;
+  cfg.hop_mm = 0.75;
+  cfg.hpc_max_override = 5;
+  cfg.seed = 0xdeadbeefcafef00dULL;
+  cfg.warmup_cycles = 100;
+  cfg.measure_cycles = 1000;
+  cfg.drain_timeout = 5000;
+  cfg.routing = RoutingPolicy::XY;
+  cfg.bandwidth_scale = 0.05;
+  cfg.shard_threads = 2;
+  cfg.watchdog_window = 4096;
+  cfg.retry_limit = 5;
+  cfg.retry_backoff_cycles = 32;
+  cfg.fit_derived();
+  spec.fault_rate = 0.01;
+  spec.single_config_core = false;
+  spec.store_issue_cycles = 3;
+  spec.telemetry.epoch_cycles = 512;
+  spec.telemetry.record_trace = "t.sntr";
+  spec.telemetry.csv = "t.csv";
+  spec.telemetry.power_csv = "t_power.csv";
+  spec.telemetry.heatmap = "t_heatmap.csv";
+  spec.telemetry.chrome = "t.json";
+  spec.telemetry.chrome_events = 1000;
+  spec.fault_events = noc::parse_fault_schedule_token("kill@50:1:E");
+  sim::PhaseSpec run;
+  run.name = "run";
+  run.workload = "vopd";
+  run.injection = 0.5;
+  run.cycles = 100;
+  run.measure = true;
+  run.traffic = false;
+  run.reconfigure = true;
+  run.fault_rate = 0.001;
+  sim::PhaseSpec drain;
+  drain.name = "drain";
+  drain.drain = true;
+  drain.traffic = false;
+  spec.phases = {run, drain};
+  spec.validate();
+  return spec;
+}
+
+TEST(ScenarioRoundTrip, EveryKeyedRowSurvivesBothDialects) {
+  const sim::ScenarioSpec spec = every_row_set();
+  // Table-driven guard: a new keyed row must be set above, or this fails.
+  const sim::ScenarioSpec default_spec;
+  const sim::PhaseSpec default_phase;
+  sim::for_each_field(
+      [](const FieldMeta& m, const auto& v, const auto& d) {
+        if (!m.key.empty()) {
+          EXPECT_FALSE(v == d) << m.key << " is at its default";
+        }
+      },
+      spec, default_spec);
+  sim::for_each_phase_field(
+      [](const FieldMeta& m, const auto& run, const auto& drain, const auto& d) {
+        if (!m.key.empty()) {
+          EXPECT_FALSE(run == d && drain == d) << "phase " << m.key << " is at its default";
+        }
+      },
+      spec.phases[0], spec.phases[1], default_phase);
+
+  const std::string text = serialize_scenario_text(spec);
+  EXPECT_EQ(sim::parse_scenario(text), spec) << text;
+  const std::string json = serialize_scenario_json(spec);
+  EXPECT_EQ(sim::parse_scenario(json), spec) << json;
+  // Doubles are written shortest, not as %.17g.
+  EXPECT_NE(text.find("bandwidth_scale = 0.05\n"), std::string::npos) << text;
+  EXPECT_NE(json.find("\"bandwidth_scale\": 0.05,"), std::string::npos) << json;
+}
+
+TEST(ScenarioParse, NamesTheTextFormCannotCarryAreRejected) {
+  const std::pair<std::string, std::string> bad[] = {
+      {"run#2", "run"},      // '#' starts a comment: the text form would read "run"
+      {"line\nbreak", "run"}, // one key per line
+      {" padded", "run"},    // values are trimmed
+      {"padded\t", "run"},
+      {"ok", "warm up"},     // phase lines split on whitespace
+      {"ok", "warm#up"},
+      {"ok", "warm\tup"},
+  };
+  for (const auto& [name, phase] : bad) {
+    sim::ScenarioSpec spec = sim::parse_scenario("phase p workload=vopd cycles=10\n");
+    spec.name = name;
+    spec.phases.front().name = phase;
+    try {
+      spec.validate();
+      FAIL() << "expected ConfigError for name '" << name << "', phase '" << phase << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot represent"), std::string::npos) << e.what();
+    }
+  }
+  // Inner spaces survive the scenario-level `name = value` line.
+  sim::ScenarioSpec spec = sim::parse_scenario("phase p workload=vopd cycles=10\n");
+  spec.name = "run 2";
+  EXPECT_EQ(sim::parse_scenario(serialize_scenario_text(spec)), spec);
 }
 
 // --- Drain-timeout failure surfacing -----------------------------------------

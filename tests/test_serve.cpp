@@ -7,6 +7,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <tuple>
+#include <type_traits>
 #include <sstream>
 
 #include "common/float_io.hpp"
@@ -156,6 +159,63 @@ TEST(ServePointKey, SensitiveToResultRelevantFieldsOnly) {
   EXPECT_EQ(key_of(changed), k0) << "telemetry must not change the key";
 }
 
+/// Perturbs row `row` of the scenario (or, with `phase`, of its first
+/// phase) to a different value; returns its meta, or nullopt past the last
+/// row. View rows (no member name) alias other rows and are left alone.
+std::optional<FieldMeta> perturb_row(sim::ScenarioSpec& s, int row, bool phase) {
+  std::optional<FieldMeta> hit;
+  int i = 0;
+  auto perturb = [&](const FieldMeta& m, auto&& v) {
+    if (i++ != row) return;
+    hit = m;
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, bool>) v = !v;
+    else if constexpr (std::is_enum_v<T>) v = static_cast<T>(static_cast<std::uint8_t>(v) ^ 1);
+    else if constexpr (std::is_arithmetic_v<T>) v += 1;
+    else if constexpr (std::is_same_v<T, std::string>) v += "x";
+  };
+  if (phase) sim::for_each_phase_field(perturb, s.phases.front());
+  else sim::for_each_field(perturb, s);
+  return hit;
+}
+
+TEST(ServePointKey, EveryInKeyRowChangesTheKeyAndNoExcludedRowDoes) {
+  SweepSpec spec = serve_spec();
+  const sim::ScenarioSpec base = explore::make_point_scenario(spec, spec.expand().at(0));
+  const std::string k0 = serve::point_key(base).hex();
+  for (const bool phase : {false, true}) {
+    int rows = 0;
+    for (int row = 0;; ++row) {
+      sim::ScenarioSpec s = base;
+      const std::optional<FieldMeta> m = perturb_row(s, row, phase);
+      if (!m) break;
+      if (m->member.empty()) continue;
+      ++rows;
+      ASSERT_FALSE(s == base) << m->member << " was not perturbed";
+      if (m->in_point_key) {
+        EXPECT_NE(serve::point_key(s).hex(), k0) << m->member << " must change the key";
+      } else {
+        EXPECT_EQ(serve::point_key(s).hex(), k0) << m->member << " must not change the key";
+      }
+    }
+    EXPECT_GT(rows, phase ? 8 : 30);
+  }
+}
+
+TEST(ServePointKey, ExampleScenarioKeysArePinned) {
+  const std::tuple<const char*, std::size_t, const char*> pinned[] = {
+      {"appswitch.scn", 343, "7b89c0021f854d6f1456b7ecf462167c"},
+      {"faultstorm.scn", 391, "c2e41b9e59f6839d301ac280e0c15bae"},
+      {"watchdog_trip.scn", 339, "1c16343761a6163b5d63b6bad5967a00"},
+  };
+  for (const auto& [file, size, hex] : pinned) {
+    const sim::ScenarioSpec sc =
+        sim::parse_scenario(slurp(fs::path(SMARTNOC_SOURCE_DIR) / "examples" / file));
+    EXPECT_EQ(serve::canonical_point_bytes(sc).size(), size) << file;
+    EXPECT_EQ(serve::point_key(sc).hex(), hex) << file;
+  }
+}
+
 // --- Shortest-round-trip floats ---------------------------------------------
 
 TEST(ServeFloatIo, FormatParseIsBitExact) {
@@ -200,6 +260,64 @@ TEST(ServeFloatIo, RecordJsonRoundTripIsExact) {
   rec.packets_retransmitted = 7;
   const RunRecord back = explore::record_from_json(explore::record_to_json(rec));
   EXPECT_EQ(back, rec);
+}
+
+TEST(ServeFloatIo, RecordColumnsArePinned) {
+  // Every column away from its default: the CSV row and the JSON record
+  // are durable (results.csv, results.srcl, progress.srcl).
+  RunRecord rec;
+  rec.index = 17;
+  rec.width = 8;
+  rec.height = 4;
+  rec.flit_bits = 64;
+  rec.hpc_max = 5;
+  rec.injection = 0.05;
+  rec.workload = "scenario:a \"b\",c";
+  rec.fault_rate = 0.01;
+  rec.fault_schedule = "kill@2000:5:E";
+  rec.design = "Mesh";
+  rec.seed = 0xdeadbeefcafef00dULL;
+  rec.ok = true;
+  rec.error = "line1\nline2";
+  rec.flows = 12;
+  rec.dropped_flows = 2;
+  rec.packets = 1234;
+  rec.avg_net_latency = 1.0 / 3.0;
+  rec.avg_total_latency = 2.5;
+  rec.p50_latency = 7;
+  rec.p99_latency = 17.000000000000004;
+  rec.max_latency = 40;
+  rec.throughput_ppc = 5e-324;
+  rec.power_mw = 3.842384;
+  rec.area_mm2 = 0.125;
+  rec.packets_offered = 2000;
+  rec.packets_dropped = 3;
+  rec.packets_retransmitted = 7;
+  rec.flows_rerouted = 4;
+  rec.flows_failed = 1;
+  ResultTable table;
+  table.add(rec);
+  EXPECT_EQ(table.to_csv(),
+            "index,width,height,flit_bits,hpc_max,injection,workload,fault_rate,fault_schedule,"
+            "design,seed,ok,error,flows,dropped_flows,packets,avg_net_latency,avg_total_latency,"
+            "p50_latency,p99_latency,max_latency,throughput_ppc,power_mw,area_mm2,"
+            "packets_offered,packets_dropped,packets_retransmitted,flows_rerouted,flows_failed\n"
+            "17,8,4,64,5,0.05,\"scenario:a \"\"b\"\",c\",0.01,\"kill@2000:5:E\",\"Mesh\","
+            "16045690984503111693,1,\"line1\nline2\",12,2,1234,0.3333333333333333,2.5,7,"
+            "17.000000000000004,40,5e-324,3.842384,0.125,2000,3,7,4,1\n");
+  EXPECT_EQ(explore::record_to_json(rec),
+            "{\"index\": 17, \"width\": 8, \"height\": 4, \"flit_bits\": 64, \"hpc_max\": 5, "
+            "\"injection\": 0.05, \"workload\": \"scenario:a \\\"b\\\",c\", \"fault_rate\": 0.01, "
+            "\"fault_schedule\": \"kill@2000:5:E\", \"design\": \"Mesh\", "
+            "\"seed\": 16045690984503111693, \"ok\": true, \"error\": \"line1\\nline2\", "
+            "\"flows\": 12, \"dropped_flows\": 2, \"packets\": 1234, "
+            "\"avg_net_latency\": 0.3333333333333333, \"avg_total_latency\": 2.5, "
+            "\"p50_latency\": 7, \"p99_latency\": 17.000000000000004, \"max_latency\": 40, "
+            "\"throughput_ppc\": 5e-324, \"power_mw\": 3.842384, \"area_mm2\": 0.125, "
+            "\"packets_offered\": 2000, \"packets_dropped\": 3, \"packets_retransmitted\": 7, "
+            "\"flows_rerouted\": 4, \"flows_failed\": 1}");
+  EXPECT_EQ(ResultTable::from_csv(table.to_csv()).at(0), rec);
+  EXPECT_EQ(explore::record_from_json(explore::record_to_json(rec)), rec);
 }
 
 // --- Result cache ------------------------------------------------------------
