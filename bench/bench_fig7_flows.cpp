@@ -68,14 +68,14 @@ int main() {
 
   std::puts("\nCredit mesh (paper Sec. IV example): credits for NIC3's buffers are");
   const auto& segs = net.segments();
-  const auto& nic3 = segs.credit_target_nic(3);
+  const auto& nic3 = segs.credit_nic(3);
   std::printf("forwarded by the preset credit crossbars over %d hops to router %d's %s\n",
-              segs.credit_mm_nic(3), nic3->node, dir_name(nic3->out));
+              nic3.mm, nic3.origin.node, dir_name(nic3.origin.out));
   std::printf("output port (paper: \"credits from NIC3 are forwarded by preset credit\n"
               "crossbars at routers 3, 7 and 11 to router 10's East output port\").\n");
-  const auto& r10w = segs.credit_target_router_input(10, Dir::West);
-  const auto& r9w = segs.credit_target_router_input(9, Dir::West);
+  const auto& r10w = segs.credit_router_input(10, Dir::West).origin;
+  const auto& r9w = segs.credit_router_input(9, Dir::West).origin;
   std::printf("Router 10 W-in credits -> router %d %s-out; router 9 W-in credits -> NIC%d.\n",
-              r10w->node, dir_name(r10w->out), r9w->node);
+              r10w.node, dir_name(r10w.out), r9w.node);
   return 0;
 }

@@ -89,9 +89,9 @@ int main() {
 
   // Credit mesh, as described in Sec. IV.
   const auto& segs = net.segments();
-  const auto& t = segs.credit_target_nic(3);
+  const auto& t = segs.credit_nic(3);
   std::printf("\ncredits for NIC3's buffers return to router %d's %s output across %d mm,\n",
-              t->node, dir_name(t->out), segs.credit_mm_nic(3));
+              t.origin.node, dir_name(t.origin.out), t.mm);
   std::puts("crossing the preset credit crossbars of routers 3, 7 and 11 in one cycle -");
   std::puts("the router \"does not need to be aware of the reconfiguration\".");
   return 0;

@@ -36,7 +36,6 @@ DedicatedNetwork::DedicatedNetwork(const NocConfig& cfg, noc::FlowSet flows)
       }
       SinkInput in;
       in.flow = f.id;
-      for (int v = 0; v < cfg_.vcs_per_port; ++v) in.vcs.emplace_back(cfg_.vc_depth_flits);
       s.sink_input = static_cast<int>(sink.inputs.size());
       sink.inputs.push_back(std::move(in));
     }
@@ -55,6 +54,7 @@ DedicatedNetwork::DedicatedNetwork(const NocConfig& cfg, noc::FlowSet flows)
                         std::to_string(noc::kMaxArbInputs));
     }
     sink.arb = noc::RoundRobinArbiter(width);
+    sink.vcs = noc::VcBlock(width, cfg_.vc_depth_flits);
   }
 }
 
@@ -103,7 +103,8 @@ void DedicatedNetwork::nic_deliver(NodeId dst, const FlitRef& f, Cycle arrival, 
 }
 
 void DedicatedNetwork::sink_bw(Sink& s) {
-  for (auto& in : s.inputs) {
+  for (std::size_t i = 0; i < s.inputs.size(); ++i) {
+    SinkInput& in = s.inputs[i];
     for (std::size_t k = 0; k < in.staging.size();) {
       if (in.staging[k].second >= now_) {
         ++k;
@@ -111,7 +112,7 @@ void DedicatedNetwork::sink_bw(Sink& s) {
       }
       FlitRef f = in.staging[k].first;
       in.staging.erase(in.staging.begin() + static_cast<std::ptrdiff_t>(k));
-      auto& vc = in.vcs[static_cast<std::size_t>(f.vc)];
+      auto& vc = sink_vc(s, static_cast<int>(i), f.vc);
       f.buffered_at = now_;
       vc.push(f);
       if (is_head(f.type)) vc.set_request(Dir::Core);
@@ -123,7 +124,7 @@ void DedicatedNetwork::sink_bw(Sink& s) {
 void DedicatedNetwork::sink_st(Sink& s) {
   if (!s.hold.has_value()) return;
   auto& in = s.inputs[static_cast<std::size_t>(s.hold->first)];
-  auto& vc = in.vcs[static_cast<std::size_t>(s.hold->second)];
+  auto& vc = sink_vc(s, s.hold->first, s.hold->second);
   if (vc.empty() || vc.front().buffered_at >= now_) return;
   FlitRef f = vc.pop();
   stats_.activity().buffer_reads += 1;
@@ -149,17 +150,16 @@ void DedicatedNetwork::sink_st(Sink& s) {
 void DedicatedNetwork::sink_sa(Sink& s) {
   if (s.hold.has_value() || s.nic_free_vcs.empty()) return;
   const int n_in = static_cast<int>(s.inputs.size());
-  std::vector<bool> req(static_cast<std::size_t>(n_in * cfg_.vcs_per_port), false);
+  noc::ArbMask req;
   bool any = false;
   for (int i = 0; i < n_in; ++i) {
-    const auto& in = s.inputs[static_cast<std::size_t>(i)];
-    if (in.locked) continue;
+    if (s.inputs[static_cast<std::size_t>(i)].locked) continue;
     for (int v = 0; v < cfg_.vcs_per_port; ++v) {
-      const auto& vc = in.vcs[static_cast<std::size_t>(v)];
+      const auto& vc = sink_vc(s, i, v);
       if (vc.empty() || !vc.has_request()) continue;
       if (!is_head(vc.front().type)) continue;
       if (vc.front().buffered_at >= now_) continue;
-      req[static_cast<std::size_t>(i * cfg_.vcs_per_port + v)] = true;
+      req.set(i * cfg_.vcs_per_port + v);
       any = true;
     }
   }
@@ -259,9 +259,9 @@ bool DedicatedNetwork::drained() const {
     if (sink.hold.has_value()) return false;
     for (const auto& in : sink.inputs) {
       if (!in.staging.empty()) return false;
-      for (const auto& vc : in.vcs) {
-        if (!vc.empty()) return false;
-      }
+    }
+    for (const auto& vc : sink.vcs) {
+      if (!vc.empty()) return false;
     }
   }
   for (const auto& rx : nic_rx_) {
@@ -279,13 +279,11 @@ noc::StallReport DedicatedNetwork::stall_report() const {
   }
   for (const auto& [node, sink] : sinks_) {
     bool busy = sink.hold.has_value();
-    for (const auto& in : sink.inputs) {
-      busy = busy || !in.staging.empty();
-      for (const auto& vc : in.vcs) {
-        if (!vc.empty()) {
-          report.occupied_vcs += 1;
-          busy = true;
-        }
+    for (const auto& in : sink.inputs) busy = busy || !in.staging.empty();
+    for (const auto& vc : sink.vcs) {
+      if (!vc.empty()) {
+        report.occupied_vcs += 1;
+        busy = true;
       }
     }
     if (busy) report.stuck_routers.push_back(node);

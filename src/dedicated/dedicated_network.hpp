@@ -98,12 +98,12 @@ class DedicatedNetwork final : public noc::Network {
   struct SinkInput {
     FlowId flow = kInvalidFlow;
     std::vector<std::pair<noc::FlitRef, Cycle>> staging;
-    std::vector<noc::VcBuffer> vcs;
     bool locked = false;
   };
   struct Sink {
     NodeId node = kInvalidNode;
     std::vector<SinkInput> inputs;
+    noc::VcBlock vcs;  ///< every input's VCs in one block, input-major
     std::deque<VcId> nic_free_vcs;  // ejection credits into the NIC
     std::optional<std::pair<int, VcId>> hold;  // (input, in_vc) until tail
     VcId hold_out_vc = kInvalidVc;
@@ -127,6 +127,8 @@ class DedicatedNetwork final : public noc::Network {
   void sink_bw(Sink& s);
   void sink_st(Sink& s);
   void sink_sa(Sink& s);
+  /// Input `in`'s VC `v` at sink `s` (also its bit in the SA request mask).
+  noc::VcBuffer& sink_vc(Sink& s, int in, int v) { return s.vcs[in * cfg_.vcs_per_port + v]; }
 
   NocConfig cfg_;
   noc::FlowSet flows_;

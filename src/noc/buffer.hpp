@@ -3,15 +3,19 @@
 // tail departs, and the depth is validated (NocConfig) to hold a whole
 // packet, so a granted packet can always stream without backpressure.
 //
-// Storage is a ring over a vector preallocated to the configured depth:
-// after construction the per-flit push/pop path never touches the heap
-// (a deque here costs a chunk allocation every few flits under load).
-// Slots hold 16-byte FlitRefs - the structure-of-arrays split keeps a
-// whole Table II VC (10 flits) inside two and a half cache lines, where
-// the old ~56 B whole-Flit slots spilled every buffer past eight lines.
+// A VcBuffer is a ring over flit slots its owner provides; it never
+// allocates. A VcBlock is that owner: one allocation holding every VC
+// header of a router (or of a dedicated sink) followed by all their flit
+// slots, so a router's whole buffer state is one contiguous block instead
+// of per-port vectors of headers that each point at another heap vector.
+// Slots hold 16-byte FlitRefs - a whole Table II VC (10 flits) spans two
+// and a half cache lines. The ring wraps with a compare, not a modulo.
 #pragma once
 
-#include <vector>
+#include <cstddef>
+#include <memory>
+#include <new>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -21,8 +25,8 @@ namespace smartnoc::noc {
 
 class VcBuffer {
  public:
-  VcBuffer() : VcBuffer(10) {}
-  explicit VcBuffer(int depth) : slots_(static_cast<std::size_t>(depth)), depth_(depth) {}
+  /// A ring over `depth` slots at `slots`, which must outlive the buffer.
+  VcBuffer(FlitRef* slots, int depth) : slots_(slots), depth_(depth) {}
 
   bool empty() const { return count_ == 0; }
   int occupancy() const { return count_; }
@@ -30,19 +34,21 @@ class VcBuffer {
 
   void push(FlitRef f) {
     SMARTNOC_CHECK(count_ < depth_, "VC overflow: flow control must prevent this");
-    slots_[static_cast<std::size_t>((head_ + count_) % depth_)] = f;
+    int tail = head_ + count_;
+    if (tail >= depth_) tail -= depth_;
+    slots_[tail] = f;
     ++count_;
   }
 
   const FlitRef& front() const {
     SMARTNOC_CHECK(count_ > 0, "reading from empty VC");
-    return slots_[static_cast<std::size_t>(head_)];
+    return slots_[head_];
   }
 
   FlitRef pop() {
     SMARTNOC_CHECK(count_ > 0, "popping empty VC");
-    FlitRef f = slots_[static_cast<std::size_t>(head_)];
-    head_ = (head_ + 1) % depth_;
+    const FlitRef f = slots_[head_];
+    if (++head_ == depth_) head_ = 0;
     --count_;
     return f;
   }
@@ -73,13 +79,50 @@ class VcBuffer {
   }
 
  private:
-  std::vector<FlitRef> slots_;
-  int depth_ = 10;
+  FlitRef* slots_;
+  int depth_;
   int head_ = 0;
   int count_ = 0;
-  Dir requested_out_ = Dir::Core;
   PacketSlot owner_ = kInvalidSlot;
+  Dir requested_out_ = Dir::Core;
   bool has_request_ = false;
+};
+
+/// `count` VCs of `depth` flits in one allocation: the headers first, then
+/// each VC's slots in VC order. Moving the block keeps every VC's slot
+/// pointer valid (the allocation itself never moves).
+class VcBlock {
+ public:
+  VcBlock() = default;
+  VcBlock(int count, int depth) : count_(count) {
+    static_assert(std::is_trivially_destructible_v<VcBuffer> &&
+                  std::is_trivially_destructible_v<FlitRef>);
+    static_assert(sizeof(VcBuffer) % alignof(FlitRef) == 0);
+    SMARTNOC_CHECK(count >= 0 && depth > 0, "VC block needs a positive depth");
+    const auto n = static_cast<std::size_t>(count);
+    const auto slots = n * static_cast<std::size_t>(depth);
+    mem_ = std::make_unique<std::byte[]>(n * sizeof(VcBuffer) + slots * sizeof(FlitRef));
+    auto* first_slot = reinterpret_cast<FlitRef*>(mem_.get() + n * sizeof(VcBuffer));
+    for (std::size_t k = 0; k < slots; ++k) new (first_slot + k) FlitRef{};
+    for (std::size_t v = 0; v < n; ++v) {
+      new (mem_.get() + v * sizeof(VcBuffer))
+          VcBuffer(first_slot + v * static_cast<std::size_t>(depth), depth);
+    }
+    vcs_ = std::launder(reinterpret_cast<VcBuffer*>(mem_.get()));
+  }
+
+  int size() const { return count_; }
+  VcBuffer& operator[](int v) { return vcs_[v]; }
+  const VcBuffer& operator[](int v) const { return vcs_[v]; }
+  VcBuffer* begin() { return vcs_; }
+  VcBuffer* end() { return vcs_ + count_; }
+  const VcBuffer* begin() const { return vcs_; }
+  const VcBuffer* end() const { return vcs_ + count_; }
+
+ private:
+  std::unique_ptr<std::byte[]> mem_;
+  VcBuffer* vcs_ = nullptr;  ///< the headers at the start of mem_
+  int count_ = 0;
 };
 
 }  // namespace smartnoc::noc

@@ -62,7 +62,7 @@ MeshNetwork::MeshNetwork(const NocConfig& cfg, FlowSet flows, PresetTable preset
     for (Dir o : kAllDirs) {
       const XbarSel& sel = presets_.at(n).xbar[static_cast<std::size_t>(dir_index(o))];
       if (sel.kind == XbarSel::Kind::FromRouter) {
-        SMARTNOC_CHECK(segments_.output(n, o).has_value(), "FromRouter output without segment");
+        SMARTNOC_CHECK(segments_.output(n, o).armed, "FromRouter output without segment");
         routers_[static_cast<std::size_t>(n)]->enable_output(o, cfg_.vcs_per_port);
       }
     }
@@ -162,14 +162,14 @@ void MeshNetwork::validate_and_index_flow(const Flow& flow) {
     const NodeId stop = seg->ep.node;
     info.stops.push_back(stop);
     const Dir out = flow.route.output_at(hop, seg->ep.in);
-    const auto& next = segments_.output(stop, out);
-    if (!next.has_value()) {
+    const Segment& next = segments_.output(stop, out);
+    if (!next.armed) {
       throw ConfigError("flow " + flow.path.str() + " needs output " + dir_name(out) +
                         " at router " + std::to_string(stop) +
                         " but the presets do not arm it");
     }
-    hop += 1 + next->bypassed;
-    seg = &*next;
+    hop += 1 + next.bypassed;
+    seg = &next;
   }
   throw ConfigError("flow " + flow.path.str() + " loops under the installed presets");
 }
@@ -499,7 +499,9 @@ void MeshNetwork::deliver(const Segment& seg, FlitRef flit, Cycle now, bool from
   // link (the paper's "+1 cycle in link"); SMART absorbs the entire segment
   // into the ST cycle. NIC injection stubs are 1-cycle in both designs.
   const Cycle arrival = now + ((from_router && opt_.extra_link_cycle) ? 1 : 0);
-  if (observer_ != nullptr) observer_->segment_traversed(seg, flit, pool_, now, arrival);
+  if (observer_ != nullptr) {
+    observer_->segment_traversed(seg, segments_.links(seg), flit, pool_, now, arrival);
+  }
   if (sh != nullptr) {
     // Sharded pass: the endpoint may belong to another slice. The whole
     // segment is already resolved (activity charged, hop_index advanced,
@@ -522,21 +524,21 @@ void MeshNetwork::deliver(const Segment& seg, FlitRef flit, Cycle now, bool from
 }
 
 void MeshNetwork::deliver_from_router(NodeId router, Dir out_dir, FlitRef flit, Cycle now) {
-  const auto& seg = segments_.output(router, out_dir);
-  SMARTNOC_CHECK(seg.has_value(), "switch traversal on an output without a segment");
-  deliver(*seg, flit, now, /*from_router=*/true);
+  deliver(segments_.output(router, out_dir), flit, now, /*from_router=*/true);
 }
 
 void MeshNetwork::deliver_from_nic(NodeId nic_node, FlitRef flit, Cycle now) {
   deliver(segments_.injection(nic_node), flit, now, /*from_router=*/false);
 }
 
-void MeshNetwork::schedule_credit(const SegOrigin& target, VcId vc, Cycle due, int mm,
-                                  int xbar_hops) {
+void MeshNetwork::schedule_credit(const CreditPath& path, VcId vc, Cycle now) {
+  SMARTNOC_CHECK(path.armed, "freed VC on a latch point with no feeder");
+  const Cycle due = now + 1 + (opt_.extra_link_cycle ? 1 : 0);
+  const SegOrigin& target = path.origin;
   ShardState* const sh = tl_shard;
   ActivityCounters& act = sh != nullptr ? sh->act : stats_.activity();
-  act.link_credit_mm += static_cast<std::uint64_t>(mm);
-  act.xbar_credit_traversals += static_cast<std::uint64_t>(xbar_hops);
+  act.link_credit_mm += static_cast<std::uint64_t>(path.mm);
+  act.xbar_credit_traversals += static_cast<std::uint64_t>(path.xbar_hops);
   if (reference_kernel_) {
     ref_credits_.push_back(InFlightCredit{due, target, vc});
     return;
@@ -569,19 +571,11 @@ void MeshNetwork::deliver_credit(const SegOrigin& target, VcId vc) {
 }
 
 void MeshNetwork::credit_from_router_input(NodeId router, Dir in_dir, VcId vc, Cycle now) {
-  const auto& target = segments_.credit_target_router_input(router, in_dir);
-  SMARTNOC_CHECK(target.has_value(), "freed VC on an input with no feeder");
-  const Cycle due = now + 1 + (opt_.extra_link_cycle ? 1 : 0);
-  schedule_credit(*target, vc, due, segments_.credit_mm_router_input(router, in_dir),
-                  segments_.credit_xbar_hops_router_input(router, in_dir));
+  schedule_credit(segments_.credit_router_input(router, in_dir), vc, now);
 }
 
 void MeshNetwork::credit_from_nic(NodeId nic_node, VcId vc, Cycle now) {
-  const auto& target = segments_.credit_target_nic(nic_node);
-  SMARTNOC_CHECK(target.has_value(), "NIC freed a VC but has no feeder");
-  const Cycle due = now + 1 + (opt_.extra_link_cycle ? 1 : 0);
-  schedule_credit(*target, vc, due, segments_.credit_mm_nic(nic_node),
-                  segments_.credit_xbar_hops_nic(nic_node));
+  schedule_credit(segments_.credit_nic(nic_node), vc, now);
 }
 
 // --- Online fault injection --------------------------------------------------
@@ -847,6 +841,9 @@ void MeshNetwork::rebuild_after_surgery() {
   clocked_out_total_ = 0;
   for (NodeId n = 0; n < dims.nodes(); ++n) {
     Router& router = *routers_[static_cast<std::size_t>(n)];
+    // Surgery edits ports directly: re-derive the occupancy masks that
+    // drive the phases and has_traffic() (the active-set rebuild below).
+    router.rebuild_masks();
     std::array<bool, 16> nic_busy{};
     mark_endpoint(segments_.injection(n).ep, nic_busy);
     if (const auto v = nics_[static_cast<std::size_t>(n)]->active_tx_vc()) {
@@ -859,9 +856,9 @@ void MeshNetwork::rebuild_after_surgery() {
       router.set_output_enabled(o, armed);
       std::array<bool, 16> busy{};
       if (armed) {
-        const auto& seg = segments_.output(n, o);
-        SMARTNOC_CHECK(seg.has_value(), "armed output lost its segment in fault surgery");
-        mark_endpoint(seg->ep, busy);
+        const Segment& seg = segments_.output(n, o);
+        SMARTNOC_CHECK(seg.armed, "armed output lost its segment in fault surgery");
+        mark_endpoint(seg.ep, busy);
         if (const auto held = router.hold_out_vc(o)) {
           busy[static_cast<std::size_t>(*held)] = true;
         }

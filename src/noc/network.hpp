@@ -180,7 +180,8 @@ class MeshNetwork final : public Network, private Fabric {
   void credit_from_nic(NodeId nic, VcId vc, Cycle now) override;
 
   void deliver(const Segment& seg, FlitRef flit, Cycle now, bool from_router);
-  void schedule_credit(const SegOrigin& target, VcId vc, Cycle due, int mm, int xbar_hops);
+  /// Sends a credit for `vc` freed at `now` back along `path`.
+  void schedule_credit(const CreditPath& path, VcId vc, Cycle now);
   void deliver_credit(const SegOrigin& target, VcId vc);
   void validate_and_index_flow(const Flow& flow);
   /// The flow's index among its source NIC's flows (Nic::register_flow).

@@ -1,20 +1,33 @@
 #include "noc/router.hpp"
 
+#include <bit>
 #include <string>
 
 #include "common/error.hpp"
 
 namespace smartnoc::noc {
 
+namespace {
+
+/// Calls f(i) for every set bit i of a port mask, ascending (= kAllDirs order).
+template <typename F>
+void for_each_port(unsigned mask, F&& f) {
+  for (; mask != 0; mask &= mask - 1) f(std::countr_zero(mask));
+}
+
+unsigned port_bit(Dir d) { return 1u << dir_index(d); }
+
+}  // namespace
+
 Router::Router(NodeId id, const NocConfig& cfg, Fabric* fabric, const PacketPool* pool)
-    : id_(id), vcs_per_port_(cfg.vcs_per_port), fabric_(fabric), pool_(pool) {
+    : id_(id),
+      vcs_per_port_(cfg.vcs_per_port),
+      fabric_(fabric),
+      pool_(pool),
+      vcs_(kNumDirs * cfg.vcs_per_port, cfg.vc_depth_flits) {
   SMARTNOC_CHECK(fabric_ != nullptr && pool_ != nullptr, "router needs a fabric and a pool");
   SMARTNOC_CHECK(kNumDirs * vcs_per_port_ <= kMaxArbInputs,
                  "vcs_per_port exceeds the switch-allocation mask width");
-  for (auto& ip : inputs_) {
-    ip.vcs.reserve(static_cast<std::size_t>(vcs_per_port_));
-    for (int v = 0; v < vcs_per_port_; ++v) ip.vcs.emplace_back(cfg.vc_depth_flits);
-  }
   for (auto& op : outputs_) {
     op.arb = RoundRobinArbiter(kNumDirs * vcs_per_port_);
   }
@@ -30,10 +43,10 @@ void Router::enable_output(Dir o, int vcs) {
 void Router::accept_flit(Dir in_dir, FlitRef flit, Cycle arrival) {
   InputPort& ip = in(in_dir);
   SMARTNOC_CHECK(ip.staging_count < 2, "more than one flit in flight per input port");
-  ip.staging[static_cast<std::size_t>((ip.staging_head + ip.staging_count) % 2)] =
+  ip.staging[static_cast<std::size_t>((ip.staging_head + ip.staging_count) & 1)] =
       StagedFlit{flit, arrival};
   ip.staging_count += 1;
-  staged_total_ += 1;
+  masks_.staged |= port_bit(in_dir);
 }
 
 void Router::credit_arrived(Dir out_dir, VcId vc) {
@@ -45,112 +58,127 @@ void Router::credit_arrived(Dir out_dir, VcId vc) {
 }
 
 void Router::buffer_write(Cycle now, ActivityCounters& act) {
-  if (staged_total_ == 0) return;
-  for (Dir d : kAllDirs) {
-    InputPort& ip = in(d);
+  for_each_port(masks_.staged, [&](int d) {
+    InputPort& ip = inputs_[static_cast<std::size_t>(d)];
     // FIFO drain: per-port wire delay is constant, so arrivals are ordered
     // and a blocked front flit implies the one behind it is blocked too.
     while (ip.staging_count > 0) {
       StagedFlit& sf = ip.staging[static_cast<std::size_t>(ip.staging_head)];
       if (sf.arrival >= now) break;  // still on the wire (baseline-mesh link cycle)
       FlitRef f = sf.flit;
-      ip.staging_head = (ip.staging_head + 1) % 2;
+      ip.staging_head ^= 1;
       ip.staging_count -= 1;
-      staged_total_ -= 1;
       SMARTNOC_CHECK(f.vc >= 0 && f.vc < vcs_per_port_, "flit carries an invalid VC");
-      VcBuffer& vc = ip.vcs[static_cast<std::size_t>(f.vc)];
+      const Dir in_dir = dir_from_index(d);
+      const int b = vc_index(in_dir, f.vc);
+      VcBuffer& vc = vcs_[b];
       f.buffered_at = now;
       if (is_head(f.type)) {
         SMARTNOC_CHECK(vc.empty() && !vc.has_request(),
                        "head flit arriving into a busy VC: upstream flow control broke");
         // Decode this router's 2-bit route entry relative to the arrival
         // port - the one cold-payload read of the whole pipeline.
-        vc.set_request(pool_->at(f.slot).route.output_at(f.hop_index, d), f.slot);
+        vc.set_request(pool_->at(f.slot).route.output_at(f.hop_index, in_dir), f.slot);
+        masks_.pending.set(b);
       } else {
         SMARTNOC_CHECK(vc.has_request(), "body flit with no open packet on its VC");
       }
       vc.push(f);
-      buffered_total_ += 1;
+      masks_.buffered += 1;
       act.buffer_writes += 1;
     }
-  }
+    if (ip.staging_count == 0) masks_.staged &= ~(1u << d);
+  });
 }
 
 void Router::switch_traversal(Cycle now, ActivityCounters& act) {
-  if (holds_total_ == 0) return;
-  for (Dir o : kAllDirs) {
-    OutputPort& op = out(o);
-    if (!op.hold.has_value()) continue;
-    InputPort& ip = in(op.hold->in);
-    VcBuffer& vc = ip.vcs[static_cast<std::size_t>(op.hold->in_vc)];
-    if (vc.empty()) continue;                    // cut-through gap: wait
-    if (vc.front().buffered_at >= now) continue; // written this very cycle
+  for_each_port(masks_.holds, [&](int oi) {
+    const Dir o = dir_from_index(oi);
+    OutputPort& op = outputs_[static_cast<std::size_t>(oi)];
+    const Hold h = *op.hold;
+    VcBuffer& vc = vcs_[vc_index(h.in, h.in_vc)];
+    if (vc.empty()) return;                    // cut-through gap: wait
+    if (vc.front().buffered_at >= now) return; // written this very cycle
     FlitRef f = vc.pop();
-    buffered_total_ -= 1;
+    masks_.buffered -= 1;
     const bool tail = is_tail(f.type);
-    f.vc = op.hold->out_vc;  // VC at the segment endpoint, allocated at SA
+    f.vc = h.out_vc;  // VC at the segment endpoint, allocated at SA
     act.buffer_reads += 1;
     fabric_->deliver_from_router(id_, o, f, now);
     if (tail) {
       // Virtual cut-through: buffer and switch are released by the tail,
       // and the freed VC's credit returns to our feeder.
-      fabric_->credit_from_router_input(id_, op.hold->in, op.hold->in_vc, now);
+      fabric_->credit_from_router_input(id_, h.in, h.in_vc, now);
       vc.clear_request();
-      ip.locked = false;
       op.hold.reset();
-      holds_total_ -= 1;
+      masks_.holds &= ~(1u << oi);
+      masks_.locked &= ~port_bit(h.in);
     }
-  }
+  });
 }
 
 void Router::switch_allocation(Cycle now, ActivityCounters& act) {
-  if (buffered_total_ == 0) return;
+  if (masks_.pending.none()) return;
   if (stall_until_ != 0 && now <= stall_until_) return;  // RouterStall fault
-  // One gather pass builds every output's request mask (the VC state the
-  // conditions read cannot change during SA); the per-output loop then only
-  // arbitrates. `locked` is the one mutating input: a grant at an earlier
-  // output must hide that whole input port from later outputs within the
-  // same cycle, which masked_inputs reproduces exactly.
+  // Requests come from pending heads on unlocked inputs; a VC is read only
+  // for a set bit. `locked` is the one input that changes during SA: a
+  // grant at an earlier output hides that whole input port from later
+  // outputs within the same cycle, which `masked` reproduces exactly.
+  ArbMask masked;  // all (input,vc) bits of locked input ports
+  for_each_port(masks_.locked, [&](int i) { masked.set_range(i * vcs_per_port_, vcs_per_port_); });
+  const ArbMask cand = masks_.pending.without(masked);
   std::array<ArbMask, kNumDirs> req{};
-  ArbMask masked_inputs;  // all (input,vc) bits of locked input ports
-  bool any = false;
-  for (Dir i : kAllDirs) {
-    const InputPort& ip = in(i);
-    if (ip.locked) continue;  // contributes no request bits
-    const int base = dir_index(i) * vcs_per_port_;
-    for (int v = 0; v < vcs_per_port_; ++v) {
-      const VcBuffer& vc = ip.vcs[static_cast<std::size_t>(v)];
-      if (vc.empty() || !vc.has_request()) continue;
-      const FlitRef& f = vc.front();
-      if (!is_head(f.type)) continue;     // packet already in flight elsewhere
-      if (f.buffered_at >= now) continue; // BW this cycle: allocate next cycle
-      req[static_cast<std::size_t>(dir_index(vc.requested_out()))].set(
-          static_cast<std::size_t>(base + v));
-      any = true;
-    }
+  unsigned requested = 0;  // outputs with at least one request
+  for (int b = cand.find_next(0); b >= 0; b = cand.find_next(b + 1)) {
+    const VcBuffer& vc = vcs_[b];
+    if (vc.front().buffered_at >= now) continue;  // BW this cycle: allocate next cycle
+    const int o = dir_index(vc.requested_out());
+    req[static_cast<std::size_t>(o)].set(b);
+    requested |= 1u << o;
   }
-  if (!any) return;
   // Fixed output order keeps allocation deterministic; per-output round-
   // robin over (input, vc) provides fairness (pinned by tests).
-  for (Dir o : kAllDirs) {
-    OutputPort& op = out(o);
-    if (!op.enabled || op.hold.has_value() || op.free_vcs.empty()) continue;
-    const ArbMask m = req[static_cast<std::size_t>(dir_index(o))] & ~masked_inputs;
-    if (m.none()) continue;
+  for_each_port(requested, [&](int oi) {
+    OutputPort& op = outputs_[static_cast<std::size_t>(oi)];
+    if (!op.enabled || op.hold.has_value() || op.free_vcs.empty()) return;
+    const ArbMask m = req[static_cast<std::size_t>(oi)].without(masked);
+    if (m.none()) return;
     const auto winner = op.arb.arbitrate(m);
     SMARTNOC_CHECK(winner.has_value(), "arbiter must pick among requests");
-    const Dir win_in = dir_from_index(*winner / vcs_per_port_);
-    const VcId win_vc = static_cast<VcId>(*winner % vcs_per_port_);
+    const int win_in = *winner / vcs_per_port_;
+    const VcId win_vc = static_cast<VcId>(*winner - win_in * vcs_per_port_);
     const VcId out_vc = op.free_vcs.pop_front();
-    op.hold = Hold{win_in, win_vc, out_vc};
-    holds_total_ += 1;
-    in(win_in).locked = true;
+    op.hold = Hold{dir_from_index(win_in), win_vc, out_vc};
+    masks_.holds |= 1u << oi;
+    masks_.locked |= 1u << win_in;
+    masks_.pending.reset(*winner);
     act.alloc_grants += 1;
-    const int base = dir_index(win_in) * vcs_per_port_;
-    for (int v = 0; v < vcs_per_port_; ++v) {
-      masked_inputs.set(static_cast<std::size_t>(base + v));
+    masked.set_range(win_in * vcs_per_port_, vcs_per_port_);
+  });
+}
+
+Router::Masks Router::derive_masks() const {
+  Masks m;
+  for (Dir d : kAllDirs) {
+    if (in(d).staging_count > 0) m.staged |= port_bit(d);
+    const OutputPort& op = out(d);
+    if (op.hold.has_value()) {
+      m.holds |= port_bit(d);
+      m.locked |= port_bit(op.hold->in);
     }
   }
+  for (int b = 0; b < vcs_.size(); ++b) {
+    const VcBuffer& vc = vcs_[b];
+    m.buffered += vc.occupancy();
+    if (vc.has_request() && !vc.empty() && is_head(vc.front().type)) m.pending.set(b);
+  }
+  // A granted head stays buffered until ST pops it the next cycle: its VC
+  // is held, not pending.
+  for_each_port(m.holds, [&](int oi) {
+    const Hold& h = *outputs_[static_cast<std::size_t>(oi)].hold;
+    m.pending.reset(vc_index(h.in, h.in_vc));
+  });
+  return m;
 }
 
 void Router::reset_output_credits(Dir o, int vcs, const std::array<bool, 16>& busy) {
@@ -164,14 +192,14 @@ void Router::reset_output_credits(Dir o, int vcs, const std::array<bool, 16>& bu
 
 void Router::mark_busy_input_vcs(Dir in_dir, std::array<bool, 16>& busy) const {
   const InputPort& ip = in(in_dir);
-  for (int v = 0; v < vcs_per_port_; ++v) {
-    const VcBuffer& vc = ip.vcs[static_cast<std::size_t>(v)];
+  for (VcId v = 0; v < vcs_per_port_; ++v) {
+    const VcBuffer& vc = vcs_[vc_index(in_dir, v)];
     if (!vc.empty() || vc.has_request()) busy[static_cast<std::size_t>(v)] = true;
   }
   // Staged flits already carry their endpoint VC id (assigned at SA by the
   // upstream origin) but have not reached the VC yet.
   for (int k = 0; k < ip.staging_count; ++k) {
-    const StagedFlit& sf = ip.staging[static_cast<std::size_t>((ip.staging_head + k) % 2)];
+    const StagedFlit& sf = ip.staging[static_cast<std::size_t>((ip.staging_head + k) & 1)];
     busy[static_cast<std::size_t>(sf.flit.vc)] = true;
   }
 }
@@ -184,33 +212,26 @@ int Router::purge_flows(const std::vector<std::uint8_t>& affected,
     return fl >= 0 && static_cast<std::size_t>(fl) < affected.size() &&
            affected[static_cast<std::size_t>(fl)] != 0;
   };
-  // 1) Switch holds whose granted packet dies: release the hold and the
-  //    input lock (the VC contents go in pass 2). A hold's packet is
-  //    identified through its input VC's owner - valid until clear_request.
+  // 1) Switch holds whose granted packet dies: release the hold (the VC
+  //    contents go in pass 2). A hold's packet is identified through its
+  //    input VC's owner - valid until clear_request.
   for (Dir o : kAllDirs) {
     OutputPort& op = out(o);
     if (!op.hold.has_value()) continue;
-    InputPort& ip = in(op.hold->in);
-    const PacketSlot owner = ip.vcs[static_cast<std::size_t>(op.hold->in_vc)].owner();
+    const PacketSlot owner = vcs_[vc_index(op.hold->in, op.hold->in_vc)].owner();
     if (owner == kInvalidSlot || !hit(owner)) continue;
-    ip.locked = false;
     op.hold.reset();
-    holds_total_ -= 1;
   }
   // 2) VC contents and open requests. The owner field identifies mid-stream
   //    VCs (momentarily empty, body still upstream) as well as full ones.
-  for (Dir i : kAllDirs) {
-    InputPort& ip = in(i);
-    for (auto& vc : ip.vcs) {
-      const PacketSlot owner = vc.owner();
-      if (owner == kInvalidSlot || !hit(owner)) continue;
-      while (!vc.empty()) {
-        on_removed(vc.pop());
-        buffered_total_ -= 1;
-        ++removed;
-      }
-      vc.clear_request();
+  for (VcBuffer& vc : vcs_) {
+    const PacketSlot owner = vc.owner();
+    if (owner == kInvalidSlot || !hit(owner)) continue;
+    while (!vc.empty()) {
+      on_removed(vc.pop());
+      ++removed;
     }
+    vc.clear_request();
   }
   // 3) Staging rings, rebuilt keeping the survivors in FIFO order.
   for (Dir i : kAllDirs) {
@@ -219,10 +240,9 @@ int Router::purge_flows(const std::vector<std::uint8_t>& affected,
     int kept = 0;
     const int n = ip.staging_count;
     for (int k = 0; k < n; ++k) {
-      const StagedFlit sf = ip.staging[static_cast<std::size_t>((ip.staging_head + k) % 2)];
+      const StagedFlit sf = ip.staging[static_cast<std::size_t>((ip.staging_head + k) & 1)];
       if (hit(sf.flit.slot)) {
         on_removed(sf.flit);
-        staged_total_ -= 1;
         ++removed;
       } else {
         keep[static_cast<std::size_t>(kept++)] = sf;
@@ -232,14 +252,13 @@ int Router::purge_flows(const std::vector<std::uint8_t>& affected,
     ip.staging_head = 0;
     ip.staging_count = kept;
   }
+  rebuild_masks();
   return removed;
 }
 
 int Router::occupied_vcs() const {
   int n = 0;
-  for (const auto& ip : inputs_) {
-    for (const auto& vc : ip.vcs) n += vc.empty() ? 0 : 1;
-  }
+  for (const VcBuffer& vc : vcs_) n += vc.empty() ? 0 : 1;
   return n;
 }
 

@@ -14,11 +14,22 @@
 // Bypass traffic never enters this class: the network's segment table
 // carries bypassed flits across this router's crossbar combinationally.
 //
-// The per-cycle phases are allocation-free: staged flits sit in a two-slot
-// ring (at most two can be in flight per input port), switch-allocation
-// requests are an ArbMask bitset, and free-VC queues are fixed-capacity
-// rings. Aggregate occupancy counters make has_traffic() O(1), which the
-// network's active-set scheduler and drain detection lean on every cycle.
+// Each phase costs what its events cost. Occupancy masks, updated at every
+// push and pop, index the port state: `staged` (inputs with a staged
+// flit) drives BW, `holds` (outputs with a live switch hold) drives ST,
+// and SA builds its per-output requests from `pending & ~locked` - the
+// (input, VC) pairs whose head is buffered but not yet granted, minus the
+// inputs already streaming a packet - reading a VC only for a set bit and
+// returning at once when nothing is pending. has_traffic() is a mask test,
+// which the network's active-set scheduler and drain detection lean on
+// every cycle. The masks are derived state: rebuild_masks() re-derives
+// them from the ports after fault surgery and masks_consistent() checks
+// them (pinned after every tick by test_router_masks).
+//
+// All VC headers and flit slots of a router live in one VcBlock, laid out
+// input-major so the (input, VC) bit index of the masks is also the VC's
+// index in the block. Staged flits sit in a two-slot ring per port and
+// free-VC queues are fixed-capacity rings: the phases never allocate.
 //
 // Flits move as 16-byte FlitRefs (structure-of-arrays split): BW, SA and
 // ST never touch the cold payload; the only pool access is the head-flit
@@ -65,9 +76,9 @@ class Router {
 
   // --- Introspection ---------------------------------------------------------
   /// O(1): any staged flit, buffered flit or live switch hold.
-  bool has_traffic() const { return staged_total_ + buffered_total_ + holds_total_ > 0; }
+  bool has_traffic() const { return (masks_.staged | masks_.holds) != 0 || masks_.buffered != 0; }
   int free_vcs(Dir o) const { return out(o).free_vcs.size(); }
-  int buffered_flits() const { return buffered_total_; }
+  int buffered_flits() const { return masks_.buffered; }
 
   // --- Fault engine (cold paths, shared by both cycle kernels) ---------------
   /// Freezes switch allocation through cycle `until` (a RouterStall fault).
@@ -106,6 +117,13 @@ class Router {
   int purge_flows(const std::vector<std::uint8_t>& affected,
                   const std::function<void(const FlitRef&)>& on_removed);
 
+  /// Re-derives the occupancy masks and the buffered-flit count from the
+  /// port state (after fault surgery edits the ports directly).
+  void rebuild_masks() { masks_ = derive_masks(); }
+  /// True when every mask and the buffered-flit count match what
+  /// rebuild_masks() would derive from the port state.
+  bool masks_consistent() const { return derive_masks() == masks_; }
+
   /// Input VCs currently holding at least one flit (StallReport).
   int occupied_vcs() const;
 
@@ -121,8 +139,6 @@ class Router {
     std::array<StagedFlit, 2> staging;
     int staging_head = 0;
     int staging_count = 0;
-    std::vector<VcBuffer> vcs;
-    bool locked = false;  ///< a granted packet is streaming from this port
   };
   struct Hold {  ///< per-packet switch hold (grant until tail)
     Dir in = Dir::Core;
@@ -135,23 +151,36 @@ class Router {
     std::optional<Hold> hold;
     RoundRobinArbiter arb;
   };
+  /// Occupancy masks over the port state, maintained at every push/pop.
+  /// Bit d of the port masks is dir_index(d); bit vc_index(in, v) of
+  /// `pending` is that input VC.
+  struct Masks {
+    unsigned staged = 0;   ///< inputs with a staged flit
+    unsigned holds = 0;    ///< outputs with a live switch hold
+    unsigned locked = 0;   ///< inputs streaming a granted packet
+    ArbMask pending;       ///< buffered heads not yet granted
+    int buffered = 0;      ///< flits in all input VCs
+
+    friend bool operator==(const Masks&, const Masks&) = default;
+  };
 
   InputPort& in(Dir d) { return inputs_[static_cast<std::size_t>(dir_index(d))]; }
   OutputPort& out(Dir d) { return outputs_[static_cast<std::size_t>(dir_index(d))]; }
   const InputPort& in(Dir d) const { return inputs_[static_cast<std::size_t>(dir_index(d))]; }
   const OutputPort& out(Dir d) const { return outputs_[static_cast<std::size_t>(dir_index(d))]; }
+  /// Mask bit / block index of (input, vc).
+  int vc_index(Dir in_dir, VcId v) const { return dir_index(in_dir) * vcs_per_port_ + v; }
+  Masks derive_masks() const;
 
   NodeId id_;
   int vcs_per_port_;
   Fabric* fabric_;
   const PacketPool* pool_;  ///< route decode at BW (the one payload read)
+  Masks masks_;
+  Cycle stall_until_ = 0;  ///< switch allocation frozen through this cycle
   std::array<InputPort, kNumDirs> inputs_;
   std::array<OutputPort, kNumDirs> outputs_;
-  // Aggregate occupancy, maintained at every push/pop (O(1) has_traffic).
-  int staged_total_ = 0;
-  int buffered_total_ = 0;
-  int holds_total_ = 0;
-  Cycle stall_until_ = 0;  ///< switch allocation frozen through this cycle
+  VcBlock vcs_;  ///< every input VC, input-major (index vc_index)
 };
 
 }  // namespace smartnoc::noc

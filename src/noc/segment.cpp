@@ -1,12 +1,11 @@
 #include "noc/segment.hpp"
 
+#include <optional>
 #include <string>
 
 #include "common/error.hpp"
 
 namespace smartnoc::noc {
-
-const std::optional<SegOrigin> SegmentTable::kNone{};
 
 namespace {
 
@@ -33,9 +32,11 @@ std::optional<Dir> bypass_exit(const std::array<XbarSel, kNumDirs>& xbar, Dir en
 }  // namespace
 
 Segment SegmentTable::walk_forward(SegOrigin origin, NodeId first_router, Dir entry_port,
-                                   const PresetTable& presets) const {
+                                   const PresetTable& presets,
+                                   std::vector<SegLink>& links) const {
   Segment seg;
   seg.origin = origin;
+  seg.armed = true;
   NodeId cur = first_router;
   Dir in = entry_port;
   for (int steps = 0; steps <= dims_.nodes() + 1; ++steps) {
@@ -56,7 +57,6 @@ Segment SegmentTable::walk_forward(SegOrigin origin, NodeId first_router, Dir en
                         " is preset to bypass but no crossbar output selects it");
     }
     seg.bypassed += 1;
-    seg.bypass_routers.push_back(cur);
     if (*exit == Dir::Core) {
       // Delivered straight into this tile's NIC.
       seg.ep = Endpoint{true, cur, Dir::Core};
@@ -71,7 +71,7 @@ Segment SegmentTable::walk_forward(SegOrigin origin, NodeId first_router, Dir en
                         dir_name(*exit) + " off the edge of the mesh");
     }
     seg.mm += 1;
-    seg.links.emplace_back(cur, *exit);
+    links.emplace_back(cur, *exit);
     cur = dims_.neighbor(cur, *exit);
     in = opposite(*exit);
   }
@@ -85,19 +85,28 @@ SegmentTable::SegmentTable(const MeshDims& dims, const NocConfig& cfg,
   SMARTNOC_CHECK(presets.size() == dims.nodes(), "preset table size mismatch");
   SMARTNOC_CHECK(hpc_max >= 1, "HPC_max must be at least one hop");
 
-  injection_.reserve(static_cast<std::size_t>(dims.nodes()));
-  output_.resize(static_cast<std::size_t>(dims.nodes()));
-  credit_router_in_.resize(static_cast<std::size_t>(dims.nodes()));
-  credit_nic_.resize(static_cast<std::size_t>(dims.nodes()));
+  const auto records = static_cast<std::size_t>(dims.nodes()) * kSlots;
+  segs_.resize(records);
+  credits_.resize(records);
+
+  std::vector<SegLink> links;
+  auto store = [&](std::size_t k, Segment seg) {
+    SMARTNOC_CHECK(links.size() == static_cast<std::size_t>(seg.mm),
+                   "a segment crosses one link per mm");
+    seg.first_link = static_cast<std::uint32_t>(link_pool_.size());
+    segs_[k] = seg;
+    link_pool_.insert(link_pool_.end(), links.begin(), links.end());
+    links.clear();
+  };
 
   for (NodeId n = 0; n < dims.nodes(); ++n) {
     // Injection: flits from NIC n enter router n through the Core port.
-    injection_.push_back(walk_forward(SegOrigin{true, n, Dir::Core}, n, Dir::Core, presets));
+    store(slot(n, kInjection),
+          walk_forward(SegOrigin{true, n, Dir::Core}, n, Dir::Core, presets, links));
 
     // Output segments: one per usable output port of router n.
     for (Dir o : kAllDirs) {
       const XbarSel& sel = presets.at(n).xbar[static_cast<std::size_t>(dir_index(o))];
-      auto& slot = output_[static_cast<std::size_t>(n)][static_cast<std::size_t>(dir_index(o))];
       if (sel.kind != XbarSel::Kind::FromRouter) {
         continue;  // Off, or a bypass crosspoint (covered inside other segments)
       }
@@ -107,24 +116,27 @@ SegmentTable::SegmentTable(const MeshDims& dims, const NocConfig& cfg,
         Segment seg;
         seg.origin = origin;
         seg.ep = Endpoint{true, n, Dir::Core};
-        slot = seg;
+        seg.armed = true;
+        store(slot(n, dir_index(o)), seg);
         continue;
       }
       if (!dims.has_neighbor(n, o)) {
         throw ConfigError("router " + std::to_string(n) + ": output " + dir_name(o) +
                           " is preset FromRouter but has no link");
       }
-      Segment seg = walk_forward(origin, dims.neighbor(n, o), opposite(o), presets);
-      seg.mm += 1;  // the first link, router n -> neighbour
-      seg.links.insert(seg.links.begin(), {n, o});
+      links.emplace_back(n, o);  // the first link, router n -> neighbour
+      Segment seg = walk_forward(origin, dims.neighbor(n, o), opposite(o), presets, links);
+      seg.mm += 1;
       if (seg.mm > hpc_max_) {
         throw ConfigError("segment from router " + std::to_string(n) + " output " + dir_name(o) +
                           " spans " + std::to_string(seg.mm) + " mm > HPC_max " +
                           std::to_string(hpc_max_));
       }
-      slot = seg;
+      store(slot(n, dir_index(o)), seg);
     }
   }
+
+  link_pool_.resize(link_pool_.size() + kLinkPad, SegLink{0, Dir::East});
 
   build_credit_side(presets);
 
@@ -132,23 +144,13 @@ SegmentTable::SegmentTable(const MeshDims& dims, const NocConfig& cfg,
   // path that leads exactly back to the segment's origin over the same
   // distance. This is the paper's "if a forward route is preset, the
   // reverse credit route is preset as well".
-  for (NodeId n = 0; n < dims.nodes(); ++n) {
-    auto check = [&](const Segment& seg) {
-      const CreditInfo& ci =
-          seg.ep.is_nic
-              ? credit_nic_[static_cast<std::size_t>(seg.ep.node)]
-              : credit_router_in_[static_cast<std::size_t>(seg.ep.node)]
-                                 [static_cast<std::size_t>(dir_index(seg.ep.in))];
-      if (!ci.origin.has_value() || !(*ci.origin == seg.origin) || ci.mm != seg.mm) {
-        throw ConfigError("credit crossbar presets do not mirror the forward presets at node " +
-                          std::to_string(seg.ep.node));
-      }
-    };
-    check(injection_[static_cast<std::size_t>(n)]);
-    for (Dir o : kAllDirs) {
-      const auto& slot =
-          output_[static_cast<std::size_t>(n)][static_cast<std::size_t>(dir_index(o))];
-      if (slot.has_value()) check(*slot);
+  for (const Segment& seg : segs_) {
+    if (!seg.armed) continue;
+    const CreditPath& ci =
+        seg.ep.is_nic ? credit_nic(seg.ep.node) : credit_router_input(seg.ep.node, seg.ep.in);
+    if (!ci.armed || !(ci.origin == seg.origin) || ci.mm != seg.mm) {
+      throw ConfigError("credit crossbar presets do not mirror the forward presets at node " +
+                        std::to_string(seg.ep.node));
     }
   }
 }
@@ -157,8 +159,9 @@ void SegmentTable::build_credit_side(const PresetTable& presets) {
   // Trace the reverse credit path from every latch point back to its feeder.
   // A credit leaving a router through port d arrives at neighbour(n, d) on
   // port opposite(d) - which is that router's *forward output* toward us.
-  auto trace = [&](NodeId start_router, Dir exit0, int mm0, int xbar0) -> CreditInfo {
-    CreditInfo ci;
+  auto trace = [&](NodeId start_router, Dir exit0, int mm0, int xbar0) -> CreditPath {
+    CreditPath ci;
+    ci.armed = true;
     ci.mm = mm0;
     ci.xbar_hops = xbar0;
     NodeId cur = start_router;
@@ -196,61 +199,37 @@ void SegmentTable::build_credit_side(const PresetTable& presets) {
     for (Dir in : kAllDirs) {
       const auto i = static_cast<std::size_t>(dir_index(in));
       if (presets.at(n).input_mux[i] != InputMux::Buffer) continue;
-      auto& slot = credit_router_in_[static_cast<std::size_t>(n)][i];
+      CreditPath& path = credits_[slot(n, dir_index(in))];
       if (in == Dir::Core) {
         // Feeder is this tile's NIC injection stub.
-        slot.origin = SegOrigin{true, n, Dir::Core};
-        slot.mm = 0;
+        path = CreditPath{SegOrigin{true, n, Dir::Core}, 0, 0, true};
         continue;
       }
       if (!dims_.has_neighbor(n, in)) continue;  // edge port, never fed
-      slot = trace(n, in, 0, 0);
+      path = trace(n, in, 0, 0);
     }
     // NIC receive buffers: the credit first crosses this tile's router via
     // its credit crossbar (entry port Core).
-    auto& nic_slot = credit_nic_[static_cast<std::size_t>(n)];
+    CreditPath& nic_path = credits_[slot(n, kInjection)];
     const auto exit0 = bypass_exit(presets.at(n).credit_xbar, Dir::Core, n);
     if (exit0.has_value()) {
-      nic_slot = trace(n, *exit0, 0, 1);
+      nic_path = trace(n, *exit0, 0, 1);
     } else {
       // No credit crosspoint for Core: the feeder is this router's own
       // ejection stub (flits stopped here and were ejected FromRouter).
-      nic_slot.origin = SegOrigin{false, n, Dir::Core};
-      nic_slot.mm = 0;
+      nic_path = CreditPath{SegOrigin{false, n, Dir::Core}, 0, 0, true};
     }
   }
 }
 
-const Segment& SegmentTable::injection(NodeId n) const {
-  return injection_.at(static_cast<std::size_t>(n));
-}
-
-const std::optional<Segment>& SegmentTable::output(NodeId n, Dir d) const {
-  return output_.at(static_cast<std::size_t>(n))[static_cast<std::size_t>(dir_index(d))];
-}
-
-const std::optional<SegOrigin>& SegmentTable::credit_target_router_input(NodeId n, Dir d) const {
-  return credit_router_in_.at(static_cast<std::size_t>(n))[static_cast<std::size_t>(dir_index(d))]
-      .origin;
-}
-
-const std::optional<SegOrigin>& SegmentTable::credit_target_nic(NodeId n) const {
-  return credit_nic_.at(static_cast<std::size_t>(n)).origin;
-}
-
-int SegmentTable::credit_mm_router_input(NodeId n, Dir d) const {
-  return credit_router_in_.at(static_cast<std::size_t>(n))[static_cast<std::size_t>(dir_index(d))]
-      .mm;
-}
-int SegmentTable::credit_mm_nic(NodeId n) const {
-  return credit_nic_.at(static_cast<std::size_t>(n)).mm;
-}
-int SegmentTable::credit_xbar_hops_router_input(NodeId n, Dir d) const {
-  return credit_router_in_.at(static_cast<std::size_t>(n))[static_cast<std::size_t>(dir_index(d))]
-      .xbar_hops;
-}
-int SegmentTable::credit_xbar_hops_nic(NodeId n) const {
-  return credit_nic_.at(static_cast<std::size_t>(n)).xbar_hops;
+std::vector<NodeId> SegmentTable::bypass_routers(const Segment& seg) const {
+  // A router origin sends the first link itself; every later sender is
+  // crossed in bypass (an injection segment bypasses from its first link).
+  const std::span<const SegLink> ls = links(seg);
+  std::vector<NodeId> out;
+  for (std::size_t k = seg.origin.is_nic ? 0 : 1; k < ls.size(); ++k) out.push_back(ls[k].first);
+  if (seg.ep.is_nic && seg.bypassed > 0) out.push_back(seg.ep.node);  // bypassed into the NIC
+  return out;
 }
 
 }  // namespace smartnoc::noc

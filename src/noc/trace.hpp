@@ -11,6 +11,8 @@
 // common counting paths never touch it.
 #pragma once
 
+#include <span>
+
 #include "common/types.hpp"
 #include "noc/flit.hpp"
 #include "noc/packet_pool.hpp"
@@ -36,16 +38,19 @@ class TraceObserver {
   virtual void flit_latched(bool is_nic, NodeId node, const FlitRef& flit,
                             const PacketPool& pool, Cycle cycle) = 0;
 
-  /// A flit traversed a whole segment: every link in `seg.links` during
-  /// `now`, then a latch at `seg.ep` at `arrival`. This is the one call
-  /// the network actually makes per delivery - the default fans out to
-  /// flit_on_link/flit_latched, so simple observers implement only those;
-  /// hot observers (the telemetry probe) override this to amortize the
-  /// virtual dispatch over the segment and resolve payload through `pool`
-  /// only on the branches that read it.
-  virtual void segment_traversed(const Segment& seg, const FlitRef& flit,
-                                 const PacketPool& pool, Cycle now, Cycle arrival) {
-    for (const auto& [from, out] : seg.links) flit_on_link(from, out, flit, pool, now);
+  /// A flit traversed a whole segment: every link in `links` (the
+  /// segment table's cold side for `seg`, so SegmentTable::kLinkPad
+  /// entries from its start are readable) during `now`, then a latch at
+  /// `seg.ep` at `arrival`. This is the one call the network actually
+  /// makes per delivery - the default fans out to flit_on_link/
+  /// flit_latched, so simple observers implement only those; hot observers
+  /// (the telemetry probe) override this to amortize the virtual dispatch
+  /// over the segment and resolve payload through `pool` only on the
+  /// branches that read it.
+  virtual void segment_traversed(const Segment& seg, std::span<const SegLink> links,
+                                 const FlitRef& flit, const PacketPool& pool, Cycle now,
+                                 Cycle arrival) {
+    for (const auto& [from, out] : links) flit_on_link(from, out, flit, pool, now);
     flit_latched(seg.ep.is_nic, seg.ep.node, flit, pool, arrival);
   }
 

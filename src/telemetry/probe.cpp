@@ -4,6 +4,16 @@
 
 namespace smartnoc::telemetry {
 
+namespace {
+
+/// A directed link's column in the per-epoch link series.
+std::size_t link_index(const noc::SegLink& l) {
+  return static_cast<std::size_t>(l.first) * kNumMeshDirs +
+         static_cast<std::size_t>(dir_index(l.second));
+}
+
+}  // namespace
+
 Probe::Probe(const MeshDims& dims, int flits_per_packet, Config cfg)
     : dims_(dims),
       flits_per_packet_(flits_per_packet),
@@ -78,21 +88,30 @@ void Probe::flit_latched(bool is_nic, NodeId node, const noc::FlitRef& flit,
   }
 }
 
-void Probe::segment_traversed(const noc::Segment& seg, const noc::FlitRef& flit,
-                              const noc::PacketPool& pool, Cycle now, Cycle arrival) {
+void Probe::segment_traversed(const noc::Segment& seg, std::span<const noc::SegLink> links,
+                              const noc::FlitRef& flit, const noc::PacketPool& pool, Cycle now,
+                              Cycle arrival) {
   // The one call per delivery: epoch series only (whole-run totals are
   // summed from the series at export time, keeping this path lean); the
   // scalar counters are maintained only when the series are off.
   (void)arrival;
   if (cfg_.epoch_cycles != 0) {
     epoch_of(now);  // one lookup covers the links *and* the latch
-    for (const auto& [from, out] : seg.links) {
-      win_link_p_[static_cast<std::size_t>(from) * kNumMeshDirs +
-                  static_cast<std::size_t>(dir_index(out))] += 1;
+    // The first kLinkPad links are counted without a length branch (the
+    // table's padding makes them readable; entries past the end add 0): a
+    // loop whose trip count changes from one delivery to the next - 0, 1
+    // or 2 links on short SMART segments - mispredicts its exit, which
+    // costs more than the counting. Longer segments loop over the rest.
+    const noc::SegLink* l = links.data();
+    for (std::size_t k = 0; k < noc::SegmentTable::kLinkPad; ++k) {
+      win_link_p_[link_index(l[k])] += k < links.size() ? 1 : 0;
+    }
+    for (std::size_t k = noc::SegmentTable::kLinkPad; k < links.size(); ++k) {
+      win_link_p_[link_index(l[k])] += 1;
     }
     win_node_p_[seg.ep.is_nic ? 1 : 0][static_cast<std::size_t>(seg.ep.node)] += 1;
   } else {
-    link_total_ += seg.links.size();
+    link_total_ += links.size();
     if (seg.ep.is_nic) {
       eject_total_ += 1;
     } else {
@@ -101,7 +120,7 @@ void Probe::segment_traversed(const noc::Segment& seg, const noc::FlitRef& flit,
   }
   if (cfg_.chrome_event_capacity > 0) {
     // The one payload read of the probe: the packet id for Chrome tracks.
-    for (const auto& [from, out] : seg.links) {
+    for (const auto& [from, out] : links) {
       if (events_.size() < cfg_.chrome_event_capacity) {
         events_.push_back(LinkEvent{era_base_ + now, from, out, pool.at(flit.slot).id, flit.seq});
       } else {

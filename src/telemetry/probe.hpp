@@ -88,8 +88,9 @@ class Probe final : public noc::TraceObserver {
   /// epoch lands in the previous bucket - totals are unaffected, and the
   /// bucket skew is at most one cycle at epoch boundaries). Payload is
   /// resolved through `pool` only on the Chrome-event capture branch.
-  void segment_traversed(const noc::Segment& seg, const noc::FlitRef& flit,
-                         const noc::PacketPool& pool, Cycle now, Cycle arrival) override;
+  void segment_traversed(const noc::Segment& seg, std::span<const noc::SegLink> links,
+                         const noc::FlitRef& flit, const noc::PacketPool& pool, Cycle now,
+                         Cycle arrival) override;
   void packet_offered(FlowId flow, NodeId src, Cycle created) override;
   void packet_dropped(FlowId flow, NodeId src, Cycle cycle) override;
   void packet_retransmitted(FlowId flow, NodeId src, Cycle cycle) override;
@@ -267,9 +268,10 @@ class TeeObserver final : public noc::TraceObserver {
                     const noc::PacketPool& pool, Cycle cycle) override {
     for (auto* o : obs_) o->flit_latched(is_nic, node, flit, pool, cycle);
   }
-  void segment_traversed(const noc::Segment& seg, const noc::FlitRef& flit,
-                         const noc::PacketPool& pool, Cycle now, Cycle arrival) override {
-    for (auto* o : obs_) o->segment_traversed(seg, flit, pool, now, arrival);
+  void segment_traversed(const noc::Segment& seg, std::span<const noc::SegLink> links,
+                         const noc::FlitRef& flit, const noc::PacketPool& pool, Cycle now,
+                         Cycle arrival) override {
+    for (auto* o : obs_) o->segment_traversed(seg, links, flit, pool, now, arrival);
   }
   void packet_offered(FlowId flow, NodeId src, Cycle created) override {
     for (auto* o : obs_) o->packet_offered(flow, src, created);

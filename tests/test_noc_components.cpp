@@ -2,6 +2,9 @@
 // engine rates, flow construction.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <initializer_list>
+
 #include "helpers.hpp"
 #include "noc/arbiter.hpp"
 #include "noc/buffer.hpp"
@@ -12,8 +15,16 @@
 namespace smartnoc::noc {
 namespace {
 
+/// An arbiter request set with bits `on` set.
+ArbMask mask_of(std::initializer_list<int> on) {
+  ArbMask m;
+  for (int i : on) m.set(i);
+  return m;
+}
+
 TEST(VcBufferTest, FifoOrder) {
-  VcBuffer b(4);
+  std::array<FlitRef, 4> slots{};
+  VcBuffer b(slots.data(), 4);
   for (int i = 0; i < 4; ++i) {
     FlitRef f;
     f.seq = static_cast<std::uint8_t>(i);
@@ -25,8 +36,22 @@ TEST(VcBufferTest, FifoOrder) {
   EXPECT_TRUE(b.empty());
 }
 
+TEST(VcBufferTest, RingWrapsOverCallerStorage) {
+  std::array<FlitRef, 3> slots{};
+  VcBuffer b(slots.data(), 3);
+  for (int i = 0; i < 10; ++i) {
+    FlitRef f;
+    f.seq = static_cast<std::uint8_t>(i);
+    b.push(f);
+    EXPECT_EQ(slots[static_cast<std::size_t>(i % 3)].seq, i);  // written in place
+    EXPECT_EQ(b.pop().seq, i);
+  }
+  EXPECT_TRUE(b.empty());
+}
+
 TEST(VcBufferTest, RequestLifecycle) {
-  VcBuffer b(4);
+  std::array<FlitRef, 4> slots{};
+  VcBuffer b(slots.data(), 4);
   EXPECT_FALSE(b.has_request());
   b.set_request(Dir::East);
   EXPECT_TRUE(b.has_request());
@@ -35,24 +60,40 @@ TEST(VcBufferTest, RequestLifecycle) {
   EXPECT_FALSE(b.has_request());
 }
 
+TEST(VcBufferTest, BlockKeepsVcsApartAndSurvivesMoves) {
+  VcBlock block(3, 2);
+  ASSERT_EQ(block.size(), 3);
+  for (int v = 0; v < 3; ++v) {
+    FlitRef f;
+    f.seq = static_cast<std::uint8_t>(10 + v);
+    block[v].push(f);
+    block[v].push(f);
+  }
+  VcBlock moved = std::move(block);
+  for (int v = 0; v < 3; ++v) {
+    EXPECT_EQ(moved[v].occupancy(), 2);
+    EXPECT_EQ(moved[v].pop().seq, 10 + v);
+  }
+}
+
 TEST(ArbiterTest, GrantsOnlyRequesters) {
   RoundRobinArbiter arb(4);
-  std::vector<bool> req = {false, true, false, true};
+  const ArbMask req = mask_of({1, 3});
   for (int i = 0; i < 8; ++i) {
     const auto g = arb.arbitrate(req);
     ASSERT_TRUE(g.has_value());
-    EXPECT_TRUE(req[static_cast<std::size_t>(*g)]);
+    EXPECT_TRUE(req.test(*g));
   }
 }
 
 TEST(ArbiterTest, NoRequestsNoGrant) {
   RoundRobinArbiter arb(3);
-  EXPECT_FALSE(arb.arbitrate({false, false, false}).has_value());
+  EXPECT_FALSE(arb.arbitrate(ArbMask{}).has_value());
 }
 
 TEST(ArbiterTest, RoundRobinIsFairUnderSaturation) {
   RoundRobinArbiter arb(5);
-  std::vector<bool> req(5, true);
+  const ArbMask req = mask_of({0, 1, 2, 3, 4});
   std::vector<int> grants(5, 0);
   for (int i = 0; i < 1000; ++i) {
     grants[static_cast<std::size_t>(*arb.arbitrate(req))] += 1;
@@ -64,7 +105,7 @@ TEST(ArbiterTest, NoStarvationWithAsymmetricLoad) {
   // Requester 0 always requests; requester 3 requests every cycle too;
   // the pointer guarantees alternation.
   RoundRobinArbiter arb(4);
-  std::vector<bool> req = {true, false, false, true};
+  const ArbMask req = mask_of({0, 3});
   int zero = 0, three = 0;
   for (int i = 0; i < 100; ++i) {
     const int g = *arb.arbitrate(req);
@@ -72,6 +113,40 @@ TEST(ArbiterTest, NoStarvationWithAsymmetricLoad) {
   }
   EXPECT_EQ(zero, 50);
   EXPECT_EQ(three, 50);
+}
+
+TEST(ArbiterTest, BitScanMatchesLinearProbe) {
+  // The pick is the first request at or after the pointer, wrapping once:
+  // cross-check against a one-bit-at-a-time probe, across the word
+  // boundary of the two-word mask.
+  const int n = kMaxArbInputs;
+  RoundRobinArbiter arb(n);
+  int ptr = 0;
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (int round = 0; round < 2000; ++round) {
+    ArbMask req;
+    for (int i = 0; i < n; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      if (x % 11 == 0) req.set(i);
+    }
+    int expect = -1;
+    for (int k = 0; k < n; ++k) {
+      if (req.test((ptr + k) % n)) {
+        expect = (ptr + k) % n;
+        break;
+      }
+    }
+    const auto g = arb.arbitrate(req);
+    if (expect < 0) {
+      EXPECT_FALSE(g.has_value());
+      continue;
+    }
+    ASSERT_TRUE(g.has_value());
+    EXPECT_EQ(*g, expect);
+    ptr = (expect + 1) % n;
+  }
 }
 
 TEST(FlowTest, PacketsPerCycleConversion) {

@@ -34,20 +34,20 @@ TEST(Segments, AllBufferGivesSingleLinkSegments) {
   }
   // Router-to-router: exactly one link.
   const auto& seg = t.output(5, Dir::East);
-  ASSERT_TRUE(seg.has_value());
-  EXPECT_EQ(seg->ep.node, 6);
-  EXPECT_EQ(seg->ep.in, Dir::West);
-  EXPECT_EQ(seg->mm, 1);
-  EXPECT_EQ(seg->bypassed, 0);
+  ASSERT_TRUE(seg.armed);
+  EXPECT_EQ(seg.ep.node, 6);
+  EXPECT_EQ(seg.ep.in, Dir::West);
+  EXPECT_EQ(seg.mm, 1);
+  EXPECT_EQ(seg.bypassed, 0);
   // Edge ports are off.
-  EXPECT_FALSE(t.output(3, Dir::East).has_value());
-  EXPECT_FALSE(t.output(0, Dir::South).has_value());
+  EXPECT_FALSE(t.output(3, Dir::East).armed);
+  EXPECT_FALSE(t.output(0, Dir::South).armed);
   // Ejection stubs.
   const auto& ej = t.output(9, Dir::Core);
-  ASSERT_TRUE(ej.has_value());
-  EXPECT_TRUE(ej->ep.is_nic);
-  EXPECT_EQ(ej->ep.node, 9);
-  EXPECT_EQ(ej->mm, 0);
+  ASSERT_TRUE(ej.armed);
+  EXPECT_TRUE(ej.ep.is_nic);
+  EXPECT_EQ(ej.ep.node, 9);
+  EXPECT_EQ(ej.mm, 0);
 }
 
 TEST(Segments, FullBypassChainFromPresets) {
@@ -63,13 +63,16 @@ TEST(Segments, FullBypassChainFromPresets) {
   EXPECT_EQ(inj.ep.node, 3);
   EXPECT_EQ(inj.mm, 3);
   EXPECT_EQ(inj.bypassed, 4);
-  EXPECT_EQ(inj.bypass_routers, (std::vector<NodeId>{0, 1, 2, 3}));
+  EXPECT_EQ(t.bypass_routers(inj), (std::vector<NodeId>{0, 1, 2, 3}));
+  const auto links = t.links(inj);
+  EXPECT_EQ(std::vector<noc::SegLink>(links.begin(), links.end()),
+            (std::vector<noc::SegLink>{{0, Dir::East}, {1, Dir::East}, {2, Dir::East}}));
   // The destination NIC's credit path leads back to NIC 0's source queue.
-  const auto& credit = t.credit_target_nic(3);
-  ASSERT_TRUE(credit.has_value());
-  EXPECT_TRUE(credit->is_nic);
-  EXPECT_EQ(credit->node, 0);
-  EXPECT_EQ(t.credit_mm_nic(3), 3);
+  const auto& credit = t.credit_nic(3);
+  ASSERT_TRUE(credit.armed);
+  EXPECT_TRUE(credit.origin.is_nic);
+  EXPECT_EQ(credit.origin.node, 0);
+  EXPECT_EQ(credit.mm, 3);
 }
 
 TEST(Segments, CreditMirrorsPaperFigure7) {
@@ -91,25 +94,30 @@ TEST(Segments, CreditMirrorsPaperFigure7) {
   const auto build = smart::compute_presets(cfg, fs, 8);
   SegmentTable t(cfg.dims(), cfg, build.table, 8);
 
-  const auto& nic3 = t.credit_target_nic(3);
-  ASSERT_TRUE(nic3.has_value());
-  EXPECT_FALSE(nic3->is_nic);
-  EXPECT_EQ(nic3->node, 10);
-  EXPECT_EQ(nic3->out, Dir::East);
-  EXPECT_EQ(t.credit_mm_nic(3), 3);
-  EXPECT_EQ(t.credit_xbar_hops_nic(3), 3);  // credit xbars at 3, 7, 11
+  const auto& nic3 = t.credit_nic(3);
+  ASSERT_TRUE(nic3.armed);
+  EXPECT_FALSE(nic3.origin.is_nic);
+  EXPECT_EQ(nic3.origin.node, 10);
+  EXPECT_EQ(nic3.origin.out, Dir::East);
+  EXPECT_EQ(nic3.mm, 3);
+  EXPECT_EQ(nic3.xbar_hops, 3);  // credit xbars at 3, 7, 11
+  // The forward segment it mirrors: router 10's East output bypasses 11
+  // and 7 and enters NIC3 through router 3's crossbar.
+  const auto& out10 = t.output(10, Dir::East);
+  EXPECT_EQ(out10.bypassed, 3);
+  EXPECT_EQ(t.bypass_routers(out10), (std::vector<NodeId>{11, 7, 3}));
 
   // Router 10's West input is fed by router 9's East output...
-  const auto& r10 = t.credit_target_router_input(10, Dir::West);
-  ASSERT_TRUE(r10.has_value());
-  EXPECT_EQ(r10->node, 9);
-  EXPECT_EQ(r10->out, Dir::East);
+  const auto& r10 = t.credit_router_input(10, Dir::West);
+  ASSERT_TRUE(r10.armed);
+  EXPECT_EQ(r10.origin.node, 9);
+  EXPECT_EQ(r10.origin.out, Dir::East);
   // ...and router 9's West input by NIC8 (the paper: "credits from router
   // 9's West input port are sent to NIC8").
-  const auto& r9w = t.credit_target_router_input(9, Dir::West);
-  ASSERT_TRUE(r9w.has_value());
-  EXPECT_TRUE(r9w->is_nic);
-  EXPECT_EQ(r9w->node, 8);
+  const auto& r9w = t.credit_router_input(9, Dir::West);
+  ASSERT_TRUE(r9w.armed);
+  EXPECT_TRUE(r9w.origin.is_nic);
+  EXPECT_EQ(r9w.origin.node, 8);
 }
 
 TEST(Segments, RejectsDanglingBypass) {
