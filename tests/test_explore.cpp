@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <set>
 
+#include "common/hash.hpp"
 #include "explore/explore.hpp"
+#include "serve/point_key.hpp"
 #include "sim/runner.hpp"
 #include "smart/smart_network.hpp"
 
@@ -129,6 +132,45 @@ TEST(SweepSpec, ExplorerFlagsApplyAsSweepKeys) {
   // Scalar keys take exactly one value.
   EXPECT_THROW(explore::apply_sweep_key(spec, "seed", "1, 2", workloads_replaced), ConfigError);
   EXPECT_THROW(explore::parse_sweep("warmup = 100, 200\n"), ConfigError);
+}
+
+TEST(SweepSpec, ScrambledAxisLinesKeepTheirRowsAndKeys) {
+  // All eight axes, declared out of nesting order, plus the seed and window
+  // scalars and one scenario file. The rows (flit_bits = 48 fails its rows
+  // with the validator's message) and point keys are pinned as FNV-1a
+  // digests: any change to nesting, seeds, echo or keys shows here. The
+  // scenario path is relative so the rows do not depend on the checkout.
+  struct Cwd {
+    std::filesystem::path old = std::filesystem::current_path();
+    ~Cwd() { std::filesystem::current_path(old); }
+  } cwd;
+  std::filesystem::current_path(SMARTNOC_SOURCE_DIR);
+  const SweepSpec spec = explore::parse_sweep(
+      "design = smart, mesh\n"
+      "fault_schedule = none, kill@300:0:E\n"
+      "seed = 11\n"
+      "app = pip\n"
+      "flit_bits = 32, 48\n"
+      "hpc = 2\n"
+      "injection = 0.03\n"
+      "warmup = 100\n"
+      "fault_rate = 0.05\n"
+      "pattern = neighbor\n"
+      "mesh = 3x3, 2x2\n"
+      "measure = 1000\n"
+      "drain_timeout = 20000\n"
+      "scenario_files = examples/faultstorm.scn\n");
+  ASSERT_EQ(spec.size(), 33u);
+  const ResultTable table = explore::run_sweep(spec, 2);
+  EXPECT_EQ(fnv1a64(table.to_csv()), 13443975783721094908ULL);
+  EXPECT_EQ(fnv1a64(table.to_json()), 361488872806625519ULL);
+  const auto pts = spec.expand();
+  const auto key = [&](std::size_t i) {
+    return serve::point_key(explore::make_point_scenario(spec, pts.at(i))).hex();
+  };
+  EXPECT_EQ(key(0), "4835f40f6d9414748a45971023781a71");
+  EXPECT_EQ(key(21), "270a410ff4a86231389700d95287f37a");
+  EXPECT_EQ(key(32), "c2e41b9e59f6839d301ac280e0c15bae");
 }
 
 // --- Executor determinism ----------------------------------------------------
