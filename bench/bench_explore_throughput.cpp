@@ -18,17 +18,14 @@ int main() {
   using namespace smartnoc;
   using Clock = std::chrono::steady_clock;
 
-  explore::SweepSpec spec;
-  spec.meshes = {MeshDims(2, 2), MeshDims(4, 4), MeshDims(6, 6), MeshDims(8, 8)};
-  spec.injections = {0.01, 0.02, 0.04, 0.08};
-  spec.designs = {Design::Mesh, Design::Smart};
-  spec.workloads = {
-      explore::Workload::synthetic(noc::SyntheticPattern::Transpose),
-      explore::Workload::synthetic(noc::SyntheticPattern::Neighbor),
-  };
-  spec.warmup_cycles = 500;
-  spec.measure_cycles = 5'000;
-  spec.drain_timeout = 50'000;
+  const explore::SweepSpec spec = explore::parse_sweep(
+      "mesh = 2x2, 4x4, 6x6, 8x8\n"
+      "injection = 0.01, 0.02, 0.04, 0.08\n"
+      "design = mesh, smart\n"
+      "pattern = transpose, neighbor\n"
+      "warmup = 500\n"
+      "measure = 5000\n"
+      "drain_timeout = 50000\n");
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("=== Exploration throughput: %zu-point sweep, %u hardware threads ===\n\n",

@@ -27,13 +27,13 @@ int main() {
   using namespace smartnoc;
   using Clock = std::chrono::steady_clock;
 
-  explore::SweepSpec spec;
-  spec.meshes = {MeshDims(4, 4), MeshDims(6, 6)};
-  spec.injections = {0.01, 0.02, 0.04, 0.08};
-  spec.designs = {Design::Mesh, Design::Smart};
-  spec.warmup_cycles = 1'000;
-  spec.measure_cycles = 20'000;
-  spec.drain_timeout = 50'000;
+  const explore::SweepSpec spec = explore::parse_sweep(
+      "mesh = 4x4, 6x6\n"
+      "injection = 0.01, 0.02, 0.04, 0.08\n"
+      "design = mesh, smart\n"
+      "warmup = 1000\n"
+      "measure = 20000\n"
+      "drain_timeout = 50000\n");
 
   const int threads = 4;
   const int reps = 3;

@@ -27,20 +27,17 @@ int main() {
   using Clock = std::chrono::steady_clock;
   namespace fs = std::filesystem;
 
-  explore::SweepSpec spec;
-  spec.meshes = {MeshDims(4, 4), MeshDims(6, 6)};
-  spec.injections = {0.01, 0.02, 0.04, 0.08};
-  spec.designs = {Design::Mesh, Design::Smart};
-  spec.workloads = {
-      explore::Workload::synthetic(noc::SyntheticPattern::Transpose),
-      explore::Workload::synthetic(noc::SyntheticPattern::Neighbor),
-  };
   // Long enough points that the per-point cache cost (key hash + miss +
   // insert + flush, microseconds) is measured against realistic simulation
   // work; with millisecond points the ratio drowns in scheduler noise.
-  spec.warmup_cycles = 1'000;
-  spec.measure_cycles = 20'000;
-  spec.drain_timeout = 50'000;
+  const explore::SweepSpec spec = explore::parse_sweep(
+      "mesh = 4x4, 6x6\n"
+      "injection = 0.01, 0.02, 0.04, 0.08\n"
+      "design = mesh, smart\n"
+      "pattern = transpose, neighbor\n"
+      "warmup = 1000\n"
+      "measure = 20000\n"
+      "drain_timeout = 50000\n");
 
   const fs::path root = fs::temp_directory_path() / "smartnoc_bench_cache";
   fs::remove_all(root);

@@ -17,16 +17,15 @@
 int main() {
   using namespace smartnoc;
 
-  explore::SweepSpec spec;
-  spec.meshes = {MeshDims(2, 2), MeshDims(4, 4), MeshDims(6, 6), MeshDims(8, 8)};
-  spec.injections = {0.01, 0.02, 0.04, 0.08};
-  spec.designs = {Design::Mesh, Design::Smart};
-  spec.workloads = {
-      explore::Workload::synthetic(noc::SyntheticPattern::Transpose),
-      explore::Workload::synthetic(noc::SyntheticPattern::UniformRandom),
-  };
-  spec.warmup_cycles = 500;
-  spec.measure_cycles = 5'000;
+  // A sweep is a base scenario plus `key = values` axes over it - the
+  // sweep-file grammar, which parse_sweep reads from a string as well.
+  const explore::SweepSpec spec = explore::parse_sweep(
+      "mesh = 2x2, 4x4, 6x6, 8x8\n"
+      "injection = 0.01, 0.02, 0.04, 0.08\n"
+      "design = mesh, smart\n"
+      "pattern = transpose, uniform\n"
+      "warmup = 500\n"
+      "measure = 5000\n");
 
   std::printf("running a %zu-point sweep (4 meshes x 4 injection scales x 2 designs x 2 "
               "patterns)...\n\n",

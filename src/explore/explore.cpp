@@ -23,10 +23,11 @@ ResultTable run_sweep(const SweepSpec& spec, int threads, const ProgressFn& prog
   const int hw = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   const int workers = std::max(1, exec.threads());
   const int shard_cap = std::max(1, hw / workers);
-  if (spec.shard_threads > 1) {
+  const int shards = spec.base.config.shard_threads;
+  if (shards > 1) {
     SMARTNOC_LOG_INFO("sweep plan: %d workers x %d shard threads per point "
                       "(requested %d, %d hardware threads)",
-                      workers, std::min(spec.shard_threads, shard_cap), spec.shard_threads, hw);
+                      workers, std::min(shards, shard_cap), shards, hw);
   }
   if (hooks.tracer) exec.set_tracer(hooks.tracer, "point");
   exec.for_each(points.size(), [&](std::size_t i) {

@@ -1,10 +1,10 @@
 // Public entry point of the exploration subsystem: declare a SweepSpec,
 // call run_sweep, read the ResultTable.
 //
-//   explore::SweepSpec spec;
-//   spec.meshes = {MeshDims(4,4), MeshDims(8,8)};
-//   spec.injections = {0.02, 0.05, 0.1};
-//   spec.designs = {Design::Mesh, Design::Smart};
+//   const explore::SweepSpec spec = explore::parse_sweep(
+//       "mesh = 4x4, 8x8\n"
+//       "injection = 0.02, 0.05, 0.1\n"
+//       "design = mesh, smart\n");
 //   explore::ResultTable table = explore::run_sweep(spec, /*threads=*/0);
 //   std::fputs(table.summary().c_str(), stdout);
 //

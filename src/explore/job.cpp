@@ -4,6 +4,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "noc/fault_engine.hpp"
 #include "power/energy_model.hpp"
@@ -14,70 +15,59 @@ namespace smartnoc::explore {
 
 namespace {
 
-void apply_point_telemetry(const SweepSpec& spec, const RunPoint& pt,
-                           sim::ScenarioSpec& scenario) {
-  // Per-point observability (every design: Mesh/Smart via MeshNetwork's
-  // observer, Dedicated via its own packet/activity hooks).
-  const std::string tag = "_p" + std::to_string(pt.index);
-  if (!spec.telemetry_prefix.empty()) {
-    scenario.telemetry.epoch_cycles = spec.telemetry_epoch;
-    scenario.telemetry.csv = spec.telemetry_prefix + tag + ".csv";
-    scenario.telemetry.power_csv = spec.telemetry_prefix + tag + "_power.csv";
-    scenario.telemetry.heatmap = spec.telemetry_prefix + tag + "_heatmap.csv";
-  }
-  if (!spec.trace_prefix.empty()) {
-    scenario.telemetry.record_trace = spec.trace_prefix + tag + ".sntr";
-  }
-}
-
-}  // namespace
-
-sim::ScenarioSpec make_point_scenario(const SweepSpec& spec, const RunPoint& pt) {
-  sim::ScenarioSpec scenario;
+/// make_point_scenario without the final config check, so a point whose
+/// combination is inconsistent still has a scenario to echo.
+sim::ScenarioSpec resolve_point(const SweepSpec& spec, const RunPoint& pt) {
+  sim::ScenarioSpec sc;
   if (!pt.scenario_file.empty()) {
     std::ifstream f(pt.scenario_file);
     if (!f) throw ConfigError("cannot open scenario file '" + pt.scenario_file + "'");
     std::stringstream buf;
     buf << f.rdbuf();
-    scenario = sim::parse_scenario(buf.str());
-    scenario.validate();
+    sc = sim::parse_scenario(buf.str());
   } else {
-    // One exploration point is exactly the classic 3-phase scenario: the
-    // Session owns the flow build (with fault rerouting), the network and
-    // the traffic engine, replicating the sequence this file hand-wired
-    // before the Scenario API existed (bit-identical, pinned by tests).
-    scenario = sim::ScenarioSpec::classic(pt.design, pt.workload.name(), pt.injection,
-                                          spec.config_for(pt));
-    scenario.fault_rate = pt.fault_rate;
-    if (!pt.fault_schedule.empty() && pt.fault_schedule != "none") {
-      scenario.fault_events = noc::parse_fault_schedule_token(pt.fault_schedule);
+    sc = spec.base;
+    std::size_t rest = pt.index;
+    for (auto a = spec.axes.rbegin(); a != spec.axes.rend(); ++a) {
+      apply_point_value(sc, a->key, a->values[rest % a->values.size()]);
+      rest /= a->values.size();
     }
+    // Position-derived seed: identical for point i no matter what thread
+    // runs it or what other axes exist.
+    sc.config.seed = SplitMix64(spec.base_seed ^ (0x9e3779b97f4a7c15ULL * (pt.index + 1))).next();
+    sc.config.fit_derived();
+    // The classic phases run the windows the base and the axes resolved to.
+    sc.phases[0].cycles = sc.config.warmup_cycles;
+    sc.phases[1].cycles = sc.config.measure_cycles;
+    sc.phases[2].cycles = sc.config.drain_timeout;
   }
-  apply_point_telemetry(spec, pt, scenario);
-  return scenario;
+  // Per-point observability (every design: Mesh/Smart via MeshNetwork's
+  // observer, Dedicated via its own packet/activity hooks).
+  const auto tagged = [&](const std::string& prefix) {
+    return prefix.empty() ? prefix : prefix + "_p" + std::to_string(pt.index);
+  };
+  sim::set_telemetry_outputs(sc.telemetry, tagged(spec.telemetry_prefix),
+                             tagged(spec.trace_prefix), spec.telemetry_epoch);
+  return sc;
 }
 
-void stamp_point_echo(const RunPoint& pt, const sim::ScenarioSpec* resolved, RunRecord& rec) {
+}  // namespace
+
+sim::ScenarioSpec make_point_scenario(const SweepSpec& spec, const RunPoint& pt) {
+  sim::ScenarioSpec sc = resolve_point(spec, pt);
+  sc.config.validate();
+  return sc;
+}
+
+void stamp_point_echo(const RunPoint& pt, const sim::ScenarioSpec& sc, RunRecord& rec) {
   rec.index = pt.index;
-  rec.width = pt.mesh.width();
-  rec.height = pt.mesh.height();
-  rec.flit_bits = pt.flit_bits;
-  rec.injection = pt.injection;
-  rec.workload = pt.scenario_file.empty() ? pt.workload.name() : "scenario:" + pt.scenario_file;
-  rec.fault_rate = pt.fault_rate;
-  rec.fault_schedule = pt.fault_schedule;
-  rec.design = design_name(pt.design);
-  rec.seed = pt.seed;
-  if (pt.scenario_file.empty() || resolved == nullptr) return;
-  // Echo what the scenario file resolved to, so the row is self-describing
-  // like any grid point's.
-  const sim::ScenarioSpec& sc = *resolved;
   rec.width = sc.config.width;
   rec.height = sc.config.height;
   rec.flit_bits = sc.config.flit_bits;
+  rec.workload =
+      pt.scenario_file.empty() ? sc.phases.front().workload : "scenario:" + pt.scenario_file;
   rec.fault_rate = sc.fault_rate;
-  rec.fault_schedule =
-      sc.fault_events.empty() ? "none" : noc::format_fault_schedule_token(sc.fault_events);
+  rec.fault_schedule = noc::format_fault_schedule_token(sc.fault_events);
   rec.design = design_name(sc.design);
   rec.seed = sc.config.seed;
   for (const sim::PhaseSpec& ph : sc.phases) {
@@ -90,13 +80,14 @@ void stamp_point_echo(const RunPoint& pt, const sim::ScenarioSpec* resolved, Run
 
 RunRecord run_point(const SweepSpec& spec, const RunPoint& pt, int shard_cap) {
   RunRecord rec;
-  stamp_point_echo(pt, nullptr, rec);
-  rec.hpc_max = pt.hpc_max;
+  rec.index = pt.index;
+  if (!pt.scenario_file.empty()) rec.workload = "scenario:" + pt.scenario_file;
 
   try {
-    sim::ScenarioSpec scenario = make_point_scenario(spec, pt);
-    stamp_point_echo(pt, &scenario, rec);
+    sim::ScenarioSpec scenario = resolve_point(spec, pt);
+    stamp_point_echo(pt, scenario, rec);
     rec.hpc_max = scenario.config.hpc_max_override;
+    scenario.config.validate();
     if (shard_cap > 0 && scenario.config.shard_threads > shard_cap) {
       scenario.config.shard_threads = shard_cap;
     }

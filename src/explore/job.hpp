@@ -12,22 +12,23 @@
 
 namespace smartnoc::explore {
 
-/// The fully-resolved ScenarioSpec one point executes: the classic 3-phase
-/// protocol built from the point's axes, or - for a scenario point - the
-/// parsed .scn/.json file (throws ConfigError if unreadable). Telemetry
-/// prefixes from the spec are applied either way. This is the single
-/// canonical description of a point's computation: the serving cache keys
-/// points by hashing exactly this structure (src/serve/point_key.hpp), so
-/// any input that can change a result must flow through here.
+/// The fully-resolved ScenarioSpec one point executes: the base with the
+/// point's axis values and derived seed applied, or - for a scenario point -
+/// the parsed .scn/.json file. Telemetry prefixes from the spec are applied
+/// either way. Throws ConfigError when the file is unreadable or the
+/// configuration is inconsistent (e.g. packet not a multiple of flit). This
+/// is the single canonical description of a point's computation: the
+/// serving cache keys points by hashing exactly this structure
+/// (src/serve/point_key.hpp), so any input that can change a result must
+/// flow through here.
 sim::ScenarioSpec make_point_scenario(const SweepSpec& spec, const RunPoint& pt);
 
 /// Stamps the point echo columns of `rec` (all but hpc_max, whose effective
-/// value comes out of the session): from the point's axes, or - for a
-/// scenario point - from `resolved`, the scenario it resolved to (nullptr
-/// when it did not resolve). run_point and the serving cache's hits both
-/// stamp through here, so a hit is byte-identical to a computed record no
-/// matter which sweep inserted it.
-void stamp_point_echo(const RunPoint& pt, const sim::ScenarioSpec* resolved, RunRecord& rec);
+/// value comes out of the session) from `resolved`, the scenario the point
+/// resolved to. run_point and the serving cache's hits both stamp through
+/// here, so a hit is byte-identical to a computed record no matter which
+/// sweep inserted it.
+void stamp_point_echo(const RunPoint& pt, const sim::ScenarioSpec& resolved, RunRecord& rec);
 
 /// Runs one point of the matrix to completion. Never throws: configuration
 /// errors, simulation errors and drain timeouts all come back as a record

@@ -1,133 +1,40 @@
 #include "explore/sweep.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <iterator>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
-#include "common/rng.hpp"
 #include "noc/fault_engine.hpp"
+#include "sim/workload.hpp"
 
 namespace smartnoc::explore {
-
-std::string Workload::name() const {
-  if (kind == Kind::Synthetic) return noc::synthetic_name(pattern);
-  return mapping::app_name(app);
-}
-
-std::size_t SweepSpec::size() const {
-  const std::size_t grid = meshes.size() * flit_bits.size() * hpc_max.size() *
-                           injections.size() * workloads.size() * fault_rates.size() *
-                           fault_schedules.size() * designs.size();
-  return (config_points ? grid : 0) + scenario_files.size();
-}
-
-void SweepSpec::validate() const {
-  auto nonempty = [](bool ok, const char* axis) {
-    if (!ok) throw ConfigError(std::string("sweep axis '") + axis + "' is empty");
-  };
-  if (!config_points && scenario_files.empty()) {
-    throw ConfigError("sweep declares no points (no config axes, no scenario_files)");
-  }
-  for (const std::string& f : scenario_files) {
-    if (f.empty()) throw ConfigError("scenario_files entry is empty");
-  }
-  if (config_points) {
-    nonempty(!meshes.empty(), "mesh");
-    nonempty(!flit_bits.empty(), "flit_bits");
-    nonempty(!hpc_max.empty(), "hpc_max");
-    nonempty(!injections.empty(), "injection");
-    nonempty(!workloads.empty(), "workload");
-    nonempty(!fault_rates.empty(), "fault_rate");
-    nonempty(!fault_schedules.empty(), "fault_schedule");
-    nonempty(!designs.empty(), "design");
-    for (int f : flit_bits) {
-      if (f <= 0) throw ConfigError("flit_bits axis value must be positive");
-    }
-    for (int h : hpc_max) {
-      if (h < 0) throw ConfigError("hpc_max axis value must be >= 0 (0 = derive)");
-    }
-    for (double i : injections) {
-      if (i <= 0.0) throw ConfigError("injection axis value must be positive");
-    }
-    for (double r : fault_rates) {
-      if (r < 0.0 || r >= 1.0) throw ConfigError("fault_rate axis value must be in [0,1)");
-    }
-    // Grammar check only: link bounds depend on the mesh axis and are
-    // validated per point when the scenario resolves.
-    for (const std::string& s : fault_schedules) noc::parse_fault_schedule_token(s);
-    if (measure_cycles == 0) throw ConfigError("measure_cycles must be positive");
-  }
-  if (shard_threads < 1 || shard_threads > 256) {
-    throw ConfigError("shard_threads must be in [1,256]");
-  }
-}
-
-std::vector<RunPoint> SweepSpec::expand() const {
-  validate();
-  std::vector<RunPoint> out;
-  out.reserve(size());
-  if (config_points)
-  for (const MeshDims& mesh : meshes)
-    for (int flits : flit_bits)
-      for (int hpc : hpc_max)
-        for (double inj : injections)
-          for (const Workload& wl : workloads)
-            for (double faults : fault_rates)
-              for (const std::string& sched : fault_schedules)
-                for (Design design : designs) {
-                  RunPoint pt;
-                  pt.index = out.size();
-                  pt.mesh = mesh;
-                  pt.flit_bits = flits;
-                  pt.hpc_max = hpc;
-                  pt.injection = inj;
-                  pt.workload = wl;
-                  pt.fault_rate = faults;
-                  pt.fault_schedule = sched;
-                  pt.design = design;
-                  // Position-derived seed: identical for point i no matter
-                  // what thread runs it or what other axes exist.
-                  pt.seed =
-                      SplitMix64(base_seed ^ (0x9e3779b97f4a7c15ULL * (pt.index + 1))).next();
-                  out.push_back(pt);
-                }
-  // Scenario points ride after the grid. They deliberately keep the
-  // scenario's own seed (pt.seed stays 0 here; the record echoes the
-  // file's config.seed): the point's identity is the file's content, which
-  // is what makes the same scenario cache-hit across different sweeps.
-  for (const std::string& file : scenario_files) {
-    RunPoint pt;
-    pt.index = out.size();
-    pt.scenario_file = file;
-    out.push_back(pt);
-  }
-  return out;
-}
-
-NocConfig SweepSpec::config_for(const RunPoint& pt) const {
-  NocConfig cfg = NocConfig::paper_4x4();
-  cfg.width = pt.mesh.width();
-  cfg.height = pt.mesh.height();
-  cfg.flit_bits = pt.flit_bits;
-  cfg.hpc_max_override = pt.hpc_max;
-  cfg.seed = pt.seed;
-  cfg.warmup_cycles = warmup_cycles;
-  cfg.measure_cycles = measure_cycles;
-  cfg.drain_timeout = drain_timeout;
-  cfg.shard_threads = shard_threads;
-  cfg.fit_derived();
-  cfg.validate();
-  return cfg;
-}
-
-// --- Parsing -----------------------------------------------------------------
 
 namespace {
 
 using smartnoc::lower_token;
 using smartnoc::trim_token;
+
+/// The axis keys in nesting order, outermost first. It fixes each point's
+/// index, and with it its seed and row.
+constexpr std::string_view kAxisKeys[] = {"mesh",       "flit_bits",      "hpc",
+                                          "injection",  "workload",       "fault_rate",
+                                          "fault_schedule", "design"};
+
+/// Sweep spellings of keys: the explorer's flag names and older files.
+constexpr std::pair<std::string_view, std::string_view> kAliases[] = {
+    {"flits", "flit_bits"},   {"hpc_max", "hpc"},       {"inj", "injection"},
+    {"pattern", "workload"},  {"app", "workload"},      {"faults", "fault_rate"},
+    {"fault_events", "fault_schedule"}, {"drain", "drain_timeout"},
+    {"scenario", "scenario_files"}};
+
+std::size_t axis_rank(std::string_view key) {
+  return static_cast<std::size_t>(std::find(std::begin(kAxisKeys), std::end(kAxisKeys), key) -
+                                  std::begin(kAxisKeys));
+}
 
 std::vector<std::string> split_list(const std::string& s) {
   std::vector<std::string> out;
@@ -142,85 +49,111 @@ std::vector<std::string> split_list(const std::string& s) {
 
 }  // namespace
 
-Workload parse_workload(const std::string& token) {
-  const std::string t = lower_token(token);
-  using SP = noc::SyntheticPattern;
-  if (t == "uniform" || t == "uniform-random") return Workload::synthetic(SP::UniformRandom);
-  if (t == "transpose") return Workload::synthetic(SP::Transpose);
-  if (t == "bit-complement" || t == "bitcomp") return Workload::synthetic(SP::BitComplement);
-  if (t == "neighbor") return Workload::synthetic(SP::Neighbor);
-  if (t == "hotspot") return Workload::synthetic(SP::Hotspot);
-  using SA = mapping::SocApp;
-  if (t == "h264") return Workload::soc_app(SA::H264);
-  if (t == "mms_dec" || t == "mms-dec") return Workload::soc_app(SA::MMS_DEC);
-  if (t == "mms_enc" || t == "mms-enc") return Workload::soc_app(SA::MMS_ENC);
-  if (t == "mms_mp3" || t == "mms-mp3") return Workload::soc_app(SA::MMS_MP3);
-  if (t == "mwd") return Workload::soc_app(SA::MWD);
-  if (t == "vopd") return Workload::soc_app(SA::VOPD);
-  if (t == "wlan") return Workload::soc_app(SA::WLAN);
-  if (t == "pip") return Workload::soc_app(SA::PIP);
-  throw ConfigError("unknown workload '" + token +
-                    "' (patterns: uniform, transpose, bit-complement, neighbor, hotspot; "
-                    "apps: h264, mms_dec, mms_enc, mms_mp3, mwd, vopd, wlan, pip)");
+sim::ScenarioSpec sweep_base() {
+  NocConfig cfg = NocConfig::paper_4x4();
+  cfg.warmup_cycles = 2'000;
+  cfg.measure_cycles = 20'000;
+  cfg.drain_timeout = 50'000;
+  return sim::ScenarioSpec::classic(Design::Smart, "uniform-random", 0.05, cfg);
 }
+
+std::size_t SweepSpec::size() const {
+  std::size_t grid = axes.empty() && !scenario_files.empty() ? 0 : 1;
+  for (const SweepAxis& a : axes) grid *= a.values.size();
+  return grid + scenario_files.size();
+}
+
+void SweepSpec::validate() const {
+  for (const SweepAxis& a : axes) {
+    if (a.values.empty()) throw ConfigError("sweep axis '" + a.key + "' is empty");
+  }
+  for (const std::string& f : scenario_files) {
+    if (f.empty()) throw ConfigError("scenario_files entry is empty");
+  }
+  if (base.phases.size() != 3) {
+    throw ConfigError("a sweep's base scenario runs the classic warmup/measure/drain phases");
+  }
+  const bool grid = size() > scenario_files.size();
+  if (grid && base.config.measure_cycles == 0) {
+    throw ConfigError("measure_cycles must be positive");
+  }
+  if (base.config.shard_threads < 1 || base.config.shard_threads > 256) {
+    throw ConfigError("shard_threads must be in [1,256]");
+  }
+}
+
+std::vector<RunPoint> SweepSpec::expand() const {
+  validate();
+  std::vector<RunPoint> out(size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i].index = i;
+  // Scenario points ride after the grid.
+  const std::size_t grid = out.size() - scenario_files.size();
+  for (std::size_t k = 0; k < scenario_files.size(); ++k) {
+    out[grid + k].scenario_file = scenario_files[k];
+  }
+  return out;
+}
+
+void apply_point_value(sim::ScenarioSpec& sc, const std::string& key, const std::string& value) {
+  if (key == "workload") {
+    sc.phases.front().workload = value;
+  } else if (key == "injection") {
+    // 0 would make the classic first phase inherit 1.0.
+    sc.phases.front().injection = parse_double_token(value, key);
+    if (sc.phases.front().injection <= 0.0) throw ConfigError("injection must be positive");
+  } else if (key == "fault_schedule") {
+    sc.fault_events = noc::parse_fault_schedule_token(value);
+  } else {
+    sim::apply_scalar(sc, key, value);
+  }
+}
+
+// --- Parsing -----------------------------------------------------------------
 
 void apply_sweep_key(SweepSpec& spec, const std::string& key, const std::string& values,
                      bool& workloads_replaced) {
-  const std::vector<std::string> items = split_list(values);
-  if (items.empty()) throw ConfigError("no values for '" + key + "'");
-  auto axis = [&](auto& out, auto parse) {
-    out.clear();
-    for (const auto& s : items) out.push_back(parse(s));
-    spec.config_points = true;
-  };
-  auto single = [&]() -> const std::string& {
-    if (items.size() != 1) throw ConfigError("'" + key + "' takes one value");
-    return items.front();
-  };
-  if (key == "mesh") {
-    axis(spec.meshes, [](const std::string& s) { return parse_mesh(s); });
-  } else if (key == "flit_bits" || key == "flits") {
-    axis(spec.flit_bits, [](const std::string& s) { return parse_int_token(s, "flit_bits"); });
-  } else if (key == "hpc_max" || key == "hpc") {
-    axis(spec.hpc_max, [](const std::string& s) { return parse_int_token(s, "hpc_max"); });
-  } else if (key == "injection" || key == "inj") {
-    axis(spec.injections, [](const std::string& s) { return parse_double_token(s, "injection"); });
-  } else if (key == "pattern" || key == "app" || key == "workload") {
-    // The first workload key replaces the axis; later ones append, so one
-    // sweep can mix synthetic patterns and SoC apps.
-    if (!workloads_replaced) spec.workloads.clear();
-    workloads_replaced = true;
-    for (const auto& s : items) spec.workloads.push_back(parse_workload(s));
-    spec.config_points = true;
-  } else if (key == "fault_rate" || key == "faults") {
-    axis(spec.fault_rates, [](const std::string& s) { return parse_double_token(s, "fault_rate"); });
-  } else if (key == "fault_schedule" || key == "fault_events") {
-    axis(spec.fault_schedules, [](const std::string& s) { return s; });
-  } else if (key == "design") {
-    axis(spec.designs, [](const std::string& s) { return parse_design(s); });
-  } else if (key == "scenario_files" || key == "scenario") {
-    spec.scenario_files.insert(spec.scenario_files.end(), items.begin(), items.end());
-  } else if (key == "seed") {
-    spec.base_seed = parse_u64_token(single(), "seed");
-  } else if (key == "warmup") {
-    spec.warmup_cycles = parse_u64_token(single(), "warmup");
-  } else if (key == "measure") {
-    spec.measure_cycles = parse_u64_token(single(), "measure");
-  } else if (key == "drain_timeout" || key == "drain") {
-    spec.drain_timeout = parse_u64_token(single(), "drain_timeout");
-  } else if (key == "shard_threads") {
-    spec.shard_threads = parse_int_token(single(), "shard_threads");
-  } else {
-    throw ConfigError("unknown key '" + key + "'");
+  std::string k = key;
+  for (const auto& [alias, name] : kAliases) {
+    if (k == alias) k = name;
   }
+  std::vector<std::string> items = split_list(values);
+  if (items.empty()) throw ConfigError("no values for '" + key + "'");
+  if (k == "scenario_files") {
+    spec.scenario_files.insert(spec.scenario_files.end(), items.begin(), items.end());
+    return;
+  }
+  const std::size_t rank = axis_rank(k);
+  if (rank == std::size(kAxisKeys)) {
+    if (items.size() != 1) throw ConfigError("'" + key + "' takes one value");
+    if (k == "seed") {
+      spec.base_seed = parse_u64_token(items.front(), "seed");
+    } else {
+      sim::apply_scalar(spec.base, k, items.front());
+    }
+    return;
+  }
+  // Each value is checked once here, so resolving a point cannot fail on
+  // a malformed token.
+  sim::ScenarioSpec scratch = spec.base;
+  for (std::string& v : items) {
+    if (k == "workload") {
+      v = sim::WorkloadRegistry::instance().spelling(v);
+    } else {
+      apply_point_value(scratch, k, v);
+    }
+  }
+  auto it = std::find_if(spec.axes.begin(), spec.axes.end(),
+                         [&](const SweepAxis& a) { return axis_rank(a.key) >= rank; });
+  if (it == spec.axes.end() || it->key != k) it = spec.axes.insert(it, SweepAxis{k, {}});
+  // The first workload key replaces the axis; later ones append, so one
+  // sweep can mix synthetic patterns and SoC apps.
+  if (k != "workload" || !workloads_replaced) it->values.clear();
+  if (k == "workload") workloads_replaced = true;
+  it->values.insert(it->values.end(), items.begin(), items.end());
 }
 
 SweepSpec parse_sweep(const std::string& text) {
   SweepSpec spec;
-  // Config-axis keys set config_points back; a file that names only
-  // scenario_files sweeps exactly those scenarios, without the default
-  // 1-point grid riding along.
-  spec.config_points = false;
   bool workloads_replaced = false;
   std::stringstream ss(text);
   std::string line;
@@ -242,7 +175,6 @@ SweepSpec parse_sweep(const std::string& text) {
       throw ConfigError("sweep line " + std::to_string(lineno) + ": " + e.what());
     }
   }
-  if (spec.scenario_files.empty()) spec.config_points = true;
   spec.validate();
   return spec;
 }

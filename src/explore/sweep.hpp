@@ -1,134 +1,89 @@
-// Design-space sweep declaration: the parameter axes of an exploration run
-// and their expansion into a flat run matrix.
+// Design-space sweep declaration: a base scenario, the values to sweep
+// over it, and their expansion into a flat run matrix.
 //
-// A SweepSpec is the cross product of its axes (mesh dims x channel width x
-// HPC_max x injection scale x workload x fault rate x design). Expansion is
-// purely positional: point `i` of the matrix is always the same
-// configuration with the same derived seed, no matter how many threads later
-// execute it - this is what makes N-thread sweep results bit-identical to
-// the 1-thread run.
+// A SweepSpec is Noxim Explorer's "space file" over one simulator: a base
+// sim::ScenarioSpec plus axes, each a scenario key and the values it takes.
+// Grid point i decodes i as a mixed-radix number over the axes (the first
+// axis outermost) and applies each chosen value to a copy of the base
+// through the scenario's own key handler. Expansion is purely positional:
+// point i is always the same configuration with the same derived seed, no
+// matter how many threads later execute it - this is what makes N-thread
+// sweep results bit-identical to the 1-thread run.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/config_fields.hpp"
-#include "common/geometry.hpp"
-#include "mapping/apps.hpp"
-#include "noc/traffic.hpp"
+#include "sim/scenario.hpp"
 
 namespace smartnoc::explore {
 
-/// What traffic drives one run: a synthetic pattern or a mapped SoC app.
-struct Workload {
-  enum class Kind : std::uint8_t { Synthetic, App };
-
-  Kind kind = Kind::Synthetic;
-  noc::SyntheticPattern pattern = noc::SyntheticPattern::UniformRandom;
-  mapping::SocApp app = mapping::SocApp::VOPD;
-
-  static Workload synthetic(noc::SyntheticPattern p) {
-    Workload w;
-    w.kind = Kind::Synthetic;
-    w.pattern = p;
-    return w;
-  }
-  static Workload soc_app(mapping::SocApp a) {
-    Workload w;
-    w.kind = Kind::App;
-    w.app = a;
-    return w;
-  }
-
-  std::string name() const;
-
-  friend bool operator==(const Workload&, const Workload&) = default;
-};
-
-/// One point of the expanded run matrix: a fully-determined configuration.
+/// One point of the run matrix: a grid point is its index alone.
 struct RunPoint {
   std::size_t index = 0;  ///< position in the matrix (stable across threads)
-  MeshDims mesh;
-  int flit_bits = 32;
-  int hpc_max = 0;           ///< 0 = derive from the circuit model
-  double injection = 0.05;   ///< flits/node/cycle (synthetic) or bandwidth
-                             ///< multiplier (app workloads)
-  Workload workload;
-  double fault_rate = 0.0;   ///< probability a mesh link (pair) has failed
-  /// Online fault schedule in the compact token grammar of
-  /// noc/fault_engine.hpp ("none" = no timed events). Events fire against
-  /// the *live* network mid-run (kill/glitch/stall), unlike fault_rate's
-  /// static construction-time pattern.
-  std::string fault_schedule = "none";
-  Design design = Design::Smart;
-  std::uint64_t seed = 0;    ///< derived per-point; feeds traffic and faults
   /// Non-empty = a scenario point: the run is the multi-phase Session
   /// declared in this .scn/.json file, which carries its own design,
-  /// config, seed and phases. The fields above are ignored; the record
-  /// echoes the values the scenario resolves to.
+  /// config, seed and phases; the record echoes what it resolves to.
   std::string scenario_file;
 };
 
-/// The declared axes of a sweep plus the shared simulation window. Empty
-/// axes are invalid; the defaults give a single Table II SMART point.
-struct SweepSpec {
-  std::vector<MeshDims> meshes = {MeshDims(4, 4)};
-  std::vector<int> flit_bits = {32};
-  std::vector<int> hpc_max = {0};
-  std::vector<double> injections = {0.05};
-  std::vector<Workload> workloads = {Workload::synthetic(noc::SyntheticPattern::UniformRandom)};
-  std::vector<double> fault_rates = {0.0};
-  /// Fault-schedule axis: one compact token per value ("none", or events
-  /// joined by '+', e.g. "kill@2000:5:E+stall@3000:7@3200" - comma-free by
-  /// construction, since commas separate axis values).
-  std::vector<std::string> fault_schedules = {"none"};
-  std::vector<Design> designs = {Design::Smart};
-  /// Scenario axis: each file expands to one extra point running that
-  /// multi-phase scenario as-is (own design/config/seed; the cross-product
-  /// axes do not multiply into it). A sweep file containing only
-  /// `scenario_files = ...` sweeps exactly those scenarios.
-  std::vector<std::string> scenario_files;
-  /// False = emit no cross-product points, only the scenario_files ones.
-  /// parse_sweep clears it for scenario-only files (no config axis named).
-  bool config_points = true;
+/// One swept key and its values, in declaration order.
+struct SweepAxis {
+  std::string key;
+  std::vector<std::string> values;
+};
 
+/// The base every grid point starts from: the classic warmup/measure/drain
+/// phases over NocConfig::paper_4x4() at sweep-scale windows (shorter than
+/// the paper's single-run defaults; a sweep trades per-point precision for
+/// coverage), SMART, uniform-random traffic at 0.05 flits/node/cycle.
+sim::ScenarioSpec sweep_base();
+
+/// A base scenario, its axes and its scenario files. The defaults give a
+/// single Table II SMART point.
+struct SweepSpec {
+  /// Scalar sweep lines (warmup, measure, drain_timeout, shard_threads or
+  /// any other scenario key) set it. Its phases stay the classic three;
+  /// their lengths follow the resolved config's windows. shard_threads is a
+  /// scalar, not an axis: like the executor's thread count it cannot change
+  /// a record, only wall-clock, and run_sweep clamps workers x shards to the
+  /// hardware concurrency.
+  sim::ScenarioSpec base = sweep_base();
+  /// The axes in nesting order, outermost first: mesh, flit_bits, hpc,
+  /// injection, workload, fault_rate, fault_schedule, design - whatever
+  /// order a sweep file declares them in. Values are scenario tokens;
+  /// workload values are WorkloadRegistry spellings.
+  std::vector<SweepAxis> axes;
+  /// Each file expands to one extra point running that multi-phase
+  /// scenario as-is (own design/config/seed; the axes do not multiply into
+  /// it). A sweep with scenario files but no axes sweeps just those files.
+  std::vector<std::string> scenario_files;
+  /// Seeds each grid point through its index (scenario points keep their
+  /// file's seed).
   std::uint64_t base_seed = 1;
-  // Sweep-scale windows (shorter than the paper's single-run defaults;
-  // a sweep trades per-point precision for coverage).
-  Cycle warmup_cycles = 2'000;
-  Cycle measure_cycles = 20'000;
-  Cycle drain_timeout = 50'000;
-  /// Shard threads for every point's cycle kernel (NocConfig::shard_threads).
-  /// A single value, not an axis: like the executor's thread count it cannot
-  /// change a record, only wall-clock. run_sweep clamps workers x shards to
-  /// the hardware concurrency so a parallel sweep of sharded points does not
-  /// oversubscribe the machine.
-  int shard_threads = 1;
 
   // Per-point telemetry outputs (explorer --telemetry / --record-trace):
   // non-empty prefixes make every point (all three designs) write
   // <prefix>_p<index>.csv / _power.csv / _heatmap.csv / .sntr next to the
   // sweep results. The _power.csv sidecar is the per-epoch Fig. 10b
-  // breakdown (time-resolved power).
+  // breakdown (time-resolved power). A zero epoch keeps a scenario file's
+  // declared sample window, else 1024 cycles.
   std::string telemetry_prefix;
   std::string trace_prefix;
-  Cycle telemetry_epoch = 1'024;
+  Cycle telemetry_epoch = 0;
 
-  /// Number of points the matrix expands to (product of axis sizes).
+  /// Number of points: the product of the axis sizes (no grid when there
+  /// are scenario files and no axes), plus one per scenario file.
   std::size_t size() const;
 
-  /// Throws ConfigError if any axis is empty or a value is out of range.
+  /// Throws ConfigError on an empty axis or scenario file name, a base
+  /// without the classic three phases, a zero measure window or an
+  /// out-of-range shard_threads.
   void validate() const;
 
-  /// The full run matrix, in axis-major order (meshes outermost, designs
-  /// innermost), each point carrying its derived seed.
+  /// The run matrix: the grid points, then the scenario points.
   std::vector<RunPoint> expand() const;
-
-  /// The NocConfig for one point: primary fields from the point, dependent
-  /// fields auto-fitted, sim window from the spec. Throws ConfigError when
-  /// the combination is inconsistent (e.g. packet not a multiple of flit).
-  NocConfig config_for(const RunPoint& pt) const;
 };
 
 /// Parses the line-oriented sweep-file format:
@@ -137,8 +92,8 @@ struct SweepSpec {
 ///   mesh      = 4x4, 8x8
 ///   flit_bits = 32
 ///   injection = 0.02, 0.05
-///   pattern   = uniform, transpose       # synthetic workloads
-///   app       = vopd                     # SoC-app workloads (appended)
+///   pattern   = uniform, transpose       # workloads (any registry key)
+///   app       = vopd                     # more workloads (appended)
 ///   design    = mesh, smart
 ///   fault_rate = 0.0
 ///   fault_schedule = none, kill@2000:5:E   # online fault events (token grammar)
@@ -154,15 +109,20 @@ struct SweepSpec {
 SweepSpec parse_sweep(const std::string& text);
 
 /// Applies one `key = v1, v2, ...` assignment: a sweep-file line, or an
-/// explorer axis flag (--mesh V is key "mesh"). An axis key replaces that
-/// axis and sets config_points; the first workload key (pattern, app,
-/// workload) replaces the workload axis and later ones append, which
-/// `workloads_replaced` tracks across calls. Scalar keys take one value.
+/// explorer axis flag (--mesh V is key "mesh"). The keys are the scenario
+/// keys plus five sweep-only ones: `workload` (also `pattern`, `app`) and
+/// `injection` set the first phase's workload and injection,
+/// `fault_schedule` sets the fault events (one compact token per value,
+/// events joined by '+'), `seed` is base_seed and `scenario_files`
+/// appends files. An axis key (see SweepSpec::axes) replaces its axis; the
+/// first workload key replaces the workload axis and later ones append,
+/// which `workloads_replaced` tracks across calls. Any other key takes one
+/// value, applied to the base.
 void apply_sweep_key(SweepSpec& spec, const std::string& key, const std::string& values,
                      bool& workloads_replaced);
 
-/// A pattern or app name. Throws ConfigError on an unknown one. (The other
-/// value parsers are common/parse.hpp's and common/config_fields.hpp's.)
-Workload parse_workload(const std::string& token);
+/// Sets one swept key on a point's scenario: a sweep-only key, or any
+/// scenario key through sim::apply_scalar.
+void apply_point_value(sim::ScenarioSpec& sc, const std::string& key, const std::string& value);
 
 }  // namespace smartnoc::explore

@@ -143,7 +143,7 @@ explore::SweepHooks cache_hooks(ResultCache& cache) {
     // hpc_max stays the cached value: it comes out of the session and is
     // determined by the key.
     rec = std::move(*hit);
-    explore::stamp_point_echo(pt, &scenario, rec);
+    explore::stamp_point_echo(pt, scenario, rec);
     return true;
   };
   hooks.store = [&cache, memo](const explore::SweepSpec&, const explore::RunPoint& pt,
@@ -180,7 +180,6 @@ explore::ResultTable run_job_impl(JobStore& store, const std::string& id, Result
   std::vector<explore::RunPoint> points;
   try {
     spec = explore::parse_sweep(store.sweep_text(id));
-    spec.validate();
     points = spec.expand();
   } catch (const std::exception& e) {
     store.mark_failed(id, e.what());

@@ -136,8 +136,10 @@ const PhaseSpec kDefaultPhase;
 template <class T>
 constexpr bool is_bool_v = std::is_same_v<std::decay_t<T>, bool>;
 
-/// Applies one scenario-level `key = value` assignment (shared by the text
-/// and JSON front-ends so both dialects accept exactly the same keys).
+}  // namespace
+
+// Shared by the text and JSON front-ends and by sweeps, so all of them
+// accept exactly the same keys.
 void apply_scalar(ScenarioSpec& spec, const std::string& key, const std::string& value) {
   // Retired test-only switches: the reference kernel and the per-cycle
   // Bernoulli stream are oracles reached through MeshNetwork and
@@ -165,6 +167,20 @@ void apply_scalar(ScenarioSpec& spec, const std::string& key, const std::string&
       spec);
   if (!found) throw ConfigError("unknown scenario key '" + key + "'");
 }
+
+void set_telemetry_outputs(TelemetrySpec& t, const std::string& prefix,
+                           const std::string& trace_prefix, Cycle epoch) {
+  if (epoch != 0) t.epoch_cycles = epoch;
+  if (!prefix.empty()) {
+    if (t.epoch_cycles == 0) t.epoch_cycles = 1'024;
+    t.csv = prefix + ".csv";
+    t.power_csv = prefix + "_power.csv";
+    t.heatmap = prefix + "_heatmap.csv";
+  }
+  if (!trace_prefix.empty()) t.record_trace = trace_prefix + ".sntr";
+}
+
+namespace {
 
 /// Sets the phase row a text token (`json` false: by key) or a JSON member
 /// (by member name) names. Returns false when no row matches.

@@ -160,6 +160,17 @@ void for_each_phase_field(F&& f, P&... p) {
 /// caller provides network and workload and only the protocol is needed).
 std::vector<PhaseSpec> classic_phases(const NocConfig& cfg);
 
+/// Applies one scenario-level `key = value` assignment, as a line of the
+/// text form does. Throws ConfigError on an unknown key or a bad value.
+void apply_scalar(ScenarioSpec& spec, const std::string& key, const std::string& value);
+
+/// Points the telemetry exports at <prefix>.csv, <prefix>_power.csv and
+/// <prefix>_heatmap.csv and the packet capture at <trace_prefix>.sntr; an
+/// empty prefix leaves its outputs alone. A non-zero `epoch` sets the
+/// sample window; otherwise a declared window is kept, else 1024 cycles.
+void set_telemetry_outputs(TelemetrySpec& t, const std::string& prefix,
+                           const std::string& trace_prefix, Cycle epoch);
+
 /// Parses a scenario from its text or JSON form (auto-detected: JSON
 /// starts with '{'). Throws ConfigError with a line/context message.
 ScenarioSpec parse_scenario(const std::string& text);

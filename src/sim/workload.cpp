@@ -52,31 +52,38 @@ class AppFactory final : public WorkloadFactory {
 }  // namespace
 
 struct WorkloadRegistry::Impl {
+  struct Entry {
+    std::shared_ptr<const WorkloadFactory> factory;
+    std::string spelling;
+  };
   mutable std::mutex mu;
-  std::map<std::string, std::shared_ptr<const WorkloadFactory>> factories;
+  std::map<std::string, Entry> entries;
   /// trace:<path> factories, keyed by path, so every Session replaying the
   /// same capture shares one factory (and its decoded-trace cache) instead
   /// of re-reading the file per lookup.
   std::map<std::string, std::shared_ptr<const WorkloadFactory>> traces;
+
+  const Entry* entry(const std::string& name) const {
+    const auto it = entries.find(lower_token(name));
+    return it != entries.end() ? &it->second : nullptr;
+  }
 };
 
 WorkloadRegistry::WorkloadRegistry() : impl_(std::make_shared<Impl>()) {
   using SP = noc::SyntheticPattern;
-  add("uniform", std::make_shared<SyntheticFactory>(SP::UniformRandom));
-  add("uniform-random", std::make_shared<SyntheticFactory>(SP::UniformRandom));
-  add("transpose", std::make_shared<SyntheticFactory>(SP::Transpose));
-  add("bit-complement", std::make_shared<SyntheticFactory>(SP::BitComplement));
-  add("neighbor", std::make_shared<SyntheticFactory>(SP::Neighbor));
-  add("hotspot", std::make_shared<SyntheticFactory>(SP::Hotspot));
-  using SA = mapping::SocApp;
-  add("h264", std::make_shared<AppFactory>(SA::H264));
-  add("mms_dec", std::make_shared<AppFactory>(SA::MMS_DEC));
-  add("mms_enc", std::make_shared<AppFactory>(SA::MMS_ENC));
-  add("mms_mp3", std::make_shared<AppFactory>(SA::MMS_MP3));
-  add("mwd", std::make_shared<AppFactory>(SA::MWD));
-  add("vopd", std::make_shared<AppFactory>(SA::VOPD));
-  add("wlan", std::make_shared<AppFactory>(SA::WLAN));
-  add("pip", std::make_shared<AppFactory>(SA::PIP));
+  for (const SP p : {SP::UniformRandom, SP::Transpose, SP::BitComplement, SP::Neighbor,
+                     SP::Hotspot}) {
+    add(noc::synthetic_name(p), std::make_shared<SyntheticFactory>(p));
+  }
+  for (const mapping::SocApp a : mapping::kAllApps) {
+    add(mapping::app_name(a), std::make_shared<AppFactory>(a));
+  }
+  const std::pair<const char*, const char*> aliases[] = {{"uniform", "uniform-random"},
+                                                         {"bitcomp", "bit-complement"},
+                                                         {"mms-dec", "mms_dec"},
+                                                         {"mms-enc", "mms_enc"},
+                                                         {"mms-mp3", "mms_mp3"}};
+  for (const auto& [alias, name] : aliases) impl_->entries[alias] = *impl_->entry(name);
 }
 
 WorkloadRegistry& WorkloadRegistry::instance() {
@@ -88,7 +95,7 @@ void WorkloadRegistry::add(const std::string& name,
                            std::shared_ptr<const WorkloadFactory> factory) {
   SMARTNOC_CHECK(factory != nullptr, "workload factory must not be null");
   std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->factories[lower_token(name)] = std::move(factory);
+  impl_->entries[lower_token(name)] = {std::move(factory), name};
 }
 
 std::string normalize_workload_key(const std::string& name) {
@@ -107,8 +114,8 @@ std::shared_ptr<const WorkloadFactory> WorkloadRegistry::find(const std::string&
     return slot;
   }
   std::lock_guard<std::mutex> lock(impl_->mu);
-  const auto it = impl_->factories.find(lower_token(name));
-  return it != impl_->factories.end() ? it->second : nullptr;
+  const Impl::Entry* e = impl_->entry(name);
+  return e != nullptr ? e->factory : nullptr;
 }
 
 std::shared_ptr<const WorkloadFactory> WorkloadRegistry::at(const std::string& name) const {
@@ -124,11 +131,18 @@ std::shared_ptr<const WorkloadFactory> WorkloadRegistry::at(const std::string& n
   return f;
 }
 
+std::string WorkloadRegistry::spelling(const std::string& name) const {
+  at(name);  // throws when unknown, or on a trace key without a path
+  if (telemetry::is_trace_workload_key(name)) return normalize_workload_key(name);
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  return impl_->entry(name)->spelling;  // entries are replaced, never removed
+}
+
 std::vector<std::string> WorkloadRegistry::names() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   std::vector<std::string> out;
-  out.reserve(impl_->factories.size());
-  for (const auto& [k, v] : impl_->factories) out.push_back(k);
+  out.reserve(impl_->entries.size());
+  for (const auto& [k, v] : impl_->entries) out.push_back(k);
   return out;
 }
 

@@ -103,10 +103,11 @@ class WorkloadFactory {
 std::string normalize_workload_key(const std::string& name);
 
 /// String-keyed factory registry. Pre-populated with the five synthetic
-/// patterns (uniform, transpose, bit-complement, neighbor, hotspot) and
-/// the paper's eight SoC applications (h264, mms_dec, mms_enc, mms_mp3,
-/// mwd, vopd, wlan, pip); user code may add or replace entries. Keys of
-/// the form `trace:<file>` resolve dynamically to a
+/// patterns (uniform-random, transpose, bit-complement, neighbor, hotspot)
+/// and the paper's eight SoC applications (h264, mms_dec, mms_enc,
+/// mms_mp3, mwd, vopd, wlan, pip), plus the aliases uniform, bitcomp,
+/// mms-dec, mms-enc and mms-mp3; user code may add or replace entries.
+/// Keys of the form `trace:<file>` resolve dynamically to a
 /// telemetry::TraceFileFactory replaying that binary capture. Lookup is
 /// case-insensitive (trace paths excepted); add/find are thread-safe (the
 /// explorer resolves workloads from worker threads).
@@ -114,8 +115,15 @@ class WorkloadRegistry {
  public:
   static WorkloadRegistry& instance();
 
-  /// Registers (or replaces) a factory under `name`.
+  /// Registers (or replaces) a factory under `name`, which is also its
+  /// spelling().
   void add(const std::string& name, std::shared_ptr<const WorkloadFactory> factory);
+
+  /// The name a sweep writes into its point keys and result rows: the
+  /// spelling the entry was registered under, shared by its aliases
+  /// (uniform -> uniform-random, vopd -> VOPD), or the canonical trace key.
+  /// Never opens a trace file. Throws ConfigError when unknown.
+  std::string spelling(const std::string& name) const;
 
   /// nullptr when unknown.
   std::shared_ptr<const WorkloadFactory> find(const std::string& name) const;

@@ -11,9 +11,11 @@
 //   explorer sweep.txt --threads 8 --csv out.csv --json out.json
 //   explorer --scenario phases.scn          # one multi-phase Session run
 //
-// Sweep file format: `key = v1, v2, ...` lines; keys mesh, flit_bits,
-// hpc_max, injection, pattern, app, fault_rate, design, seed, warmup,
-// measure, drain_timeout. `#` starts a comment.
+// Sweep file format: `key = v1, v2, ...` lines over a base scenario: the
+// axes mesh, flit_bits, hpc, injection, workload (pattern, app),
+// fault_rate, fault_schedule and design, plus seed, scenario_files and any
+// scenario-file key with one value (warmup, measure, drain_timeout, ...).
+// `#` starts a comment.
 //
 // Scenario files (--scenario) use the sim::parse_scenario text or JSON
 // form: scenario-level `key = value` lines plus one `phase ...` line per
@@ -65,6 +67,8 @@ int usage(const char* argv0, int code) {
                "                        or bandwidth multiplier (apps)\n"
                "  --pattern P,...       uniform transpose bit-complement neighbor hotspot\n"
                "  --app A,...           h264 mms_dec mms_enc mms_mp3 mwd vopd wlan pip\n"
+               "                        (either flag takes any registered workload,\n"
+               "                        trace:<file> included)\n"
                "  --faults X,...        link fault probability (default 0)\n"
                "  --design D,...        mesh smart dedicated   (default smart)\n"
                "\n"
@@ -120,7 +124,6 @@ struct TelemetryArgs {
   std::string trace_prefix; ///< --record-trace
   Cycle epoch = 0;          ///< --telemetry-epoch; 0 = not given (scenario
                             ///< files keep their declared epoch, else 1024)
-  static constexpr Cycle kDefaultEpoch = 1'024;
 };
 
 int run_scenario_file(const std::string& path, const std::string& json_path, bool quiet,
@@ -133,18 +136,8 @@ int run_scenario_file(const std::string& path, const std::string& json_path, boo
   std::stringstream buf;
   buf << f.rdbuf();
   sim::ScenarioSpec spec = sim::parse_scenario(buf.str());
-  // CLI telemetry flags layer over the scenario's block; an explicit
-  // --telemetry-epoch wins, otherwise a scenario-declared epoch is kept.
-  if (tel.epoch != 0) spec.telemetry.epoch_cycles = tel.epoch;
-  if (!tel.prefix.empty()) {
-    if (spec.telemetry.epoch_cycles == 0) {
-      spec.telemetry.epoch_cycles = TelemetryArgs::kDefaultEpoch;
-    }
-    spec.telemetry.csv = tel.prefix + ".csv";
-    spec.telemetry.power_csv = tel.prefix + "_power.csv";
-    spec.telemetry.heatmap = tel.prefix + "_heatmap.csv";
-  }
-  if (!tel.trace_prefix.empty()) spec.telemetry.record_trace = tel.trace_prefix + ".sntr";
+  // CLI telemetry flags layer over the scenario's block.
+  sim::set_telemetry_outputs(spec.telemetry, tel.prefix, tel.trace_prefix, tel.epoch);
   spec.validate();
   sim::Session session(spec);
   if (!quiet) {
@@ -281,8 +274,7 @@ int serve_cli(const std::string& cmd, int argc, char** argv) {
       const std::string text = read_file_or_throw(pos[k]);
       // Reject malformed sweeps at the door, with line numbers, instead of
       // letting the server mark the job FAILED later.
-      explore::SweepSpec spec = explore::parse_sweep(text);
-      spec.validate();
+      const explore::SweepSpec spec = explore::parse_sweep(text);
       const std::string id =
           store.submit(text, std::filesystem::path(pos[k]).stem().string());
       std::printf("%s\n", id.c_str());  // ids on stdout, one per line, for scripting
@@ -497,7 +489,7 @@ int main(int argc, char** argv) {
     }
     spec.telemetry_prefix = telemetry.prefix;
     spec.trace_prefix = telemetry.trace_prefix;
-    if (telemetry.epoch != 0) spec.telemetry_epoch = telemetry.epoch;
+    spec.telemetry_epoch = telemetry.epoch;
     spec.validate();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

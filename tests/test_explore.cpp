@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
 
 #include "common/hash.hpp"
@@ -20,22 +22,34 @@ using explore::ResultTable;
 using explore::RunPoint;
 using explore::RunRecord;
 using explore::SweepSpec;
-using explore::Workload;
 
 SweepSpec tiny_spec() {
   // Small but heterogeneous: two meshes, two injections, both designs and
   // two workload kinds. Windows short enough that the full matrix runs in
   // well under a second.
-  SweepSpec spec;
-  spec.meshes = {MeshDims(2, 2), MeshDims(4, 4)};
-  spec.injections = {0.02, 0.05};
-  spec.designs = {Design::Mesh, Design::Smart};
-  spec.workloads = {Workload::synthetic(noc::SyntheticPattern::Transpose),
-                    Workload::synthetic(noc::SyntheticPattern::Neighbor)};
-  spec.warmup_cycles = 200;
-  spec.measure_cycles = 2000;
-  spec.drain_timeout = 20000;
+  return explore::parse_sweep(
+      "mesh = 2x2, 4x4\n"
+      "injection = 0.02, 0.05\n"
+      "design = mesh, smart\n"
+      "pattern = transpose, neighbor\n"
+      "warmup = 200\n"
+      "measure = 2000\n"
+      "drain_timeout = 20000\n");
+}
+
+/// `spec` with one more `key = values` line.
+SweepSpec with_key(SweepSpec spec, const std::string& key, const std::string& values) {
+  bool workloads_replaced = false;
+  explore::apply_sweep_key(spec, key, values, workloads_replaced);
   return spec;
+}
+
+/// The values of the axis `key` (empty when it is not swept).
+std::vector<std::string> axis_values(const SweepSpec& spec, const std::string& key) {
+  for (const explore::SweepAxis& a : spec.axes) {
+    if (a.key == key) return a.values;
+  }
+  return {};
 }
 
 // --- Grid expansion ----------------------------------------------------------
@@ -45,8 +59,7 @@ TEST(SweepSpec, ExpansionCountIsAxisProduct) {
   EXPECT_EQ(spec.size(), 2u * 2u * 2u * 2u);
   EXPECT_EQ(spec.expand().size(), spec.size());
 
-  spec.flit_bits = {16, 32, 64};
-  spec.fault_rates = {0.0, 0.05};
+  spec = with_key(with_key(spec, "flit_bits", "16, 32, 64"), "fault_rate", "0.0, 0.05");
   EXPECT_EQ(spec.size(), 16u * 3u * 2u);
   EXPECT_EQ(spec.expand().size(), 96u);
 }
@@ -54,24 +67,27 @@ TEST(SweepSpec, ExpansionCountIsAxisProduct) {
 TEST(SweepSpec, ExpansionIsPositionalAndSeedsAreUnique) {
   const SweepSpec spec = tiny_spec();
   const auto pts = spec.expand();
+  const auto config = [&](const RunPoint& pt) {
+    return explore::make_point_scenario(spec, pt).config;
+  };
   std::set<std::uint64_t> seeds;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     EXPECT_EQ(pts[i].index, i);
-    seeds.insert(pts[i].seed);
+    seeds.insert(config(pts[i]).seed);
   }
   EXPECT_EQ(seeds.size(), pts.size()) << "per-point seeds must be distinct";
 
   // Expansion is a pure function of the spec.
   const auto again = spec.expand();
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_EQ(pts[i].seed, again[i].seed);
-    EXPECT_EQ(pts[i].mesh, again[i].mesh);
+    EXPECT_EQ(config(pts[i]).seed, config(again[i]).seed);
+    EXPECT_EQ(config(pts[i]).dims(), config(again[i]).dims());
   }
 }
 
 TEST(SweepSpec, EmptyAxisRejected) {
   SweepSpec spec = tiny_spec();
-  spec.designs.clear();
+  spec.axes.back().values.clear();  // design, the innermost axis
   EXPECT_THROW(spec.expand(), ConfigError);
 }
 
@@ -85,12 +101,12 @@ TEST(SweepSpec, ParseSweepFile) {
       "design = mesh, smart\n"
       "seed = 7\n"
       "measure = 5000\n");
-  EXPECT_EQ(spec.meshes.size(), 2u);
-  EXPECT_EQ(spec.injections.size(), 3u);
-  EXPECT_EQ(spec.workloads.size(), 2u);  // pattern + app accumulate
-  EXPECT_EQ(spec.designs.size(), 2u);
+  EXPECT_EQ(axis_values(spec, "mesh").size(), 2u);
+  EXPECT_EQ(axis_values(spec, "injection").size(), 3u);
+  EXPECT_EQ(axis_values(spec, "workload").size(), 2u);  // pattern + app accumulate
+  EXPECT_EQ(axis_values(spec, "design").size(), 2u);
   EXPECT_EQ(spec.base_seed, 7u);
-  EXPECT_EQ(spec.measure_cycles, 5000u);
+  EXPECT_EQ(spec.base.config.measure_cycles, 5000u);
   EXPECT_EQ(spec.size(), 2u * 3u * 2u * 2u);
 
   EXPECT_THROW(explore::parse_sweep("bogus_key = 1\n"), ConfigError);
@@ -113,22 +129,22 @@ TEST(SweepSpec, ParserRejectsNegativeAndGarbageValues) {
 TEST(SweepSpec, ExplorerFlagsApplyAsSweepKeys) {
   // A scenario-only file sweeps just its scenarios...
   SweepSpec spec = explore::parse_sweep("scenario_files = a.scn\npattern = transpose\n");
-  EXPECT_TRUE(spec.config_points);  // ...unless a config axis is named too
+  EXPECT_FALSE(spec.axes.empty());  // ...unless a config axis is named too
   spec = explore::parse_sweep("scenario_files = a.scn\nseed = 3\n");
-  EXPECT_FALSE(spec.config_points);
+  EXPECT_TRUE(spec.axes.empty());
   EXPECT_EQ(spec.size(), 1u);
 
   // The explorer forwards --mesh/--app/... here: an axis flag brings the
   // grid back, and the first workload flag replaces the file's axis.
   bool workloads_replaced = false;
   explore::apply_sweep_key(spec, "mesh", "2x2,4x4", workloads_replaced);
-  EXPECT_TRUE(spec.config_points);
-  EXPECT_EQ(spec.meshes.size(), 2u);
+  EXPECT_FALSE(spec.axes.empty());
+  EXPECT_EQ(axis_values(spec, "mesh").size(), 2u);
   explore::apply_sweep_key(spec, "app", "vopd", workloads_replaced);
   explore::apply_sweep_key(spec, "pattern", "uniform", workloads_replaced);
-  ASSERT_EQ(spec.workloads.size(), 2u);
-  EXPECT_EQ(spec.workloads[0].name(), "VOPD");
-  EXPECT_EQ(spec.workloads[1].name(), "uniform-random");
+  ASSERT_EQ(axis_values(spec, "workload").size(), 2u);
+  EXPECT_EQ(axis_values(spec, "workload")[0], "VOPD");
+  EXPECT_EQ(axis_values(spec, "workload")[1], "uniform-random");
   // Scalar keys take exactly one value.
   EXPECT_THROW(explore::apply_sweep_key(spec, "seed", "1, 2", workloads_replaced), ConfigError);
   EXPECT_THROW(explore::parse_sweep("warmup = 100, 200\n"), ConfigError);
@@ -171,6 +187,109 @@ TEST(SweepSpec, ScrambledAxisLinesKeepTheirRowsAndKeys) {
   EXPECT_EQ(key(0), "4835f40f6d9414748a45971023781a71");
   EXPECT_EQ(key(21), "270a410ff4a86231389700d95287f37a");
   EXPECT_EQ(key(32), "c2e41b9e59f6839d301ac280e0c15bae");
+}
+
+// --- Workloads ---------------------------------------------------------------
+
+/// Short windows on the base 4x4 SMART point.
+constexpr const char* kShortWindows = "warmup = 100\nmeasure = 500\ndrain_timeout = 20000\n";
+
+TEST(SweepWorkloads, EveryRegisteredNameRunsInASweepAndInAScenario) {
+  const std::vector<std::string> names = sim::WorkloadRegistry::instance().names();
+  std::string list;
+  for (const std::string& n : names) list += (list.empty() ? "" : ", ") + n;
+  const SweepSpec spec = explore::parse_sweep("workload = " + list + "\n" + kShortWindows);
+  const ResultTable table = explore::run_sweep(spec, 2);
+  ASSERT_EQ(table.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_TRUE(table.at(i).ok) << names[i] << ": " << table.at(i).error;
+  }
+
+  for (const std::string& n : names) {
+    const sim::ScenarioSpec sc = sim::parse_scenario(
+        std::string(kShortWindows) + "phase run workload=" + n +
+        " injection=0.05 cycles=500 measure\nphase drain drain\n");
+    const sim::SessionResult r = sim::Session(sc).run();
+    EXPECT_TRUE(r.ok) << n << ": " << r.error;
+  }
+}
+
+TEST(SweepWorkloads, SweepSpellsWorkloadsAsTheirRegistryEntries) {
+  const SweepSpec spec =
+      explore::parse_sweep("pattern = uniform, bitcomp\napp = mms-dec, vopd, trace:Cap.sntr\n");
+  EXPECT_EQ(axis_values(spec, "workload"),
+            (std::vector<std::string>{"uniform-random", "bit-complement", "MMS_DEC", "VOPD",
+                                      "trace:Cap.sntr"}));
+  EXPECT_THROW(explore::parse_sweep("pattern = no-such-workload\n"), ConfigError);
+}
+
+TEST(SweepWorkloads, TraceRowEqualsADirectReplayAndAMissingFileFailsItsRowOnly) {
+  const std::string path = ::testing::TempDir() + "smartnoc_sweep_capture.sntr";
+  const std::string missing = ::testing::TempDir() + "smartnoc_sweep_missing.sntr";
+  NocConfig cfg = NocConfig::paper_4x4();
+  cfg.warmup_cycles = 100;
+  cfg.measure_cycles = 500;
+  cfg.drain_timeout = 20000;
+  sim::ScenarioSpec live = sim::ScenarioSpec::classic(Design::Smart, "transpose", 0.05, cfg);
+  live.telemetry.record_trace = path;
+  ASSERT_TRUE(sim::Session(live).run().ok);
+
+  const SweepSpec spec = explore::parse_sweep("workload = trace:" + path + ", trace:" + missing +
+                                              "\n" + kShortWindows);
+  const ResultTable table = explore::run_sweep(spec, 2);
+  ASSERT_EQ(table.size(), 2u);
+  const RunRecord& row = table.at(0);
+  ASSERT_TRUE(row.ok) << row.error;
+  EXPECT_EQ(row.workload, "trace:" + path);
+
+  const sim::SessionResult direct =
+      sim::Session(sim::ScenarioSpec::classic(Design::Smart, "trace:" + path, 0.05, cfg)).run();
+  ASSERT_TRUE(direct.ok) << direct.error;
+  const sim::RunResult run = sim::session_to_run_result(direct);
+  EXPECT_GT(run.packets_delivered, 0u);
+  EXPECT_EQ(row.packets, run.packets_delivered);
+  EXPECT_EQ(row.avg_net_latency, run.avg_network_latency);
+  EXPECT_EQ(row.avg_total_latency, run.avg_total_latency);
+  EXPECT_EQ(row.p99_latency, static_cast<double>(run.p99_network_latency));
+  EXPECT_EQ(row.max_latency, static_cast<double>(run.max_network_latency));
+  EXPECT_EQ(row.throughput_ppc, run.delivered_packets_per_cycle);
+
+  EXPECT_FALSE(table.at(1).ok);
+  EXPECT_EQ(table.at(1).workload, "trace:" + missing);
+  EXPECT_FALSE(table.at(1).error.empty());
+  std::remove(path.c_str());
+}
+
+// --- Point echo and telemetry ------------------------------------------------
+
+TEST(SweepEcho, FaultScheduleEchoesItsCanonicalToken) {
+  const SweepSpec spec = explore::parse_sweep(
+      "fault_schedule = kill@200:5:e+stall@300:6@350, none\n" + std::string(kShortWindows));
+  const ResultTable table = explore::run_sweep(spec, 1);
+  ASSERT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.at(0).fault_schedule, "kill@200:5:E+stall@300:6@350");
+  EXPECT_EQ(table.at(1).fault_schedule, "none");
+}
+
+TEST(SweepEcho, ScenarioPointsKeepTheirDeclaredTelemetryEpoch) {
+  const std::string scn = ::testing::TempDir() + "smartnoc_sweep_epoch.scn";
+  std::ofstream(scn) << "telemetry_epoch = 500\n"
+                        "phase run workload=transpose injection=0.05 cycles=500 measure\n"
+                        "phase drain drain\n";
+  SweepSpec spec = explore::parse_sweep("design = mesh\nscenario_files = " + scn + "\n");
+  spec.telemetry_prefix = "probe";
+  const auto pts = spec.expand();
+  ASSERT_EQ(pts.size(), 2u);
+  const sim::ScenarioSpec grid = explore::make_point_scenario(spec, pts[0]);
+  EXPECT_EQ(grid.telemetry.epoch_cycles, 1'024u);
+  EXPECT_EQ(grid.telemetry.csv, "probe_p0.csv");
+  const sim::ScenarioSpec file = explore::make_point_scenario(spec, pts[1]);
+  EXPECT_EQ(file.telemetry.epoch_cycles, 500u);
+  EXPECT_EQ(file.telemetry.heatmap, "probe_p1_heatmap.csv");
+
+  spec.telemetry_epoch = 256;  // an explicit window wins everywhere
+  EXPECT_EQ(explore::make_point_scenario(spec, pts[1]).telemetry.epoch_cycles, 256u);
+  std::remove(scn.c_str());
 }
 
 // --- Executor determinism ----------------------------------------------------
@@ -277,13 +396,13 @@ TEST(Explore, DrainTimeoutSurfacesAsErrorNotPartialStats) {
   // Uniform-random on the baseline mesh far beyond saturation, with a
   // drain window too short to empty the network: the row must fail with a
   // drain message and carry no latency/power numbers.
-  SweepSpec spec;
-  spec.workloads = {Workload::synthetic(noc::SyntheticPattern::UniformRandom)};
-  spec.injections = {0.8};
-  spec.designs = {Design::Mesh};
-  spec.warmup_cycles = 200;
-  spec.measure_cycles = 2000;
-  spec.drain_timeout = 300;
+  const SweepSpec spec = explore::parse_sweep(
+      "pattern = uniform\n"
+      "injection = 0.8\n"
+      "design = mesh\n"
+      "warmup = 200\n"
+      "measure = 2000\n"
+      "drain_timeout = 300\n");
   const ResultTable table = explore::run_sweep(spec, 1);
   ASSERT_EQ(table.size(), 1u);
   const RunRecord& r = table.at(0);
@@ -299,11 +418,9 @@ TEST(Explore, BadConfigPointFailsItsRowOnly) {
   // flit_bits = 48 does not divide the 256-bit packet: that grid point
   // fails with the validator's message; the 32-bit points still run.
   SweepSpec spec = tiny_spec();
-  spec.meshes = {MeshDims(2, 2)};
-  spec.injections = {0.02};
-  spec.designs = {Design::Smart};
-  spec.workloads = {Workload::synthetic(noc::SyntheticPattern::Transpose)};
-  spec.flit_bits = {32, 48};
+  spec = with_key(with_key(spec, "mesh", "2x2"), "injection", "0.02");
+  spec = with_key(with_key(spec, "design", "smart"), "pattern", "transpose");
+  spec = with_key(spec, "flit_bits", "32, 48");
   const ResultTable table = explore::run_sweep(spec, 2);
   ASSERT_EQ(table.size(), 2u);
   EXPECT_TRUE(table.at(0).ok);

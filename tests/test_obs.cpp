@@ -41,17 +41,6 @@ std::string slurp(const fs::path& path) {
 }
 
 /// 4 fast points on a 2x2 mesh.
-explore::SweepSpec tiny_spec() {
-  explore::SweepSpec spec;
-  spec.meshes = {MeshDims(2, 2)};
-  spec.injections = {0.02, 0.05};
-  spec.designs = {Design::Mesh, Design::Smart};
-  spec.warmup_cycles = 200;
-  spec.measure_cycles = 2000;
-  spec.drain_timeout = 20000;
-  return spec;
-}
-
 std::string tiny_sweep_text() {
   return "mesh = 2x2\n"
          "injection = 0.02, 0.05\n"
@@ -60,6 +49,8 @@ std::string tiny_sweep_text() {
          "measure = 2000\n"
          "drain_timeout = 20000\n";
 }
+
+explore::SweepSpec tiny_spec() { return explore::parse_sweep(tiny_sweep_text()); }
 
 // --- Registry semantics ------------------------------------------------------
 

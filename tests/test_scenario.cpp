@@ -473,13 +473,10 @@ TEST(DrainTimeout, SessionAndExplorerAgree) {
   EXPECT_FALSE(drain.drained);
   EXPECT_FALSE(drain.ok);
 
-  explore::SweepSpec sweep;
-  sweep.workloads = {explore::Workload::synthetic(noc::SyntheticPattern::Hotspot)};
-  sweep.injections = {0.9};
-  sweep.designs = {Design::Mesh};
-  sweep.warmup_cycles = cfg.warmup_cycles;
-  sweep.measure_cycles = cfg.measure_cycles;
-  sweep.drain_timeout = cfg.drain_timeout;
+  const explore::SweepSpec sweep = explore::parse_sweep(
+      "pattern = hotspot\ninjection = 0.9\ndesign = mesh\nwarmup = " +
+      std::to_string(cfg.warmup_cycles) + "\nmeasure = " + std::to_string(cfg.measure_cycles) +
+      "\ndrain_timeout = " + std::to_string(cfg.drain_timeout) + "\n");
   const auto pts = sweep.expand();
   ASSERT_EQ(pts.size(), 1u);
   const explore::RunRecord rec = explore::run_point(sweep, pts[0]);

@@ -29,7 +29,6 @@ namespace fs = std::filesystem;
 using explore::ResultTable;
 using explore::RunRecord;
 using explore::SweepSpec;
-using explore::Workload;
 
 /// Fresh (pre-wiped) scratch directory for one test.
 fs::path scratch_dir(const std::string& name) {
@@ -47,17 +46,6 @@ std::string slurp(const fs::path& path) {
 }
 
 /// 4 fast points: 2x2 mesh, two injections, both shared-fabric designs.
-SweepSpec serve_spec() {
-  SweepSpec spec;
-  spec.meshes = {MeshDims(2, 2)};
-  spec.injections = {0.02, 0.05};
-  spec.designs = {Design::Mesh, Design::Smart};
-  spec.warmup_cycles = 200;
-  spec.measure_cycles = 2000;
-  spec.drain_timeout = 20000;
-  return spec;
-}
-
 std::string sweep_text() {
   return "mesh = 2x2\n"
          "injection = 0.02, 0.05\n"
@@ -66,6 +54,8 @@ std::string sweep_text() {
          "measure = 2000\n"
          "drain_timeout = 20000\n";
 }
+
+SweepSpec serve_spec() { return explore::parse_sweep(sweep_text()); }
 
 // --- Golden vectors ----------------------------------------------------------
 // These constants pin the persisted key format. If one of these fails, the
@@ -105,14 +95,14 @@ TEST(ServeHash, CanonicalEncoderLayout) {
 }
 
 TEST(ServePointKey, GoldenVector) {
-  SweepSpec spec;
-  spec.meshes = {MeshDims(4, 4)};
-  spec.injections = {0.05};
-  spec.designs = {Design::Smart};
-  spec.warmup_cycles = 200;
-  spec.measure_cycles = 2000;
-  spec.drain_timeout = 20000;
-  spec.base_seed = 7;
+  const SweepSpec spec = explore::parse_sweep(
+      "mesh = 4x4\n"
+      "injection = 0.05\n"
+      "design = smart\n"
+      "warmup = 200\n"
+      "measure = 2000\n"
+      "drain_timeout = 20000\n"
+      "seed = 7\n");
   const auto pts = spec.expand();
   const sim::ScenarioSpec sc = explore::make_point_scenario(spec, pts.at(0));
   EXPECT_EQ(serve::canonical_point_bytes(sc).size(), 313u);
@@ -126,30 +116,23 @@ TEST(ServePointKey, SensitiveToResultRelevantFieldsOnly) {
   };
   const SweepSpec base = serve_spec();
   const std::string k0 = key_of(base);
+  const auto with = [&](const std::string& key, const std::string& values) {
+    SweepSpec spec = base;
+    bool workloads_replaced = false;
+    explore::apply_sweep_key(spec, key, values, workloads_replaced);
+    return spec;
+  };
 
   SweepSpec changed = base;
   changed.base_seed = 99;
   EXPECT_NE(key_of(changed), k0) << "seed must change the key";
 
-  changed = base;
-  changed.designs = {Design::Smart};
-  EXPECT_NE(key_of(changed), k0) << "design must change the key";
-
-  changed = base;
-  changed.injections = {0.07};
-  EXPECT_NE(key_of(changed), k0) << "injection must change the key";
-
-  changed = base;
-  changed.workloads = {Workload::synthetic(noc::SyntheticPattern::Transpose)};
-  EXPECT_NE(key_of(changed), k0) << "workload must change the key";
-
-  changed = base;
-  changed.fault_schedules = {"kill@500:1:E"};
-  EXPECT_NE(key_of(changed), k0) << "fault schedule must change the key";
-
-  changed = base;
-  changed.measure_cycles = 4000;
-  EXPECT_NE(key_of(changed), k0) << "measurement window must change the key";
+  EXPECT_NE(key_of(with("design", "smart")), k0) << "design must change the key";
+  EXPECT_NE(key_of(with("injection", "0.07")), k0) << "injection must change the key";
+  EXPECT_NE(key_of(with("pattern", "transpose")), k0) << "workload must change the key";
+  EXPECT_NE(key_of(with("fault_schedule", "kill@500:1:E")), k0)
+      << "fault schedule must change the key";
+  EXPECT_NE(key_of(with("measure", "4000")), k0) << "measurement window must change the key";
 
   // Telemetry sidecars cannot change a RunRecord (the probe is gated
   // non-intrusive), so they share the cache entry.
@@ -503,7 +486,7 @@ TEST(ServeScenario, ScenarioFilesExpandAndCache) {
 
   // A sweep file with only scenario_files is scenario-only: no grid points.
   SweepSpec only = explore::parse_sweep("scenario_files = " + scn.string() + "\n");
-  EXPECT_FALSE(only.config_points);
+  EXPECT_TRUE(only.axes.empty());
   EXPECT_EQ(only.size(), 1u);
   const auto pts = only.expand();
   ASSERT_EQ(pts.size(), 1u);
@@ -513,7 +496,7 @@ TEST(ServeScenario, ScenarioFilesExpandAndCache) {
   SweepSpec mixed = explore::parse_sweep("mesh = 2x2\ninjection = 0.05\n"
                                          "warmup = 200\nmeasure = 2000\n"
                                          "scenario_files = " + scn.string() + "\n");
-  EXPECT_TRUE(mixed.config_points);
+  EXPECT_FALSE(mixed.axes.empty());
   EXPECT_EQ(mixed.size(), 2u);
 
   // The scenario point runs, echoes the file's resolved values, and its
