@@ -17,6 +17,7 @@
 #include "obs/spans.hpp"
 #include "serve/checked_lines.hpp"
 #include "serve/point_key.hpp"
+#include "telemetry/trace_workload.hpp"
 
 namespace smartnoc::serve {
 
@@ -128,6 +129,11 @@ explore::SweepHooks cache_hooks(ResultCache& cache) {
       scenario = explore::make_point_scenario(spec, pt);
     } catch (const std::exception&) {
       return false;  // e.g. unreadable scenario file: let run_point report it
+    }
+    // A replay's key names the capture's path, not its bytes, so a
+    // re-recorded capture would be served stale: replays always run.
+    for (const sim::PhaseSpec& ph : scenario.phases) {
+      if (telemetry::is_trace_workload_key(ph.workload)) return false;
     }
     const Hash128 key = point_key(scenario);
     {

@@ -20,6 +20,7 @@
 #include "serve/point_key.hpp"
 #include "serve/result_cache.hpp"
 #include "serve/serve.hpp"
+#include "sim/session.hpp"
 
 namespace smartnoc {
 namespace {
@@ -517,6 +518,32 @@ TEST(ServeScenario, ScenarioFilesExpandAndCache) {
   RunRecord computed = t1.at(0);
   served.index = computed.index = 0;
   EXPECT_EQ(served, computed) << "served scenario row must equal the computed one";
+}
+
+TEST(ServeScenario, TraceReplaysAlwaysRun) {
+  // A replay's key names the capture's path, not its bytes: a re-recorded
+  // capture must not be served from the cache.
+  const fs::path dir = scratch_dir("trace_axis");
+  const std::string cap = (dir / "cap.sntr").string();
+  const auto record = [&](const char* workload) {
+    NocConfig cfg = NocConfig::paper_4x4();
+    cfg.warmup_cycles = 100;
+    cfg.measure_cycles = 500;
+    sim::ScenarioSpec live = sim::ScenarioSpec::classic(Design::Smart, workload, 0.05, cfg);
+    live.telemetry.record_trace = cap;
+    ASSERT_TRUE(sim::Session(live).run().ok);
+  };
+  const SweepSpec spec = explore::parse_sweep("workload = trace:" + cap +
+                                              "\nwarmup = 100\nmeasure = 500\n");
+  serve::ResultCache cache((dir / "cache").string());
+  record("transpose");
+  const ResultTable first = explore::run_sweep(spec, 1, {}, serve::cache_hooks(cache));
+  record("neighbor");
+  const ResultTable second = explore::run_sweep(spec, 1, {}, serve::cache_hooks(cache));
+  ASSERT_TRUE(first.at(0).ok && second.at(0).ok) << first.at(0).error << second.at(0).error;
+  EXPECT_EQ(cache.counters().hits, 0u);
+  EXPECT_EQ(cache.counters().inserts, 0u);
+  EXPECT_NE(first.at(0).packets, second.at(0).packets);
 }
 
 TEST(ServeScenario, MissingScenarioFileFailsTheRowNotTheSweep) {
