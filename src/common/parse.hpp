@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -20,6 +21,19 @@ inline std::string trim_token(const std::string& s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
+}
+
+/// The pieces of `s` between `sep`s: n separators give n + 1 pieces.
+inline std::vector<std::string> split_token(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t p = s.find(sep, start);
+    out.push_back(s.substr(start, p == std::string::npos ? p : p - start));
+    if (p == std::string::npos) break;
+    start = p + 1;
+  }
+  return out;
 }
 
 inline std::string lower_token(std::string s) {

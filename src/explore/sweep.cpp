@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
@@ -38,11 +37,9 @@ std::size_t axis_rank(std::string_view key) {
 
 std::vector<std::string> split_list(const std::string& s) {
   std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = trim_token(item);
-    if (!item.empty()) out.push_back(item);
+  for (const std::string& piece : split_token(s, ',')) {
+    std::string item = trim_token(piece);
+    if (!item.empty()) out.push_back(std::move(item));
   }
   return out;
 }
@@ -155,10 +152,8 @@ void apply_sweep_key(SweepSpec& spec, const std::string& key, const std::string&
 SweepSpec parse_sweep(const std::string& text) {
   SweepSpec spec;
   bool workloads_replaced = false;
-  std::stringstream ss(text);
-  std::string line;
   int lineno = 0;
-  while (std::getline(ss, line)) {
+  for (std::string line : split_token(text, '\n')) {
     ++lineno;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line = line.substr(0, hash);

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 
 namespace smartnoc::noc {
@@ -42,18 +43,6 @@ std::uint64_t parse_num(const std::string& s, const std::string& ctx) {
     throw ConfigError("bad number '" + s + "' in fault token '" + ctx + "'");
   }
   return v;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t p = s.find(sep, start);
-    out.push_back(s.substr(start, p == std::string::npos ? p : p - start));
-    if (p == std::string::npos) break;
-    start = p + 1;
-  }
-  return out;
 }
 
 }  // namespace
@@ -204,15 +193,15 @@ std::string StallReport::summary() const {
 std::vector<FaultEventSpec> parse_fault_schedule_token(const std::string& token) {
   std::vector<FaultEventSpec> out;
   if (token.empty() || token == "none" || token == "-") return out;
-  for (const std::string& ev : split(token, '+')) {
-    const std::vector<std::string> at = split(ev, '@');
+  for (const std::string& ev : split_token(token, '+')) {
+    const std::vector<std::string> at = split_token(ev, '@');
     if (at.size() < 2) {
       throw ConfigError("bad fault token '" + ev +
                         "' (expected kind@cycle:..., e.g. kill@2000:5:E)");
     }
     FaultEventSpec e;
     const std::string& kind = at[0];
-    const std::vector<std::string> f = split(at[1], ':');
+    const std::vector<std::string> f = split_token(at[1], ':');
     if (kind == "kill" || kind == "glitch") {
       if (f.size() != 3) {
         throw ConfigError("bad fault token '" + ev + "' (expected " + kind +

@@ -118,24 +118,35 @@ std::shared_ptr<const WorkloadFactory> WorkloadRegistry::find(const std::string&
   return e != nullptr ? e->factory : nullptr;
 }
 
+namespace {
+
+[[noreturn]] void throw_unknown(const WorkloadRegistry& reg, const std::string& name) {
+  std::string known;
+  for (const std::string& n : reg.names()) {
+    if (!known.empty()) known += ", ";
+    known += n;
+  }
+  throw ConfigError("unknown workload '" + name + "' (registered: " + known + ")");
+}
+
+}  // namespace
+
 std::shared_ptr<const WorkloadFactory> WorkloadRegistry::at(const std::string& name) const {
   auto f = find(name);
-  if (f == nullptr) {
-    std::string known;
-    for (const std::string& n : names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    throw ConfigError("unknown workload '" + name + "' (registered: " + known + ")");
-  }
+  if (f == nullptr) throw_unknown(*this, name);
   return f;
 }
 
 std::string WorkloadRegistry::spelling(const std::string& name) const {
-  at(name);  // throws when unknown, or on a trace key without a path
-  if (telemetry::is_trace_workload_key(name)) return normalize_workload_key(name);
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->entry(name)->spelling;  // entries are replaced, never removed
+  if (telemetry::is_trace_workload_key(name)) {
+    telemetry::trace_workload_path(name);  // throws on an empty path
+    return normalize_workload_key(name);
+  }
+  {
+    std::lock_guard<std::mutex> lock(impl_->mu);
+    if (const Impl::Entry* e = impl_->entry(name)) return e->spelling;
+  }
+  throw_unknown(*this, name);
 }
 
 std::vector<std::string> WorkloadRegistry::names() const {
