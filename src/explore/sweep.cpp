@@ -19,16 +19,16 @@ using smartnoc::trim_token;
 
 /// The axis keys in nesting order, outermost first. It fixes each point's
 /// index, and with it its seed and row.
-constexpr std::string_view kAxisKeys[] = {"mesh",       "flit_bits",      "hpc",
-                                          "injection",  "workload",       "fault_rate",
-                                          "fault_schedule", "design"};
+constexpr std::string_view kAxisKeys[] = {
+    "mesh", "flit_bits", "hpc", "injection", "workload", "fault_rate", "fault_schedule", "design"};
 
 /// Sweep spellings of keys: the explorer's flag names and older files.
 constexpr std::pair<std::string_view, std::string_view> kAliases[] = {
-    {"flits", "flit_bits"},   {"hpc_max", "hpc"},       {"inj", "injection"},
-    {"pattern", "workload"},  {"app", "workload"},      {"faults", "fault_rate"},
-    {"fault_events", "fault_schedule"}, {"drain", "drain_timeout"},
-    {"scenario", "scenario_files"}};
+    {"flits", "flit_bits"},      {"hpc_max", "hpc"},
+    {"inj", "injection"},        {"pattern", "workload"},
+    {"app", "workload"},         {"faults", "fault_rate"},
+    {"fault_events", "fault_schedule"},
+    {"drain", "drain_timeout"},  {"scenario", "scenario_files"}};
 
 std::size_t axis_rank(std::string_view key) {
   return static_cast<std::size_t>(std::find(std::begin(kAxisKeys), std::end(kAxisKeys), key) -
