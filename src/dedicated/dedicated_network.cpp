@@ -260,8 +260,8 @@ bool DedicatedNetwork::drained() const {
     for (const auto& in : sink.inputs) {
       if (!in.staging.empty()) return false;
     }
-    for (const auto& vc : sink.vcs) {
-      if (!vc.empty()) return false;
+    for (int b = 0; b < sink.vcs.size(); ++b) {
+      if (!sink.vcs[b].empty()) return false;
     }
   }
   for (const auto& rx : nic_rx_) {
@@ -280,7 +280,8 @@ noc::StallReport DedicatedNetwork::stall_report() const {
   for (const auto& [node, sink] : sinks_) {
     bool busy = sink.hold.has_value();
     for (const auto& in : sink.inputs) busy = busy || !in.staging.empty();
-    for (const auto& vc : sink.vcs) {
+    for (int b = 0; b < sink.vcs.size(); ++b) {
+      const noc::VcBuffer& vc = sink.vcs[b];
       if (!vc.empty()) {
         report.occupied_vcs += 1;
         busy = true;

@@ -1,6 +1,7 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "common/error.hpp"
@@ -22,6 +23,15 @@ thread_local ShardState* tl_shard = nullptr;
 
 /// Shard-thread span lanes batch this many ticks per recorded span.
 constexpr std::uint64_t kSpanChunkTicks = 4096;
+
+/// How many places ahead in an active list each phase loop prefetches.
+constexpr std::size_t kPrefetchAhead = 4;
+
+/// Calls f(d) for every set bit of a port mask (bit dir_index(d)).
+template <typename F>
+void for_each_dir(unsigned mask, F&& f) {
+  for (; mask != 0; mask &= mask - 1) f(dir_from_index(std::countr_zero(mask)));
+}
 
 /// Does `path` traverse any directed link in `links`?
 bool path_crosses(const RoutePath& path, const MeshDims& dims,
@@ -48,8 +58,8 @@ MeshNetwork::MeshNetwork(const NocConfig& cfg, FlowSet flows, PresetTable preset
   routers_.reserve(static_cast<std::size_t>(dims.nodes()));
   nics_.reserve(static_cast<std::size_t>(dims.nodes()));
   for (NodeId n = 0; n < dims.nodes(); ++n) {
-    routers_.push_back(std::make_unique<Router>(n, cfg_, static_cast<Fabric*>(this), &pool_));
-    nics_.push_back(std::make_unique<Nic>(n, cfg_, static_cast<Fabric*>(this), &stats_, &pool_));
+    routers_.emplace_back(n, cfg_, static_cast<Fabric*>(this), &pool_);
+    nics_.emplace_back(n, cfg_, static_cast<Fabric*>(this), &stats_, &pool_);
   }
   router_in_set_.assign(static_cast<std::size_t>(dims.nodes()), 0);
   nic_in_set_.assign(static_cast<std::size_t>(dims.nodes()), 0);
@@ -63,10 +73,10 @@ MeshNetwork::MeshNetwork(const NocConfig& cfg, FlowSet flows, PresetTable preset
       const XbarSel& sel = presets_.at(n).xbar[static_cast<std::size_t>(dir_index(o))];
       if (sel.kind == XbarSel::Kind::FromRouter) {
         SMARTNOC_CHECK(segments_.output(n, o).armed, "FromRouter output without segment");
-        routers_[static_cast<std::size_t>(n)]->enable_output(o, cfg_.vcs_per_port);
+        routers_[static_cast<std::size_t>(n)].enable_output(o, cfg_.vcs_per_port);
       }
     }
-    nics_[static_cast<std::size_t>(n)]->init_source_credits(cfg_.vcs_per_port);
+    nics_[static_cast<std::size_t>(n)].init_source_credits(cfg_.vcs_per_port);
     const RouterPreset& p = presets_.at(n);
     for (Dir d : kAllDirs) {
       clocked_in_total_ += p.in_clocked[static_cast<std::size_t>(dir_index(d))] ? 1 : 0;
@@ -79,7 +89,7 @@ MeshNetwork::MeshNetwork(const NocConfig& cfg, FlowSet flows, PresetTable preset
   flow_local_.resize(static_cast<std::size_t>(flows_.size()));
   for (const Flow& f : flows_) {
     flow_local_[static_cast<std::size_t>(f.id)] =
-        nics_[static_cast<std::size_t>(f.src)]->register_flow(f);
+        nics_[static_cast<std::size_t>(f.src)].register_flow(f);
     validate_and_index_flow(f);
   }
 }
@@ -96,7 +106,7 @@ void MeshNetwork::use_reference_kernel(bool ref) {
   // The seed kernel also selects flows by linear scan in the NICs; keeping
   // the two toggles paired lets the golden matrix cross-pin the batched
   // injector against the scan.
-  for (auto& nic : nics_) nic->use_reference_scan(ref);
+  for (Nic& nic : nics_) nic.use_reference_scan(ref);
 }
 
 void MeshNetwork::force_sharded_path(bool on) {
@@ -134,7 +144,7 @@ void MeshNetwork::configure_shards(int count) {
   // kernel keeps direct calls on its hot path.
   const bool sharded = count > 1 || force_sharded_;
   for (NodeId n = 0; n < dims.nodes(); ++n) {
-    Nic& nic = *nics_[static_cast<std::size_t>(n)];
+    Nic& nic = nics_[static_cast<std::size_t>(n)];
     nic.set_shard_sink(
         sharded ? &shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(n)])].sink
                 : nullptr);
@@ -226,22 +236,49 @@ void MeshNetwork::run_phases(ShardState& s, ActivityCounters& act) {
   // Phases 2-5 walk only the active components. Index loops on purpose:
   // deliveries within a phase can activate (append) new components, which
   // then see the remaining phases this cycle - a no-op for them, since a
-  // flit latched at cycle t is only buffer-written at t+1.
-  // Phase 2: Buffer Write (drains staging filled in earlier cycles).
+  // flit latched at cycle t is only buffer-written at t+1. Each loop warms
+  // the component kPrefetchAhead places on (see the header on prefetching).
+  const auto router_at = [&](std::size_t i) -> Router& {
+    return routers_[static_cast<std::size_t>(s.active_routers[i])];
+  };
+  const auto prefetch_ahead = [&](std::size_t i) {
+    if (i + kPrefetchAhead < s.active_routers.size()) router_at(i + kPrefetchAhead).prefetch_hot();
+  };
+  // Phase 2: Buffer Write (drains staging filled in earlier cycles). A
+  // decoded head's output port is read by SA next cycle, its segment by
+  // ST the cycle after, its input's credit path when its tail leaves.
   for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
-    routers_[static_cast<std::size_t>(s.active_routers[i])]->buffer_write(now_, act);
+    prefetch_ahead(i);
+    const NodeId n = s.active_routers[i];
+    Router& r = router_at(i);
+    if (!r.has_staged()) continue;
+    const Router::Decoded d = r.buffer_write(now_, act);
+    for_each_dir(d.outs, [&](Dir o) {
+      r.prefetch_output(o);
+      __builtin_prefetch(&segments_.output(n, o));
+    });
+    for_each_dir(d.ins, [&](Dir in) { __builtin_prefetch(&segments_.credit_router_input(n, in)); });
   }
   // Phase 3: Switch Traversal on grants from previous cycles.
   for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
-    routers_[static_cast<std::size_t>(s.active_routers[i])]->switch_traversal(now_, act);
+    prefetch_ahead(i);
+    Router& r = router_at(i);
+    if (r.has_holds()) r.switch_traversal(now_, act);
   }
   // Phase 4: Switch Allocation (grants fire ST next cycle).
   for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
-    routers_[static_cast<std::size_t>(s.active_routers[i])]->switch_allocation(now_, act);
+    prefetch_ahead(i);
+    Router& r = router_at(i);
+    if (!r.has_pending()) continue;
+    const unsigned granted = r.switch_allocation(now_, act);
+    if (granted != 0) prefetch_endpoints(s, s.active_routers[i], granted);
   }
   // Phase 5: NIC injection (one flit per NIC per cycle).
   for (std::size_t i = 0; i < s.active_nics.size(); ++i) {
-    nics_[static_cast<std::size_t>(s.active_nics[i])]->inject(now_, act);
+    if (i + kPrefetchAhead < s.active_nics.size()) {
+      nics_[static_cast<std::size_t>(s.active_nics[i + kPrefetchAhead])].prefetch_hot();
+    }
+    nics_[static_cast<std::size_t>(s.active_nics[i])].inject(now_, act);
   }
 
   // Compaction: drop components that went quiescent, preserving insertion
@@ -250,7 +287,7 @@ void MeshNetwork::run_phases(ShardState& s, ActivityCounters& act) {
     std::size_t w = 0;
     for (std::size_t r = 0; r < s.active_routers.size(); ++r) {
       const NodeId n = s.active_routers[r];
-      if (routers_[static_cast<std::size_t>(n)]->has_traffic()) {
+      if (routers_[static_cast<std::size_t>(n)].has_traffic()) {
         s.active_routers[w++] = n;
       } else {
         router_in_set_[static_cast<std::size_t>(n)] = 0;
@@ -260,7 +297,7 @@ void MeshNetwork::run_phases(ShardState& s, ActivityCounters& act) {
     w = 0;
     for (std::size_t r = 0; r < s.active_nics.size(); ++r) {
       const NodeId n = s.active_nics[r];
-      if (!nics_[static_cast<std::size_t>(n)]->idle()) {
+      if (!nics_[static_cast<std::size_t>(n)].idle()) {
         s.active_nics[w++] = n;
       } else {
         nic_in_set_[static_cast<std::size_t>(n)] = 0;
@@ -268,6 +305,20 @@ void MeshNetwork::run_phases(ShardState& s, ActivityCounters& act) {
     }
     s.active_nics.resize(w);
   }
+}
+
+void MeshNetwork::prefetch_endpoints(const ShardState& s, NodeId n, unsigned granted) const {
+  for_each_dir(granted, [&](Dir o) {
+    const Endpoint& ep = segments_.output(n, o).ep;
+    const auto node = static_cast<std::size_t>(ep.node);
+    if (shards_.size() > 1 && shard_of_[node] != s.id) return;
+    if (ep.is_nic) {
+      nics_[node].prefetch_arrival();
+      pool_.prefetch(routers_[static_cast<std::size_t>(n)].held_packet(o));
+    } else {
+      routers_[node].prefetch_arrival(ep.in);
+    }
+  });
 }
 
 void MeshNetwork::tick_sharded(bool parallel) {
@@ -321,15 +372,15 @@ void MeshNetwork::shard_pass_b(ShardState& s) {
     auto& inbox = src.outbox[static_cast<std::size_t>(s.id)];
     for (const ShardFlitEvent& ev : inbox) {
       if (ev.ep.is_nic) {
-        Nic& nic = *nics_[static_cast<std::size_t>(ev.ep.node)];
+        Nic& nic = nics_[static_cast<std::size_t>(ev.ep.node)];
         nic.accept_flit(ev.flit, ev.arrival);
         // A tail consumed on arrival leaves the NIC idle: activating it
         // would keep it (and drained()) alive one tick longer than the
         // single-threaded kernel - activate only when work remains.
         if (!nic.idle()) activate_nic(ev.ep.node);
       } else {
-        routers_[static_cast<std::size_t>(ev.ep.node)]->accept_flit(ev.ep.in, ev.flit,
-                                                                    ev.arrival);
+        routers_[static_cast<std::size_t>(ev.ep.node)].accept_flit(ev.ep.in, ev.flit,
+                                                                   ev.arrival);
         activate_router(ev.ep.node);  // staged flit: has_traffic() by definition
       }
     }
@@ -431,10 +482,10 @@ void MeshNetwork::tick_reference() {
   }
 
   ActivityCounters& act = stats_.activity();
-  for (auto& r : routers_) r->buffer_write(now_, act);
-  for (auto& r : routers_) r->switch_traversal(now_, act);
-  for (auto& r : routers_) r->switch_allocation(now_, act);
-  for (auto& n : nics_) n->inject(now_, act);
+  for (Router& r : routers_) r.buffer_write(now_, act);
+  for (Router& r : routers_) r.switch_traversal(now_, act);
+  for (Router& r : routers_) r.switch_allocation(now_, act);
+  for (Nic& n : nics_) n.inject(now_, act);
 
   act.clocked_inport_cycles += static_cast<std::uint64_t>(clocked_in_total_);
   act.clocked_outport_cycles += static_cast<std::uint64_t>(clocked_out_total_);
@@ -461,7 +512,7 @@ void MeshNetwork::offer_packet(FlowId flow, Cycle created) {
   pkt.route = f.route;
   pkt.created = created;
   pkt.injected = 0;
-  nics_[static_cast<std::size_t>(f.src)]->offer_packet(slot, flow_local(flow));
+  nics_[static_cast<std::size_t>(f.src)].offer_packet(slot, flow_local(flow));
   activate_nic(f.src);
 }
 
@@ -469,11 +520,11 @@ bool MeshNetwork::drained() const {
   if (reference_kernel_) {
     // Seed behavior: a full scan of every component.
     if (!ref_credits_.empty()) return false;
-    for (const auto& r : routers_) {
-      if (r->has_traffic()) return false;
+    for (const Router& r : routers_) {
+      if (r.has_traffic()) return false;
     }
-    for (const auto& n : nics_) {
-      if (!n->idle()) return false;
+    for (const Nic& n : nics_) {
+      if (!n.idle()) return false;
     }
     return true;
   }
@@ -515,10 +566,10 @@ void MeshNetwork::deliver(const Segment& seg, FlitRef flit, Cycle now, bool from
     }
   }
   if (seg.ep.is_nic) {
-    nics_[static_cast<std::size_t>(seg.ep.node)]->accept_flit(flit, arrival);
+    nics_[static_cast<std::size_t>(seg.ep.node)].accept_flit(flit, arrival);
     activate_nic(seg.ep.node);
   } else {
-    routers_[static_cast<std::size_t>(seg.ep.node)]->accept_flit(seg.ep.in, flit, arrival);
+    routers_[static_cast<std::size_t>(seg.ep.node)].accept_flit(seg.ep.in, flit, arrival);
     activate_router(seg.ep.node);
   }
 }
@@ -564,9 +615,9 @@ void MeshNetwork::schedule_credit(const CreditPath& path, VcId vc, Cycle now) {
 
 void MeshNetwork::deliver_credit(const SegOrigin& target, VcId vc) {
   if (target.is_nic) {
-    nics_[static_cast<std::size_t>(target.node)]->credit_arrived(vc);
+    nics_[static_cast<std::size_t>(target.node)].credit_arrived(vc);
   } else {
-    routers_[static_cast<std::size_t>(target.node)]->credit_arrived(target.out, vc);
+    routers_[static_cast<std::size_t>(target.node)].credit_arrived(target.out, vc);
   }
 }
 
@@ -598,7 +649,7 @@ void MeshNetwork::apply_fault_action(const FaultAction& action) {
       // A stalled router keeps latching and streaming; only new switch
       // grants freeze. No activation needed: a router holding traffic is
       // already in the active set by invariant.
-      routers_[static_cast<std::size_t>(action.node)]->stall_until(action.until);
+      routers_[static_cast<std::size_t>(action.node)].stall_until(action.until);
       stats_.faults().router_stalls += 1;
       break;
   }
@@ -633,7 +684,7 @@ bool MeshNetwork::truncate_chain(NodeId start, Dir entry, LinkSet& changed) {
     p.credit_xbar[idx(in_dir)] = XbarSel{XbarSel::Kind::Off, Dir::Core};
     p.xbar[idx(*exit)] = XbarSel{XbarSel::Kind::FromRouter, Dir::Core};
     p.out_clocked[idx(*exit)] = true;
-    routers_[static_cast<std::size_t>(cur)]->set_output_enabled(*exit, true);
+    routers_[static_cast<std::size_t>(cur)].set_output_enabled(*exit, true);
     flipped = true;
     if (*exit == Dir::Core) break;  // was bypassing straight into this tile's NIC
     changed.insert({cur, dir_index(*exit)});
@@ -705,7 +756,7 @@ void MeshNetwork::arm_path(const RoutePath& path, LinkSet& changed) {
       presets_.at(cur).xbar[idx(d)] = XbarSel{XbarSel::Kind::FromRouter, Dir::Core};
     }
     presets_.at(cur).out_clocked[idx(d)] = true;
-    routers_[static_cast<std::size_t>(cur)]->set_output_enabled(d, true);
+    routers_[static_cast<std::size_t>(cur)].set_output_enabled(d, true);
     const NodeId nxt = dims.neighbor(cur, d);
     const Dir far = opposite(d);
     if (presets_.at(nxt).input_mux[idx(far)] == InputMux::Bypass) {
@@ -723,7 +774,7 @@ void MeshNetwork::arm_path(const RoutePath& path, LinkSet& changed) {
     presets_.at(cur).xbar[idx(Dir::Core)] = XbarSel{XbarSel::Kind::FromRouter, Dir::Core};
   }
   presets_.at(cur).out_clocked[idx(Dir::Core)] = true;
-  routers_[static_cast<std::size_t>(cur)]->set_output_enabled(Dir::Core, true);
+  routers_[static_cast<std::size_t>(cur)].set_output_enabled(Dir::Core, true);
 }
 
 bool MeshNetwork::reroute_flow(FlowId id, LinkSet& changed) {
@@ -747,8 +798,8 @@ bool MeshNetwork::reroute_flow(FlowId id, LinkSet& changed) {
   // sacrifices chains when that is the only way through.
   if (!try_route(structural_faults()) && !try_route(live_faults_)) return false;
   arm_path(flows_.at(id).path, changed);
-  nics_[static_cast<std::size_t>(src)]->rewrite_queued_routes(id, flow_local(id),
-                                                               flows_.at(id).route);
+  nics_[static_cast<std::size_t>(src)].rewrite_queued_routes(id, flow_local(id),
+                                                              flows_.at(id).route);
   stats_.faults().flows_rerouted += 1;
   return true;
 }
@@ -772,7 +823,7 @@ void MeshNetwork::purge_and_requeue(const std::vector<std::uint8_t>& affected) {
   };
   const NodeId nodes = cfg_.dims().nodes();
   for (NodeId n = 0; n < nodes; ++n) {
-    routers_[static_cast<std::size_t>(n)]->purge_flows(affected, [&](const FlitRef& f) {
+    routers_[static_cast<std::size_t>(n)].purge_flows(affected, [&](const FlitRef& f) {
       stats_.faults().flits_purged += 1;
       keep_or_release(f.slot);
     });
@@ -780,7 +831,7 @@ void MeshNetwork::purge_and_requeue(const std::vector<std::uint8_t>& affected) {
   for (NodeId n = 0; n < nodes; ++n) {
     // An affected active transmission cancels; its transmit reference
     // becomes the pin (or folds into an existing one).
-    nics_[static_cast<std::size_t>(n)]->purge_flows(affected, keep_or_release);
+    nics_[static_cast<std::size_t>(n)].purge_flows(affected, keep_or_release);
   }
   // Every recovered packet is dropped (flow degraded / retry budget spent)
   // or re-queued at the front of its source queue with exponential backoff.
@@ -801,7 +852,7 @@ void MeshNetwork::purge_and_requeue(const std::vector<std::uint8_t>& affected) {
       pkt.injected = 0;
       pkt.route = flows_.at(fl).route;  // pick up any online reroute
       const int shift = std::min(static_cast<int>(pkt.attempts) - 1, 10);
-      nics_[static_cast<std::size_t>(src)]->requeue_front(
+      nics_[static_cast<std::size_t>(src)].requeue_front(
           s, flow_local(fl), now_ + (cfg_.retry_backoff_cycles << shift));
       stats_.record_retransmit(fl);
       if (observer_ != nullptr) observer_->packet_retransmitted(fl, src, now_);
@@ -832,24 +883,24 @@ void MeshNetwork::rebuild_after_surgery() {
   const int vcs = cfg_.vcs_per_port;
   auto mark_endpoint = [&](const Endpoint& ep, std::array<bool, 16>& busy) {
     if (ep.is_nic) {
-      nics_[static_cast<std::size_t>(ep.node)]->mark_busy_receive_vcs(busy);
+      nics_[static_cast<std::size_t>(ep.node)].mark_busy_receive_vcs(busy);
     } else {
-      routers_[static_cast<std::size_t>(ep.node)]->mark_busy_input_vcs(ep.in, busy);
+      routers_[static_cast<std::size_t>(ep.node)].mark_busy_input_vcs(ep.in, busy);
     }
   };
   clocked_in_total_ = 0;
   clocked_out_total_ = 0;
   for (NodeId n = 0; n < dims.nodes(); ++n) {
-    Router& router = *routers_[static_cast<std::size_t>(n)];
+    Router& router = routers_[static_cast<std::size_t>(n)];
     // Surgery edits ports directly: re-derive the occupancy masks that
     // drive the phases and has_traffic() (the active-set rebuild below).
     router.rebuild_masks();
     std::array<bool, 16> nic_busy{};
     mark_endpoint(segments_.injection(n).ep, nic_busy);
-    if (const auto v = nics_[static_cast<std::size_t>(n)]->active_tx_vc()) {
+    if (const auto v = nics_[static_cast<std::size_t>(n)].active_tx_vc()) {
       nic_busy[static_cast<std::size_t>(*v)] = true;
     }
-    nics_[static_cast<std::size_t>(n)]->reset_source_credits(vcs, nic_busy);
+    nics_[static_cast<std::size_t>(n)].reset_source_credits(vcs, nic_busy);
     const RouterPreset& p = presets_.at(n);
     for (Dir o : kAllDirs) {
       const bool armed = p.xbar[idx(o)].kind == XbarSel::Kind::FromRouter;
@@ -882,8 +933,8 @@ void MeshNetwork::rebuild_after_surgery() {
     s.active_nics.clear();
   }
   for (NodeId n = 0; n < dims.nodes(); ++n) {
-    if (routers_[static_cast<std::size_t>(n)]->has_traffic()) activate_router(n);
-    if (!nics_[static_cast<std::size_t>(n)]->idle()) activate_nic(n);
+    if (routers_[static_cast<std::size_t>(n)].has_traffic()) activate_router(n);
+    if (!nics_[static_cast<std::size_t>(n)].idle()) activate_nic(n);
   }
 }
 
@@ -918,7 +969,7 @@ void MeshNetwork::apply_link_kill(NodeId node, Dir dir) {
     RouterPreset& px = presets_.at(x);
     px.xbar[idx(dx)] = XbarSel{XbarSel::Kind::Off, Dir::Core};
     px.out_clocked[idx(dx)] = false;
-    routers_[static_cast<std::size_t>(x)]->set_output_enabled(dx, false);
+    routers_[static_cast<std::size_t>(x)].set_output_enabled(dx, false);
     presets_.at(y).in_clocked[idx(opposite(dx))] = false;
     changed.insert({x, dir_index(dx)});
   }
@@ -948,7 +999,7 @@ void MeshNetwork::apply_link_kill(NodeId node, Dir dir) {
   // Degraded flows also flush their source queues (dropped, not stuck).
   for (FlowId id : newly_degraded) {
     const NodeId src = flows_.at(id).src;
-    nics_[static_cast<std::size_t>(src)]->drop_flow_queue(id, flow_local(id), [&](PacketSlot s) {
+    nics_[static_cast<std::size_t>(src)].drop_flow_queue(id, flow_local(id), [&](PacketSlot s) {
       stats_.record_drop(id);
       if (observer_ != nullptr) observer_->packet_dropped(id, src, now_);
       pool_.release(s);
@@ -978,7 +1029,7 @@ void MeshNetwork::apply_link_repair(NodeId node, Dir dir) {
     }
     presets_.at(x).xbar[idx(dx)] = XbarSel{XbarSel::Kind::FromRouter, Dir::Core};
     presets_.at(x).out_clocked[idx(dx)] = true;
-    routers_[static_cast<std::size_t>(x)]->set_output_enabled(dx, true);
+    routers_[static_cast<std::size_t>(x)].set_output_enabled(dx, true);
     presets_.at(y).in_clocked[idx(ey)] = true;
   }
   // Degraded flows whose destination is reachable again revive.
@@ -1006,11 +1057,11 @@ StallReport MeshNetwork::stall_report() const {
   const NodeId nodes = cfg_.dims().nodes();
   for (NodeId n = 0; n < nodes; ++n) {
     r.queued_packets +=
-        static_cast<std::uint64_t>(nics_[static_cast<std::size_t>(n)]->queued_packets());
+        static_cast<std::uint64_t>(nics_[static_cast<std::size_t>(n)].queued_packets());
     r.retry_waiting +=
-        static_cast<std::uint64_t>(nics_[static_cast<std::size_t>(n)]->retry_waiting(now_));
-    r.occupied_vcs += routers_[static_cast<std::size_t>(n)]->occupied_vcs();
-    if (routers_[static_cast<std::size_t>(n)]->has_traffic()) r.stuck_routers.push_back(n);
+        static_cast<std::uint64_t>(nics_[static_cast<std::size_t>(n)].retry_waiting(now_));
+    r.occupied_vcs += routers_[static_cast<std::size_t>(n)].occupied_vcs();
+    if (routers_[static_cast<std::size_t>(n)].has_traffic()) r.stuck_routers.push_back(n);
   }
   for (const std::uint8_t d : flow_degraded_) r.degraded_flows += d != 0 ? 1 : 0;
   for (const auto& link : live_faults_.links()) r.live_faults.push_back(link);

@@ -7,10 +7,23 @@
 //   * Mesh:    PresetTable::all_buffer + one extra cycle per link, i.e. the
 //              paper's baseline "3 cycles in router and 1 cycle in link".
 //
-// Per-cycle phase order (documented in DESIGN.md and pinned by timing
-// tests): credit delivery -> Buffer Write -> Switch Traversal -> Switch
-// Allocation -> NIC injection. A grant made in SA fires ST the *next*
-// cycle, giving the 3-stage pipeline its +3-per-stop cost.
+// Per-cycle phase order: credit delivery -> Buffer Write -> Switch
+// Traversal -> Switch Allocation -> NIC injection. A grant made in SA
+// fires ST the *next* cycle, giving the 3-stage pipeline its +3-per-stop
+// cost (pinned by test_noc_network_timing: 4n+5 cycles for an n-hop
+// baseline-mesh packet, 1 + 3 * stops for SMART).
+//
+// Cycle-ahead prefetch: run_phases turns what each stage learns into
+// loads for the next one. A router's decoded heads (buffer_write's mask)
+// warm its output ports, which SA reads, and the segment records and
+// credit paths, which ST reads. Its grants (switch_allocation's mask)
+// warm what the next cycle's ST writes: the endpoint router's masks and
+// staging ring, or the endpoint NIC and the packet's payload. Every phase
+// loop warms the first line of the component a few places ahead in its
+// active list. Prefetches change no state, so results are bit-identical
+// with or without them. Routers and NICs are stored by value, so these
+// addresses need no pointer load. Under shards a pass skips endpoints
+// another shard owns (that shard's thread is writing their lines).
 //
 // Scheduling: tick() is event-driven over *active sets*. Routers and NICs
 // join a membership-flagged dirty list when a flit or packet reaches them
@@ -67,8 +80,9 @@ class MeshNetwork final : public Network, private Fabric {
 
   MeshNetwork(const NocConfig& cfg, FlowSet flows, PresetTable presets, Options opt);
 
-  // Routers and NICs hold Fabric/stats back-pointers into this object:
-  // it must stay pinned in memory (hand out unique_ptrs, never move it).
+  // Routers and NICs hold Fabric/stats back-pointers into this object and
+  // live in its arrays: it must stay pinned in memory (hand out
+  // unique_ptrs, never move it).
   MeshNetwork(const MeshNetwork&) = delete;
   MeshNetwork& operator=(const MeshNetwork&) = delete;
   MeshNetwork(MeshNetwork&&) = delete;
@@ -85,8 +99,8 @@ class MeshNetwork final : public Network, private Fabric {
   const FlowSet& flows() const override { return flows_; }
 
   // --- Introspection (tests, benches, power) ----------------------------------
-  Router& router(NodeId n) { return *routers_.at(static_cast<std::size_t>(n)); }
-  Nic& nic(NodeId n) { return *nics_.at(static_cast<std::size_t>(n)); }
+  Router& router(NodeId n) { return routers_.at(static_cast<std::size_t>(n)); }
+  Nic& nic(NodeId n) { return nics_.at(static_cast<std::size_t>(n)); }
   const SegmentTable& segments() const { return segments_; }
   const PresetTable& presets() const { return presets_; }
   /// The structure-of-arrays packet store: live() == in-flight packets
@@ -195,6 +209,10 @@ class MeshNetwork final : public Network, private Fabric {
   /// inline so each caller compiles its own copy against its own activity
   /// target: the single-shard hot path stays free of any shard machinery.
   [[gnu::always_inline]] inline void run_phases(ShardState& s, ActivityCounters& act);
+  /// Prefetches what next cycle's ST out of router `n`'s `granted` outputs
+  /// writes: the endpoint router's masks and staging ring, or the endpoint
+  /// NIC and the packet's payload. Skips endpoints another shard owns.
+  void prefetch_endpoints(const ShardState& s, NodeId n, unsigned granted) const;
 
   // --- Sharded kernel (shard.hpp documents the protocol) -----------------------
   /// (Re)partitions the mesh into `count` column-slice shards and rewires
@@ -271,8 +289,8 @@ class MeshNetwork final : public Network, private Fabric {
   SegmentTable segments_;
   NetworkStats stats_;
   PacketPool pool_;  ///< cold payload store; routers/NICs hold pointers
-  std::vector<std::unique_ptr<Router>> routers_;
-  std::vector<std::unique_ptr<Nic>> nics_;
+  std::vector<Router> routers_;  ///< by NodeId; never reallocated after construction
+  std::vector<Nic> nics_;        ///< by NodeId; never reallocated after construction
   /// The kernel state always lives in shards (size >= 1): shard 0 holds
   /// everything in single-shard mode, so both kernels run one algorithm.
   std::vector<ShardState> shards_;

@@ -6,7 +6,7 @@ namespace smartnoc::noc {
 
 Nic::Nic(NodeId node, const NocConfig& cfg, Fabric* fabric, NetworkStats* stats,
          PacketPool* pool)
-    : node_(node), cfg_(&cfg), fabric_(fabric), stats_(stats), pool_(pool) {
+    : node_(node), vcs_per_port_(cfg.vcs_per_port), fabric_(fabric), stats_(stats), pool_(pool) {
   SMARTNOC_CHECK(fabric_ != nullptr && stats_ != nullptr && pool_ != nullptr,
                  "NIC needs fabric, stats and the packet pool");
 }
@@ -165,9 +165,14 @@ void Nic::accept_flit(const FlitRef& flit, Cycle now) {
     assembling_.push_back(Assembly{flit.slot, 0, 0, flit.vc});
     a = &assembling_.back();
   }
-  if (is_head(flit.type)) a->head_arrival = now;
+  if (is_head(flit.type)) {
+    a->head_arrival = now;
+    // The tail (flits_per_packet - 1 cycles on) updates the flow's stats
+    // row; under shards the epilogue does, serially.
+    if (sink_ == nullptr) stats_->prefetch_flow(pkt.flow);
+  }
   a->flits += 1;
-  SMARTNOC_CHECK(static_cast<int>(assembling_.size()) <= cfg_->vcs_per_port,
+  SMARTNOC_CHECK(static_cast<int>(assembling_.size()) <= vcs_per_port_,
                  "more packets in reassembly than receive VCs");
   if (is_tail(flit.type)) {
     // Completed packet: under shards the stats write is deferred with every
@@ -192,7 +197,7 @@ void Nic::accept_flit(const FlitRef& flit, Cycle now) {
 }
 
 void Nic::credit_arrived(VcId vc) {
-  SMARTNOC_CHECK(free_vcs_.size() < cfg_->vcs_per_port, "NIC credit overflow");
+  SMARTNOC_CHECK(free_vcs_.size() < vcs_per_port_, "NIC credit overflow");
   free_vcs_.push_back(vc);
 }
 

@@ -27,6 +27,11 @@
 // 16-byte FlitRefs, and reassembly is a small linear-scanned vector bounded
 // by the VC count. A running queued-packet counter makes idle() O(1) for
 // the network's active-set scheduler and drain check.
+//
+// NICs are stored by value in the network's array. The first cache line
+// holds everything accept_flit reads, so prefetch_arrival() - issued when
+// a router is granted an output whose segment ends here - warms the whole
+// sink side one cycle before the flit arrives.
 #pragma once
 
 #include <array>
@@ -48,7 +53,7 @@
 
 namespace smartnoc::noc {
 
-class Nic {
+class alignas(64) Nic {
  public:
   Nic(NodeId node, const NocConfig& cfg, Fabric* fabric, NetworkStats* stats, PacketPool* pool);
 
@@ -74,8 +79,17 @@ class Nic {
   void inject(Cycle now, ActivityCounters& act);
 
   /// Sink side: a flit delivered by the fabric (end of cycle `now`).
-  /// Consumes the flit's pool reference.
+  /// Consumes the flit's pool reference. A head flit prefetches its flow's
+  /// stats row, which the tail writes.
   void accept_flit(const FlitRef& flit, Cycle now);
+
+  /// Starts loading the line accept_flit reads first (no state change).
+  void prefetch_arrival() const { __builtin_prefetch(this, 1); }
+  /// Starts loading the two lines inject() and idle() read every cycle.
+  void prefetch_hot() const {
+    __builtin_prefetch(this);
+    __builtin_prefetch(&active_);
+  }
 
   /// Source-side credit return (a packet left the endpoint buffers).
   void credit_arrived(VcId vc);
@@ -162,26 +176,28 @@ class Nic {
     VcId vc = kInvalidVc;  ///< receive VC (busy until tail; fault recompute)
   };
 
+  // The first cache line: the sink side (accept_flit).
   NodeId node_;
-  const NocConfig* cfg_;
+  int vcs_per_port_;
   Fabric* fabric_;
   NetworkStats* stats_;
   PacketPool* pool_;
   ShardSink* sink_ = nullptr;  ///< non-null only under the sharded protocol
+  std::vector<Assembly> assembling_;   ///< in-progress packets (<= #VCs entries)
+
+  // The second line: what inject() and idle() read every cycle.
+  std::optional<ActiveTx> active_;
+  int queued_total_ = 0;               ///< packets across all local queues
+  VcQueue free_vcs_;
+  bool reference_scan_ = false;        ///< linear-scan flow selection
+  std::size_t rr_next_ = 0;            ///< round-robin over local_flows_
+  // Flow selection, read when a packet starts.
+  std::vector<LocalFlow> local_flows_;  ///< flows sourced at this NIC
+  std::vector<std::size_t> nonempty_;  ///< sorted local flows with queued packets
 
   /// The local flow at `local`, checked to be `flow` (`what` on mismatch:
   /// an unregistered flow or a packet at the wrong NIC).
   LocalFlow& local_flow(FlowId flow, std::int32_t local, const char* what);
-
-  std::vector<LocalFlow> local_flows_;  ///< flows sourced at this NIC
-  std::vector<std::size_t> nonempty_;  ///< sorted local flows with queued packets
-  std::size_t rr_next_ = 0;            ///< round-robin over local_flows_
-  int queued_total_ = 0;               ///< packets across all local queues
-  bool reference_scan_ = false;        ///< linear-scan flow selection
-  VcQueue free_vcs_;
-  std::optional<ActiveTx> active_;
-
-  std::vector<Assembly> assembling_;   ///< in-progress packets (<= #VCs entries)
 };
 
 }  // namespace smartnoc::noc

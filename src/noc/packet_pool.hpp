@@ -80,6 +80,13 @@ class PacketPool {
     return slots_[s];
   }
 
+  /// Starts loading slot `s`'s payload and refcount (no-op when out of range).
+  void prefetch(PacketSlot s) const {
+    if (s >= slots_.size()) return;
+    __builtin_prefetch(&slots_[s]);
+    __builtin_prefetch(&refs_[s]);
+  }
+
   /// One more flit of this packet is in flight.
   void add_ref(PacketSlot s) {
     SMARTNOC_CHECK(s < refs_.size() && refs_[s] > 0, "add_ref on a dead slot");

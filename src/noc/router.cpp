@@ -20,11 +20,13 @@ unsigned port_bit(Dir d) { return 1u << dir_index(d); }
 }  // namespace
 
 Router::Router(NodeId id, const NocConfig& cfg, Fabric* fabric, const PacketPool* pool)
-    : id_(id),
+    : vcs_(kNumDirs * cfg.vcs_per_port, cfg.vc_depth_flits),
+      id_(id),
       vcs_per_port_(cfg.vcs_per_port),
       fabric_(fabric),
-      pool_(pool),
-      vcs_(kNumDirs * cfg.vcs_per_port, cfg.vc_depth_flits) {
+      pool_(pool) {
+  static_assert(sizeof(Masks) + sizeof(VcBlock) + 2 * sizeof(int) <= 64,
+                "masks, VC block, id and vcs_per_port must share the first cache line");
   SMARTNOC_CHECK(fabric_ != nullptr && pool_ != nullptr, "router needs a fabric and a pool");
   SMARTNOC_CHECK(kNumDirs * vcs_per_port_ <= kMaxArbInputs,
                  "vcs_per_port exceeds the switch-allocation mask width");
@@ -42,11 +44,20 @@ void Router::enable_output(Dir o, int vcs) {
 
 void Router::accept_flit(Dir in_dir, FlitRef flit, Cycle arrival) {
   InputPort& ip = in(in_dir);
-  SMARTNOC_CHECK(ip.staging_count < 2, "more than one flit in flight per input port");
+  SMARTNOC_CHECK(ip.staging_count < 2,
+                 "staging ring overflow: an input holds at most two staged flits "
+                 "(one on the wire, one awaiting BW)");
   ip.staging[static_cast<std::size_t>((ip.staging_head + ip.staging_count) & 1)] =
       StagedFlit{flit, arrival};
   ip.staging_count += 1;
   masks_.staged |= port_bit(in_dir);
+  // A head lands in a freed VC at slot 0: warm that VC's header and slots,
+  // which Buffer Write fills from next cycle on. (BW rejects an invalid
+  // VC id.)
+  if (is_head(flit.type) &&
+      static_cast<unsigned>(flit.vc) < static_cast<unsigned>(vcs_per_port_)) {
+    vcs_.prefetch_head_push(vc_index(in_dir, flit.vc));
+  }
 }
 
 void Router::credit_arrived(Dir out_dir, VcId vc) {
@@ -57,7 +68,8 @@ void Router::credit_arrived(Dir out_dir, VcId vc) {
   op.free_vcs.push_back(vc);
 }
 
-void Router::buffer_write(Cycle now, ActivityCounters& act) {
+Router::Decoded Router::buffer_write(Cycle now, ActivityCounters& act) {
+  Decoded decoded;
   for_each_port(masks_.staged, [&](int d) {
     InputPort& ip = inputs_[static_cast<std::size_t>(d)];
     // FIFO drain: per-port wire delay is constant, so arrivals are ordered
@@ -78,8 +90,11 @@ void Router::buffer_write(Cycle now, ActivityCounters& act) {
                        "head flit arriving into a busy VC: upstream flow control broke");
         // Decode this router's 2-bit route entry relative to the arrival
         // port - the one cold-payload read of the whole pipeline.
-        vc.set_request(pool_->at(f.slot).route.output_at(f.hop_index, in_dir), f.slot);
+        const Dir o = pool_->at(f.slot).route.output_at(f.hop_index, in_dir);
+        vc.set_request(o, f.slot);
         masks_.pending.set(b);
+        decoded.ins |= 1u << d;
+        decoded.outs |= port_bit(o);
       } else {
         SMARTNOC_CHECK(vc.has_request(), "body flit with no open packet on its VC");
       }
@@ -89,6 +104,7 @@ void Router::buffer_write(Cycle now, ActivityCounters& act) {
     }
     if (ip.staging_count == 0) masks_.staged &= ~(1u << d);
   });
+  return decoded;
 }
 
 void Router::switch_traversal(Cycle now, ActivityCounters& act) {
@@ -117,9 +133,9 @@ void Router::switch_traversal(Cycle now, ActivityCounters& act) {
   });
 }
 
-void Router::switch_allocation(Cycle now, ActivityCounters& act) {
-  if (masks_.pending.none()) return;
-  if (stall_until_ != 0 && now <= stall_until_) return;  // RouterStall fault
+unsigned Router::switch_allocation(Cycle now, ActivityCounters& act) {
+  if (masks_.pending.none()) return 0;
+  if (stall_until_ != 0 && now <= stall_until_) return 0;  // RouterStall fault
   // Requests come from pending heads on unlocked inputs; a VC is read only
   // for a set bit. `locked` is the one input that changes during SA: a
   // grant at an earlier output hides that whole input port from later
@@ -138,6 +154,7 @@ void Router::switch_allocation(Cycle now, ActivityCounters& act) {
   }
   // Fixed output order keeps allocation deterministic; per-output round-
   // robin over (input, vc) provides fairness (pinned by tests).
+  unsigned granted = 0;
   for_each_port(requested, [&](int oi) {
     OutputPort& op = outputs_[static_cast<std::size_t>(oi)];
     if (!op.enabled || op.hold.has_value() || op.free_vcs.empty()) return;
@@ -154,7 +171,9 @@ void Router::switch_allocation(Cycle now, ActivityCounters& act) {
     masks_.pending.reset(*winner);
     act.alloc_grants += 1;
     masked.set_range(win_in * vcs_per_port_, vcs_per_port_);
+    granted |= 1u << oi;
   });
+  return granted;
 }
 
 Router::Masks Router::derive_masks() const {
@@ -224,7 +243,8 @@ int Router::purge_flows(const std::vector<std::uint8_t>& affected,
   }
   // 2) VC contents and open requests. The owner field identifies mid-stream
   //    VCs (momentarily empty, body still upstream) as well as full ones.
-  for (VcBuffer& vc : vcs_) {
+  for (int b = 0; b < vcs_.size(); ++b) {
+    VcBuffer& vc = vcs_[b];
     const PacketSlot owner = vc.owner();
     if (owner == kInvalidSlot || !hit(owner)) continue;
     while (!vc.empty()) {
@@ -258,7 +278,7 @@ int Router::purge_flows(const std::vector<std::uint8_t>& affected,
 
 int Router::occupied_vcs() const {
   int n = 0;
-  for (const VcBuffer& vc : vcs_) n += vc.empty() ? 0 : 1;
+  for (int b = 0; b < vcs_.size(); ++b) n += vcs_[b].empty() ? 0 : 1;
   return n;
 }
 

@@ -34,6 +34,16 @@
 // Flits move as 16-byte FlitRefs (structure-of-arrays split): BW, SA and
 // ST never touch the cold payload; the only pool access is the head-flit
 // route decode at Buffer Write, resolved through the network's PacketPool.
+//
+// Cycle-ahead prefetch: each stage knows one simulated cycle early which
+// lines the next stage reads. accept_flit warms the VC lines a head
+// flit's Buffer Write fills next cycle; buffer_write and
+// switch_allocation return the ports they decoded and granted, from which
+// the network warms the output port, segment, credit path and endpoint
+// lines (prefetch_arrival) that SA and ST touch. Routers are stored by
+// value in one array, so the hot first line - masks, VC block, id - is at
+// a fixed address the network can prefetch a few routers ahead of each
+// phase.
 #pragma once
 
 #include <array>
@@ -51,16 +61,47 @@
 
 namespace smartnoc::noc {
 
-class Router {
+class alignas(64) Router {
  public:
   Router(NodeId id, const NocConfig& cfg, Fabric* fabric, const PacketPool* pool);
 
   NodeId id() const { return id_; }
 
   // --- Per-cycle pipeline phases, called by the network in this order ------
-  void buffer_write(Cycle now, ActivityCounters& act);
+  /// Ports of the head flits Buffer Write decoded this cycle (bit
+  /// dir_index): the inputs they arrived on and the outputs they request.
+  struct Decoded {
+    unsigned ins = 0;
+    unsigned outs = 0;
+  };
+  Decoded buffer_write(Cycle now, ActivityCounters& act);
   void switch_traversal(Cycle now, ActivityCounters& act);
-  void switch_allocation(Cycle now, ActivityCounters& act);
+  /// Returns the outputs granted this cycle (bit dir_index).
+  unsigned switch_allocation(Cycle now, ActivityCounters& act);
+  /// Whether a phase has anything to visit: the network skips the call
+  /// (and its prologue) for an active router with an empty mask.
+  bool has_staged() const { return masks_.staged != 0; }
+  bool has_holds() const { return masks_.holds != 0; }
+  bool has_pending() const { return !masks_.pending.none(); }
+
+  // --- Prefetch hooks (no state changes) --------------------------------------
+  /// Starts loading the first line every phase reads (masks, VC block, id).
+  void prefetch_hot() const { __builtin_prefetch(this); }
+  /// Starts loading what accept_flit on input `in` writes: the masks and
+  /// that input's staging ring.
+  void prefetch_arrival(Dir in_dir) const {
+    __builtin_prefetch(this, 1);
+    prefetch_for_write(&in(in_dir));
+  }
+  /// Starts loading output `o`'s port state, which switch allocation reads
+  /// and writes next cycle after a head decoded to `o`.
+  void prefetch_output(Dir o) const { prefetch_for_write(&out(o)); }
+  /// The packet a live switch hold on `o` streams (kInvalidSlot if none).
+  PacketSlot held_packet(Dir o) const {
+    const OutputPort& op = out(o);
+    if (!op.hold.has_value()) return kInvalidSlot;
+    return vcs_[vc_index(op.hold->in, op.hold->in_vc)].owner();
+  }
 
   // --- Fabric-facing ---------------------------------------------------------
   /// Latch an arriving flit (end of `arrival` cycle) into the staging
@@ -155,10 +196,10 @@ class Router {
   /// Bit d of the port masks is dir_index(d); bit vc_index(in, v) of
   /// `pending` is that input VC.
   struct Masks {
+    ArbMask pending;       ///< buffered heads not yet granted
     unsigned staged = 0;   ///< inputs with a staged flit
     unsigned holds = 0;    ///< outputs with a live switch hold
     unsigned locked = 0;   ///< inputs streaming a granted packet
-    ArbMask pending;       ///< buffered heads not yet granted
     int buffered = 0;      ///< flits in all input VCs
 
     friend bool operator==(const Masks&, const Masks&) = default;
@@ -168,19 +209,28 @@ class Router {
   OutputPort& out(Dir d) { return outputs_[static_cast<std::size_t>(dir_index(d))]; }
   const InputPort& in(Dir d) const { return inputs_[static_cast<std::size_t>(dir_index(d))]; }
   const OutputPort& out(Dir d) const { return outputs_[static_cast<std::size_t>(dir_index(d))]; }
+  /// Prefetches both ends of *p for writing (a port record may straddle
+  /// two lines).
+  template <typename T>
+  static void prefetch_for_write(const T* p) {
+    __builtin_prefetch(p, 1);
+    __builtin_prefetch(reinterpret_cast<const char*>(p + 1) - 1, 1);
+  }
   /// Mask bit / block index of (input, vc).
   int vc_index(Dir in_dir, VcId v) const { return dir_index(in_dir) * vcs_per_port_ + v; }
   Masks derive_masks() const;
 
+  // The first cache line holds what every phase and accept_flit read:
+  // the masks, the VC block and the VC index stride.
+  Masks masks_;
+  VcBlock vcs_;  ///< every input VC, input-major (index vc_index)
   NodeId id_;
   int vcs_per_port_;
   Fabric* fabric_;
   const PacketPool* pool_;  ///< route decode at BW (the one payload read)
-  Masks masks_;
   Cycle stall_until_ = 0;  ///< switch allocation frozen through this cycle
   std::array<InputPort, kNumDirs> inputs_;
   std::array<OutputPort, kNumDirs> outputs_;
-  VcBlock vcs_;  ///< every input VC, input-major (index vc_index)
 };
 
 }  // namespace smartnoc::noc

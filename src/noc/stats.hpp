@@ -125,6 +125,13 @@ class NetworkStats {
   /// anything a drained 4x4 run produces).
   static constexpr std::size_t kMaxLatencyBucket = 4096;
 
+  /// Starts loading the row record_packet(flow, ...) updates (a no-op for
+  /// a flow with no row yet).
+  void prefetch_flow(FlowId flow) const {
+    const auto idx = static_cast<std::size_t>(flow);
+    if (idx < flows_.size()) __builtin_prefetch(&flows_[idx], 1);
+  }
+
   void record_packet(FlowId flow, int flits, Cycle created, Cycle injected, Cycle head_arrival,
                      Cycle tail_arrival) {
     const auto idx = static_cast<std::size_t>(flow);

@@ -16,7 +16,13 @@
 //
 // Both (a) and (b) are pure functions of the routed flows; (c) adds stops
 // by walking each flow. All flows sharing a link share its entire segment
-// history (proved in DESIGN.md), so per-input marks are consistent.
+// history, so per-input marks are consistent. Induction along the link's
+// upstream router r: if the flows on the link enter r through a bypassed
+// input, (a) and (b) make that input their only feeder, so the incoming
+// link carries exactly the same flows (same history, one more hop); if
+// they come from buffered inputs of r, every one of them restarts its
+// segment at r. Either way the links crossed since the last latch point
+// are a property of the link, not of the flow.
 //
 // The credit crossbar is the transpose of the forward bypass crosspoints,
 // which is exactly how the paper's reverse credit mesh retraces forward

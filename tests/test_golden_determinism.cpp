@@ -7,6 +7,7 @@
 // had work, a credit delivered a cycle early or late) shows up here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "noc/fault_engine.hpp"
 #include "noc/faults.hpp"
 #include "noc/network.hpp"
+#include "noc/routing.hpp"
 #include "noc/traffic.hpp"
 #include "sim/runner.hpp"
 #include "smart/smart_network.hpp"
@@ -339,6 +341,73 @@ INSTANTIATE_TEST_SUITE_P(Matrix, GoldenShards, ::testing::ValuesIn(shard_matrix(
                            }
                            return n;
                          });
+
+// --- Mid-size mesh with long active lists ------------------------------------
+// A 24x24 SMART mesh under the kernel benchmark's traffic shape: every node
+// sends to four seeded destinations within Manhattan radius 4, 0.03
+// flits/node/cycle in total. Hundreds of routers are active each cycle, so
+// the phase loops' look-ahead prefetches run well inside their bounds and
+// at the list ends; the active-set, reference and 2-shard kernels must
+// still agree exactly.
+
+noc::FlowSet local_radius_flows(const NocConfig& cfg) {
+  constexpr int kRadius = 4;
+  constexpr int kFlowsPerNode = 4;
+  const MeshDims dims = cfg.dims();
+  const double pkts_per_flow_cycle = 0.03 / cfg.flits_per_packet() / kFlowsPerNode;
+  noc::FlowSet out;
+  for (NodeId s = 0; s < dims.nodes(); ++s) {
+    Xoshiro256 rng = make_stream(cfg.seed, 0x10CA1ULL + static_cast<std::uint64_t>(s));
+    const Coord c = dims.coord(s);
+    const int lo_x = std::max(0, c.x - kRadius), hi_x = std::min(dims.width() - 1, c.x + kRadius);
+    const int lo_y = std::max(0, c.y - kRadius), hi_y = std::min(dims.height() - 1, c.y + kRadius);
+    for (int f = 0; f < kFlowsPerNode; ++f) {
+      Coord d = c;
+      while (d.x == c.x && d.y == c.y) {
+        d.x = lo_x + static_cast<int>(rng.below(static_cast<std::uint64_t>(hi_x - lo_x + 1)));
+        d.y = lo_y + static_cast<int>(rng.below(static_cast<std::uint64_t>(hi_y - lo_y + 1)));
+      }
+      const NodeId dst = dims.id(d);
+      out.add(s, dst, noc::mbps_for_packets_per_cycle(cfg, pkts_per_flow_cycle),
+              noc::xy_path(dims, s, dst));
+    }
+  }
+  return out;
+}
+
+enum class Kernel { ActiveSet, Reference, TwoShards };
+
+sim::RunResult run_local_24x24(Kernel kernel, noc::NetworkStats* final_stats) {
+  NocConfig cfg = matrix_config();
+  cfg.width = 24;
+  cfg.height = 24;
+  cfg.measure_cycles = 3000;
+  cfg.shard_threads = kernel == Kernel::TwoShards ? 2 : 1;
+  cfg.fit_derived();
+  cfg.validate();
+  auto net = std::move(smart::make_smart_network(cfg, local_radius_flows(cfg)).net);
+  if (kernel == Kernel::Reference) net->use_reference_kernel(true);
+  EXPECT_EQ(net->shard_count(), cfg.shard_threads);
+  sim::BernoulliWorkload traffic(cfg, net->flows(), cfg.seed);
+  const sim::RunResult res = sim::run_simulation(*net, traffic, cfg);
+  *final_stats = net->stats();
+  EXPECT_EQ(net->packet_pool().live(), 0u);
+  return res;
+}
+
+TEST(GoldenMidSize, LocalTraffic24x24MatchesAcrossKernels) {
+  noc::NetworkStats stats_active, stats_reference, stats_sharded;
+  const sim::RunResult active = run_local_24x24(Kernel::ActiveSet, &stats_active);
+  const sim::RunResult reference = run_local_24x24(Kernel::Reference, &stats_reference);
+  const sim::RunResult sharded = run_local_24x24(Kernel::TwoShards, &stats_sharded);
+  ASSERT_TRUE(reference.ok) << reference.error;
+  ASSERT_TRUE(reference.drained);
+  EXPECT_GT(reference.packets_delivered, 1000u);
+  expect_identical_results(active, reference, "24x24/active-vs-reference");
+  expect_identical_flow_stats(stats_active, stats_reference, "24x24/active-vs-reference");
+  expect_identical_results(sharded, active, "24x24/shards2-vs-active");
+  expect_identical_flow_stats(stats_sharded, stats_active, "24x24/shards2-vs-active");
+}
 
 // The O(1) drain check must agree with a from-scratch component scan at
 // every step of a drain, not just at the end (the invariant the active-set

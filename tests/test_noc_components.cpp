@@ -76,6 +76,48 @@ TEST(VcBufferTest, BlockKeepsVcsApartAndSurvivesMoves) {
   }
 }
 
+// Router::accept_flit prefetches head_push_target for a head flit's VC a
+// cycle before Buffer Write pushes it. A wrong target costs only speed, so
+// no golden test would notice: pin it here for every (input, VC) of a
+// Table II router block (5 ports x 2 VCs x 10 flits), across packets whose
+// lengths leave the ring at different positions.
+TEST(VcBufferTest, HeadPushTargetIsWhereTheNextHeadLands) {
+  constexpr int kPorts = 5, kVcs = 2, kDepth = 10;
+  VcBlock block(kPorts * kVcs, kDepth);
+  for (int in = 0; in < kPorts; ++in) {
+    for (int v = 0; v < kVcs; ++v) {
+      const int b = in * kVcs + v;  // Router::vc_index(in, v)
+      VcBuffer& vc = block[b];
+      for (int pkt = 0; pkt < 4; ++pkt) {
+        const VcBlock::PushTarget t = block.head_push_target(b);
+        EXPECT_EQ(t.header, &vc) << "vc " << b;
+        ASSERT_TRUE(vc.empty());
+        FlitRef head;
+        head.seq = static_cast<std::uint8_t>(b);
+        vc.set_request(Dir::East, static_cast<PacketSlot>(pkt));
+        vc.push(head);
+        EXPECT_EQ(&vc.front(), t.slot) << "vc " << b << " packet " << pkt;
+        // Stream a body of 2..8 flits, popping as it goes (cut-through),
+        // then free the VC as the tail's Switch Traversal does.
+        const int len = 3 + (b + 3 * pkt) % 7;
+        for (int k = 1; k < len; ++k) {
+          vc.push(FlitRef{});
+          if (k % 2 == 0) vc.pop();
+        }
+        while (!vc.empty()) vc.pop();
+        vc.clear_request();
+      }
+    }
+  }
+  // Each VC's ring follows its header and ends before the next VC's.
+  for (int b = 0; b + 1 < block.size(); ++b) {
+    const VcBlock::PushTarget t = block.head_push_target(b);
+    EXPECT_EQ(static_cast<const void*>(t.slot), static_cast<const void*>(t.header + 1));
+    EXPECT_LE(static_cast<const void*>(t.slot + kDepth),
+              static_cast<const void*>(block.head_push_target(b + 1).header));
+  }
+}
+
 TEST(ArbiterTest, GrantsOnlyRequesters) {
   RoundRobinArbiter arb(4);
   const ArbMask req = mask_of({1, 3});
