@@ -10,10 +10,13 @@
 #pragma once
 
 #include <bit>
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace smartnoc {
 
@@ -42,10 +45,18 @@ class Fnv1a64 {
   std::uint64_t state_;
 };
 
-inline std::uint64_t fnv1a64(const std::string& bytes, std::uint64_t salt = 0) {
+inline std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t salt = 0) {
   Fnv1a64 h(salt);
   h.update(bytes.data(), bytes.size());
   return h.digest();
+}
+
+/// Parses exactly 16 hex digits (either case) into `v`; false on anything
+/// else (wrong length, a sign, a prefix, a non-hex byte).
+inline bool parse_hex64(std::string_view s, std::uint64_t& v) {
+  if (s.size() != 16) return false;
+  const auto res = std::from_chars(s.data(), s.data() + s.size(), v, 16);
+  return res.ec == std::errc() && res.ptr == s.data() + s.size();
 }
 
 /// A 128-bit content hash: two independently salted FNV-1a lanes over the
@@ -54,6 +65,16 @@ inline std::uint64_t fnv1a64(const std::string& bytes, std::uint64_t salt = 0) {
 struct Hash128 {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
+
+  /// The inverse of hex(): 32 hex digits, hi lane first.
+  static std::optional<Hash128> from_hex(std::string_view s) {
+    Hash128 h;
+    if (s.size() != 32 || !parse_hex64(s.substr(0, 16), h.hi) ||
+        !parse_hex64(s.substr(16), h.lo)) {
+      return std::nullopt;
+    }
+    return h;
+  }
 
   /// 32 lowercase hex characters, hi lane first (the on-disk key form).
   std::string hex() const {
@@ -70,8 +91,18 @@ struct Hash128 {
 /// mixer); pinned by the golden vectors like everything else here.
 inline constexpr std::uint64_t kHash128LoSalt = 0x9e3779b97f4a7c15ULL;
 
-inline Hash128 hash128(const std::string& bytes) {
-  return Hash128{fnv1a64(bytes, 0), fnv1a64(bytes, kHash128LoSalt)};
+/// Equal to {fnv1a64(bytes, 0), fnv1a64(bytes, kHash128LoSalt)}, computed
+/// in one pass: the two lanes are independent multiply chains, so they
+/// overlap in the pipeline instead of running back to back.
+inline Hash128 hash128(std::string_view bytes) {
+  std::uint64_t hi = Fnv1a64::kOffset;
+  std::uint64_t lo = Fnv1a64::kOffset ^ kHash128LoSalt;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    hi = (hi ^ b) * Fnv1a64::kPrime;
+    lo = (lo ^ b) * Fnv1a64::kPrime;
+  }
+  return Hash128{hi, lo};
 }
 
 /// Appends typed values to a byte string in a fixed, platform-independent

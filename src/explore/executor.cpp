@@ -140,39 +140,6 @@ void Executor::for_each(std::size_t n, const std::function<void(std::size_t)>& j
         .inc();
   }
 
-  if (workers == 1) {
-    // Degenerate case runs inline: no threads, identical results by the
-    // determinism contract, and the bench's 1-thread baseline has zero
-    // scheduling overhead.
-    if (!instr) {
-      for (std::size_t i = 0; i < n; ++i) job(i);
-      return;
-    }
-    t_current_worker = 0;
-    const auto loop_start = std::chrono::steady_clock::now();
-    WorkerTally tally;
-    try {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t t0 = tracer ? tracer->now_us() : 0;
-        const auto b0 = std::chrono::steady_clock::now();
-        job(i);
-        tally.busy_seconds += seconds_since(b0);
-        ++tally.tasks;
-        if (tracer) {
-          tracer->span(0, span_category_, strf("%s %zu", span_category_.c_str(), i), t0,
-                       tracer->now_us());
-        }
-      }
-    } catch (...) {
-      tally.flush(instruments[0], seconds_since(loop_start));
-      t_current_worker = -1;
-      throw;
-    }
-    tally.flush(instruments[0], seconds_since(loop_start));
-    t_current_worker = -1;
-    return;
-  }
-
   std::vector<WorkDeque> deques(static_cast<std::size_t>(workers));
   // Round-robin seeding interleaves the matrix across workers, so
   // neighbouring (similarly expensive) points land on different threads.
@@ -184,12 +151,17 @@ void Executor::for_each(std::size_t n, const std::function<void(std::size_t)>& j
   std::once_flag error_once;
 
   auto worker_loop = [&](int w) {
+    const int outer_lane = t_current_worker;
     t_current_worker = w;
     const auto loop_start = std::chrono::steady_clock::now();
     WorkerTally tally;
     WorkDeque& own = deques[static_cast<std::size_t>(w)];
 
     auto run_one = [&](std::size_t i) {
+      if (!instr) {
+        job(i);
+        return;
+      }
       const std::uint64_t t0 = tracer ? tracer->now_us() : 0;
       const auto b0 = std::chrono::steady_clock::now();
       job(i);
@@ -234,12 +206,17 @@ void Executor::for_each(std::size_t n, const std::function<void(std::size_t)>& j
       std::call_once(error_once, [&] { first_error = std::current_exception(); });
     }
     if (instr) tally.flush(instruments[static_cast<std::size_t>(w)], seconds_since(loop_start));
-    t_current_worker = -1;
+    t_current_worker = outer_lane;
   };
 
+  // The calling thread is worker 0 (as in ShardRuntime, whose constructing
+  // thread is participant 0) instead of idling in join: `workers` lanes
+  // cost workers-1 spawns, and a single worker spawns nothing. worker_loop
+  // catches every job exception, so the caller always reaches the joins.
   std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) pool.emplace_back(worker_loop, w);
+  pool.reserve(static_cast<std::size_t>(workers - 1));
+  for (int w = 1; w < workers; ++w) pool.emplace_back(worker_loop, w);
+  worker_loop(0);
   for (auto& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
 }

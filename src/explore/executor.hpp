@@ -45,14 +45,15 @@ class Executor {
   void set_tracer(obs::SpanTracer* tracer, std::string span_category = "task");
 
   /// Runs job(i) for every i in [0, n) across the workers and returns when
-  /// all are done. Worker threads are spawned per call (their cost is noise
-  /// next to one simulation). If any job throws, the first exception is
-  /// rethrown here after all workers finish.
+  /// all are done. The calling thread runs as worker 0 and workers-1
+  /// threads are spawned per call (their cost is noise next to one
+  /// simulation). If any job throws, the first exception is rethrown here
+  /// after all workers finish.
   void for_each(std::size_t n, const std::function<void(std::size_t)>& job) const;
 
   /// Lane of the calling thread inside a for_each (0-based), or -1 outside.
-  /// The single-worker inline path reports lane 0, so callers attributing
-  /// work per worker (spans, serve metrics) behave identically at any width.
+  /// Jobs on the caller's own lane see 0, at any width, and the caller
+  /// reads its previous value (-1 at top level) again once for_each returns.
   static int current_worker();
 
   /// Process-wide switch for the executor's metrics + span recording.

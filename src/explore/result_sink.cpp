@@ -263,7 +263,7 @@ std::string ResultTable::to_json() const {
   return out;
 }
 
-RunRecord record_from_json(const std::string& json) {
+RunRecord record_from_json(std::string_view json) {
   FlatJsonReader rd(json);
   return read_record_object(rd);
 }

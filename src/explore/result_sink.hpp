@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace smartnoc::explore {
@@ -109,6 +110,6 @@ class ResultTable {
 /// same functions, so the formats cannot drift apart). Round-trip is
 /// bit-exact for every field, doubles included.
 std::string record_to_json(const RunRecord& rec);
-RunRecord record_from_json(const std::string& json);
+RunRecord record_from_json(std::string_view json);
 
 }  // namespace smartnoc::explore

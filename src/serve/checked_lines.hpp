@@ -11,9 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -21,49 +22,72 @@
 
 namespace smartnoc::serve {
 
+/// One verified line: views into CheckedFile::bytes.
 struct CheckedLine {
-  std::string tag;
-  std::string payload;
+  std::string_view tag;
+  std::string_view payload;
 };
 
-inline std::string format_checked_line(const std::string& tag, const std::string& payload) {
-  return tag + ' ' + strf("%016llx", static_cast<unsigned long long>(fnv1a64(payload))) + ' ' +
-         payload + '\n';
+inline std::string format_checked_line(std::string_view tag, std::string_view payload) {
+  std::string out(tag);
+  out += strf(" %016llx ", static_cast<unsigned long long>(fnv1a64(payload)));
+  out += payload;
+  out += '\n';
+  return out;
 }
 
 struct CheckedFile {
   bool header_ok = false;        ///< first line matched the expected header
   std::uint64_t dropped = 0;     ///< malformed / checksum-failed lines
+  /// The whole file, read in one go. `lines` view into it; a vector (unlike
+  /// a short std::string) keeps its bytes in place when the file is moved.
+  std::vector<char> bytes;
   std::vector<CheckedLine> lines;
 };
 
-/// Reads a checked-line file. A missing file yields header_ok=false and no
-/// lines; a wrong header drops the whole content (callers rewrite). The
-/// payload may contain any byte but '\n'.
+/// Reads a checked-line file: one read into CheckedFile::bytes, then each
+/// line is split in place and its checksum verified, so every line handed
+/// out is byte-for-byte what was written. Payloads are not parsed here -
+/// callers decode them when (and only if) they need the record. A missing
+/// file yields header_ok=false and no lines; a wrong header drops the
+/// whole content (callers rewrite). The payload may contain any byte but
+/// '\n'.
 inline CheckedFile read_checked_lines(const std::string& path, const std::string& header) {
   CheckedFile out;
-  std::ifstream f(path, std::ios::binary);
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   if (!f) return out;
-  std::string line;
-  if (!std::getline(f, line) || line != header) return out;
+  const std::streamoff size = f.tellg();
+  if (size <= 0) return out;
+  out.bytes.resize(static_cast<std::size_t>(size));
+  f.seekg(0);
+  if (!f.read(out.bytes.data(), size)) {
+    out.bytes.clear();
+    return out;
+  }
+
+  const char* p = out.bytes.data();
+  const char* const end = p + out.bytes.size();
+  auto next_line = [&] {
+    const std::size_t left = static_cast<std::size_t>(end - p);
+    const auto* nl = static_cast<const char*>(std::memchr(p, '\n', left));
+    const std::string_view line(p, nl ? static_cast<std::size_t>(nl - p) : left);
+    p = nl ? nl + 1 : end;
+    return line;
+  };
+  if (next_line() != header) return out;
   out.header_ok = true;
-  while (std::getline(f, line)) {
+  while (p < end) {
+    const std::string_view line = next_line();
     if (line.empty()) continue;
     const std::size_t sp1 = line.find(' ');
-    const std::size_t sp2 = sp1 == std::string::npos ? std::string::npos : line.find(' ', sp1 + 1);
-    if (sp2 == std::string::npos || sp2 - sp1 != 17) {
+    const std::size_t sp2 = sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
+    std::uint64_t sum = 0;
+    if (sp2 == std::string_view::npos || sp2 - sp1 != 17 ||
+        !parse_hex64(line.substr(sp1 + 1, 16), sum) || sum != fnv1a64(line.substr(sp2 + 1))) {
       ++out.dropped;
       continue;
     }
-    const std::string sum_hex = line.substr(sp1 + 1, 16);
-    const std::string payload = line.substr(sp2 + 1);
-    char* end = nullptr;
-    const std::uint64_t sum = std::strtoull(sum_hex.c_str(), &end, 16);
-    if (end != sum_hex.c_str() + 16 || sum != fnv1a64(payload)) {
-      ++out.dropped;
-      continue;
-    }
-    out.lines.push_back(CheckedLine{line.substr(0, sp1), payload});
+    out.lines.push_back(CheckedLine{line.substr(0, sp1), line.substr(sp2 + 1)});
   }
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -153,9 +154,10 @@ std::map<std::size_t, explore::RunRecord> JobStore::load_checkpoint(const std::s
   const CheckedFile loaded = read_checked_lines(progress_file(id), kProgressHeader);
   std::uint64_t bad = loaded.dropped;
   for (const CheckedLine& line : loaded.lines) {
-    char* end = nullptr;
-    const unsigned long long index = std::strtoull(line.tag.c_str(), &end, 10);
-    if (end != line.tag.c_str() + line.tag.size()) {
+    std::uint64_t index = 0;
+    const char* const tag_end = line.tag.data() + line.tag.size();
+    const auto parsed = std::from_chars(line.tag.data(), tag_end, index);
+    if (parsed.ec != std::errc() || parsed.ptr != tag_end) {
       ++bad;
       continue;
     }

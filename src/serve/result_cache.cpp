@@ -32,7 +32,7 @@ struct CacheInstruments {
           reg.counter("smartnoc_cache_misses_total", "Result cache lookups that missed"),
           reg.counter("smartnoc_cache_inserts_total", "Records appended to the cache file"),
           reg.counter("smartnoc_cache_corrupt_dropped_total",
-                      "Cache lines rejected by checksum or parse at load"),
+                      "Cache lines rejected by checksum or parse at load or first lookup"),
           reg.counter("smartnoc_cache_load_scrubs_total",
                       "Cache loads that rewrote the file to scrub damage"),
           reg.gauge("smartnoc_cache_entries", "Records resident in the result cache"),
@@ -51,19 +51,18 @@ ResultCache::ResultCache(const std::string& dir) {
   if (ec) throw ConfigError("cannot create cache directory '" + dir + "': " + ec.message());
   file_ = (fs::path(dir) / "results.srcl").string();
 
-  const CheckedFile loaded = read_checked_lines(file_, kHeader);
+  CheckedFile loaded = read_checked_lines(file_, kHeader);
   counters_.corrupt_dropped = loaded.dropped;
+  entries_.reserve(loaded.lines.size());
   for (const CheckedLine& line : loaded.lines) {
-    if (line.tag.size() != 32) {
+    const std::optional<Hash128> key = Hash128::from_hex(line.tag);
+    if (!key) {
       ++counters_.corrupt_dropped;
       continue;
     }
-    try {
-      entries_[line.tag] = explore::record_from_json(line.payload);  // last wins
-    } catch (const std::exception&) {
-      ++counters_.corrupt_dropped;
-    }
+    entries_.insert_or_assign(*key, line.payload);  // last wins
   }
+  loaded_ = std::move(loaded.bytes);  // a vector move keeps the viewed bytes in place
 
   if (loaded.header_ok && counters_.corrupt_dropped == 0) {
     out_ = open_checked_append(file_);
@@ -76,9 +75,7 @@ ResultCache::ResultCache(const std::string& dir) {
     out_.open(file_, std::ios::binary | std::ios::trunc);
     if (out_) {
       out_ << kHeader << '\n';
-      for (const auto& [key, rec] : entries_) {
-        out_ << format_checked_line(key, explore::record_to_json(rec));
-      }
+      for (const auto& [key, json] : entries_) out_ << format_checked_line(key.hex(), json);
       out_ << std::flush;
     }
   }
@@ -93,26 +90,53 @@ ResultCache::ResultCache(const std::string& dir) {
 }
 
 std::optional<explore::RunRecord> ResultCache::lookup(const Hash128& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key.hex());
-  if (it == entries_.end()) {
-    ++counters_.misses;
-    CacheInstruments::get().misses.inc();
-    return std::nullopt;
+  CacheInstruments& ci = CacheInstruments::get();
+  std::string_view json;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      ++counters_.misses;
+      ci.misses.inc();
+      return std::nullopt;
+    }
+    json = it->second;
   }
-  ++counters_.hits;
-  CacheInstruments::get().hits.inc();
-  return it->second;
+  std::optional<explore::RunRecord> rec;
+  try {
+    rec = explore::record_from_json(json);
+  } catch (const std::exception&) {
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (rec) {
+    ++counters_.hits;
+    ci.hits.inc();
+    return rec;
+  }
+  // The checksum held but the record does not parse: drop the entry (once,
+  // if two lookups of one key raced here), so the point is recomputed and
+  // its fresh line appended.
+  const auto it = entries_.find(key);
+  if (it != entries_.end() && it->second.data() == json.data()) {
+    entries_.erase(it);
+    ++counters_.corrupt_dropped;
+    ci.corrupt_dropped.inc();
+    ci.entries.set(static_cast<double>(entries_.size()));
+  }
+  ++counters_.misses;
+  ci.misses.inc();
+  return std::nullopt;
 }
 
 void ResultCache::insert(const Hash128& key, const explore::RunRecord& rec) {
   explore::RunRecord stored = rec;
   stored.index = 0;  // the key is position-independent; so is the stored row
+  std::string json = explore::record_to_json(stored);
+  const std::string line = format_checked_line(key.hex(), json);
   std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, fresh] = entries_.emplace(key.hex(), std::move(stored));
-  if (!fresh) return;
+  if (entries_.contains(key)) return;
+  entries_.emplace(key, inserted_.emplace_back(std::move(json)));
   ++counters_.inserts;
-  const std::string line = format_checked_line(it->first, explore::record_to_json(it->second));
   out_ << line << std::flush;
   CacheInstruments& ci = CacheInstruments::get();
   ci.inserts.inc();

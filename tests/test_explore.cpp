@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "explore/explore.hpp"
@@ -309,6 +314,55 @@ TEST(Executor, PropagatesJobExceptions) {
                                if (i == 11) throw std::runtime_error("boom");
                              }),
                std::runtime_error);
+}
+
+TEST(Executor, CallerRunsAsWorkerZero) {
+  constexpr int kWorkers = 3;
+  constexpr std::size_t kJobs = 24;
+  explore::Executor exec(kWorkers);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::vector<std::pair<int, std::thread::id>> seen;
+  exec.for_each(kJobs, [&](std::size_t) {
+    // Long enough that no thread drains another's deque before the caller
+    // has started its own.
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    std::lock_guard<std::mutex> lock(mu);
+    seen.emplace_back(explore::Executor::current_worker(), std::this_thread::get_id());
+  });
+  ASSERT_EQ(seen.size(), kJobs);
+  std::size_t on_caller = 0;
+  for (const auto& [lane, thread] : seen) {
+    EXPECT_GE(lane, 0);
+    EXPECT_LT(lane, kWorkers);
+    EXPECT_EQ(lane == 0, thread == caller) << "lane 0 is the calling thread, and only it";
+    on_caller += lane == 0 ? 1 : 0;
+  }
+  EXPECT_GT(on_caller, 0u);
+  EXPECT_EQ(explore::Executor::current_worker(), -1) << "the caller reads -1 after for_each";
+}
+
+TEST(Executor, ExceptionOnTheCallersLanePropagatesAfterTheJoin) {
+  constexpr std::size_t kJobs = 12;
+  explore::Executor exec(3);
+  std::atomic<int> running{0};
+  std::atomic<std::size_t> finished{0};
+  EXPECT_THROW(exec.for_each(kJobs,
+                             [&](std::size_t) {
+                               if (explore::Executor::current_worker() == 0) {
+                                 throw std::runtime_error("caller lane");
+                               }
+                               running.fetch_add(1);
+                               std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                               finished.fetch_add(1);
+                               running.fetch_sub(1);
+                             }),
+               std::runtime_error);
+  // Lane 0 stopped at its first job; the other lanes ran theirs and stole
+  // the rest, all before for_each rethrew.
+  EXPECT_EQ(running.load(), 0);
+  EXPECT_EQ(finished.load(), kJobs - 1);
+  EXPECT_EQ(explore::Executor::current_worker(), -1);
 }
 
 TEST(Explore, SweepIsBitIdenticalAcrossThreadCounts) {

@@ -14,6 +14,8 @@
 
 #include "common/float_io.hpp"
 #include "common/hash.hpp"
+#include "common/rng.hpp"
+#include "common/table.hpp"
 #include "explore/explore.hpp"
 #include "serve/checked_lines.hpp"
 #include "serve/job_store.hpp"
@@ -74,6 +76,19 @@ TEST(ServeHash, Hash128GoldenVector) {
   const Hash128 lanes{fnv1a64(""), fnv1a64("", kHash128LoSalt)};
   EXPECT_EQ(hash128("").hex(), lanes.hex());
   EXPECT_NE(hash128("a").hi, hash128("a").lo) << "lanes must be independent";
+}
+
+TEST(ServeHash, Hash128EqualsTwoSaltedLanes) {
+  // hash128 runs both lanes in one loop; it must equal the two separate
+  // salted passes byte for byte, at every length and alignment.
+  Xoshiro256 rng(20260418);
+  std::string bytes;
+  for (std::size_t len = 0; len <= 2048; ++len) {
+    const Hash128 h = hash128(bytes);
+    ASSERT_EQ(h.hi, fnv1a64(bytes, 0)) << "len=" << len;
+    ASSERT_EQ(h.lo, fnv1a64(bytes, kHash128LoSalt)) << "len=" << len;
+    bytes += static_cast<char>(rng.next() & 0xff);
+  }
 }
 
 TEST(ServeHash, CanonicalEncoderLayout) {
@@ -375,6 +390,56 @@ TEST(ServeCache, CorruptAndTruncatedEntriesAreDroppedAndRecomputed) {
   serve::ResultCache repaired(dir.string());
   EXPECT_EQ(repaired.size(), spec.size());
   EXPECT_EQ(repaired.counters().corrupt_dropped, 0u);
+}
+
+TEST(ServeCache, ChecksumValidButUnparsableRecordMissesOnceAndIsReplaced) {
+  const fs::path dir = scratch_dir("cache_unparsable");
+  const SweepSpec spec = serve_spec();
+  {
+    serve::ResultCache cache(dir.string());
+    explore::run_sweep(spec, 2, {}, serve::cache_hooks(cache));
+  }
+  // Re-store the first entry's key over bytes that are not a record, under
+  // a correct checksum: the line verifies, so open keeps it (last wins).
+  const fs::path file = dir / "results.srcl";
+  const std::string bytes = slurp(file);
+  const std::size_t first = bytes.find('\n') + 1;
+  const std::string key_hex = bytes.substr(first, 32);
+  const std::string junk = "not a record {";
+  {
+    std::ofstream f(file, std::ios::binary | std::ios::app);
+    f << key_hex << ' ' << strf("%016llx", static_cast<unsigned long long>(fnv1a64(junk)))
+      << ' ' << junk << '\n';
+  }
+  const Hash128 key = *Hash128::from_hex(key_hex);
+
+  serve::ResultCache cache(dir.string());
+  EXPECT_EQ(cache.size(), spec.size()) << "open verifies checksums, it does not decode";
+  EXPECT_EQ(cache.counters().corrupt_dropped, 0u);
+
+  // The first lookup decodes, fails, drops the entry: a miss, counted once.
+  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.counters().corrupt_dropped, 1u);
+  EXPECT_EQ(cache.counters().misses, 1u);
+  EXPECT_EQ(cache.size(), spec.size() - 1);
+  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.counters().corrupt_dropped, 1u) << "dropped once, not per lookup";
+
+  // The sweep recomputes that one point, appends it, and stays exact.
+  const ResultTable again = explore::run_sweep(spec, 2, {}, serve::cache_hooks(cache));
+  EXPECT_EQ(cache.counters().hits, spec.size() - 1);
+  EXPECT_EQ(cache.counters().misses, 3u);
+  EXPECT_EQ(cache.counters().inserts, 1u);
+  EXPECT_EQ(again.to_csv(), explore::run_sweep(spec, 1).to_csv());
+
+  // Last wins on the next load: the fresh line is served, nothing dropped.
+  serve::ResultCache reopened(dir.string());
+  EXPECT_EQ(reopened.counters().corrupt_dropped, 0u);
+  EXPECT_EQ(reopened.size(), spec.size());
+  const ResultTable served = explore::run_sweep(spec, 2, {}, serve::cache_hooks(reopened));
+  EXPECT_EQ(reopened.counters().hits, spec.size());
+  EXPECT_EQ(reopened.counters().misses, 0u);
+  EXPECT_EQ(served.to_csv(), again.to_csv());
 }
 
 TEST(ServeCache, UnknownHeaderRetiresTheFile) {
