@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -84,32 +83,6 @@ inline bool parse_bool_token(const std::string& s, const std::string& what) {
   if (t == "true" || t == "1" || t == "yes") return true;
   if (t == "false" || t == "0" || t == "no") return false;
   throw ConfigError("malformed " + what + ": '" + s + "' (expected a boolean)");
-}
-
-/// Escapes a string for embedding in a JSON string literal (named escapes
-/// for the common controls, \u00xx for the rest). Shared by every JSON
-/// emitter (scenario/session serialization, explorer result sink,
-/// telemetry exports), so escaping fixes land in one place.
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace smartnoc

@@ -1,9 +1,8 @@
 #include "explore/job.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "common/file_io.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "noc/fault_engine.hpp"
@@ -20,11 +19,7 @@ namespace {
 sim::ScenarioSpec resolve_point(const SweepSpec& spec, const RunPoint& pt) {
   sim::ScenarioSpec sc;
   if (!pt.scenario_file.empty()) {
-    std::ifstream f(pt.scenario_file);
-    if (!f) throw ConfigError("cannot open scenario file '" + pt.scenario_file + "'");
-    std::stringstream buf;
-    buf << f.rdbuf();
-    sc = sim::parse_scenario(buf.str());
+    sc = sim::parse_scenario(read_file(pt.scenario_file, "scenario file"));
   } else {
     sc = spec.base;
     std::size_t rest = pt.index;

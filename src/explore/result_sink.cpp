@@ -7,8 +7,7 @@
 #include <variant>
 
 #include "common/error.hpp"
-#include "common/flat_json.hpp"
-#include "common/parse.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 
 namespace smartnoc::explore {
@@ -124,7 +123,10 @@ void parse_value(std::string_view s, RunRecord& r, const Column& col) {
         auto& v = r.*pm;
         using T = std::decay_t<decltype(v)>;
         if constexpr (std::is_same_v<T, bool>) {
-          v = s == "1" || s == "true";
+          if (s == "1" || s == "true") v = true;
+          else if (s == "0" || s == "false") v = false;
+          else throw ConfigError("malformed ResultTable column '" + std::string(col.name) +
+                                 "': '" + std::string(s) + "' (expected a boolean)");
         } else if constexpr (std::is_same_v<T, std::string>) {
           v = s;
         } else {
@@ -165,24 +167,18 @@ std::vector<std::string> csv_split(const std::string& line) {
   return out;
 }
 
-RunRecord read_record_object(FlatJsonReader& rd) {
-  rd.expect('{');
+RunRecord read_record_object(JsonReader& rd) {
   RunRecord r;
-  if (!rd.consume('}')) {
-    std::size_t next = 0;
-    do {
-      const std::string_view key = rd.read_key();
-      rd.expect(':');
-      const std::size_t i = find_column(key, next);
-      if (const auto* str = std::get_if<std::string RunRecord::*>(&kColumns[i].member)) {
-        rd.read_string(r.**str);
-      } else {
-        parse_value(rd.read_scalar(), r, kColumns[i]);
-      }
-      next = i + 1;
-    } while (rd.consume(','));
-    rd.expect('}');
-  }
+  std::size_t next = 0;
+  rd.read_object([&](std::string_view key) {
+    const std::size_t i = find_column(key, next);
+    if (const auto* str = std::get_if<std::string RunRecord::*>(&kColumns[i].member)) {
+      rd.read_string(r.**str);
+    } else {
+      parse_value(rd.read_scalar(), r, kColumns[i]);
+    }
+    next = i + 1;
+  });
   return r;
 }
 
@@ -264,19 +260,17 @@ std::string ResultTable::to_json() const {
 }
 
 RunRecord record_from_json(std::string_view json) {
-  FlatJsonReader rd(json);
-  return read_record_object(rd);
+  JsonReader rd(json, "ResultTable");
+  RunRecord r = read_record_object(rd);
+  rd.finish();
+  return r;
 }
 
 ResultTable ResultTable::from_json(const std::string& text) {
   ResultTable out;
-  FlatJsonReader rd(text);
-  rd.expect('[');
-  if (rd.consume(']')) return out;
-  do {
-    out.add(read_record_object(rd));
-  } while (rd.consume(','));
-  rd.expect(']');
+  JsonReader rd(text, "ResultTable");
+  rd.read_array([&] { out.add(read_record_object(rd)); });
+  rd.finish();
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 
 namespace smartnoc::mapping {
 
@@ -95,11 +96,7 @@ std::string to_dot(const TaskGraph& graph) {
 }
 
 TaskGraph load_task_graph(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw ConfigError("cannot open task graph file " + path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return parse_task_graph(ss.str());
+  return parse_task_graph(read_file(path, "task graph file"));
 }
 
 void save_task_graph(const TaskGraph& graph, const std::string& path) {

@@ -1,17 +1,13 @@
 #include "obs/export.hpp"
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 
 #include "common/error.hpp"
-#include "common/flat_json.hpp"
 #include "common/float_io.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 
 namespace smartnoc::obs {
-
-namespace fs = std::filesystem;
 
 std::string format_metric_value(double v) {
   // Counts are doubles internally (see obs/metrics.hpp) but must read as the
@@ -97,14 +93,7 @@ std::string to_json(const MetricsRegistry& reg) {
     const MetricSnapshot& s = snap[i];
     out += "  {\"name\": \"" + s.name + "\"";
     if (!s.label.empty()) {
-      // Label values exclude quotes/backslashes (validated at registration),
-      // so escaping the embedded quotes of key="value" is all JSON needs.
-      std::string esc;
-      for (const char c : s.label) {
-        if (c == '"') esc += "\\\"";
-        else esc += c;
-      }
-      out += ", \"label\": \"" + esc + "\"";
+      out += ", \"label\": \"" + json_escape(s.label) + "\"";
     }
     out += std::string(", \"type\": \"") + metric_kind_name(s.kind) + "\"";
     if (s.kind == MetricKind::Histogram) {
@@ -128,29 +117,11 @@ std::string to_json(const MetricsRegistry& reg) {
   return out;
 }
 
-void write_file_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) throw ConfigError("cannot write '" + tmp + "'");
-    f << content << std::flush;
-    if (!f) throw ConfigError("write failed for '" + tmp + "'");
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) throw ConfigError("cannot rename '" + tmp + "': " + ec.message());
-}
-
 std::string to_json(const Heartbeat& hb) {
   std::string out = "{";
   out += strf("\"pid\": %lld", hb.pid);
   out += ", \"uptime_seconds\": " + format_double_rt(hb.uptime_seconds);
-  std::string esc;
-  for (const char c : hb.job) {
-    if (c == '"' || c == '\\') esc += '\\';
-    esc += c;
-  }
-  out += ", \"job\": \"" + esc + "\"";
+  out += ", \"job\": \"" + json_escape(hb.job) + "\"";
   out += strf(", \"points_done\": %llu", static_cast<unsigned long long>(hb.points_done));
   out += strf(", \"points_total\": %llu", static_cast<unsigned long long>(hb.points_total));
   out += ", \"points_per_sec\": " + format_double_rt(hb.points_per_sec);
@@ -160,24 +131,19 @@ std::string to_json(const Heartbeat& hb) {
 }
 
 Heartbeat heartbeat_from_json(const std::string& json) {
-  FlatJsonReader rd(json);
+  JsonReader rd(json, "heartbeat");
   Heartbeat hb;
-  rd.expect('{');
-  if (!rd.consume('}')) {
-    do {
-      const std::string_view key = rd.read_key();
-      rd.expect(':');
-      if (key == "job") rd.read_string(hb.job);
-      else if (key == "pid") parse_number(rd.read_scalar(), hb.pid, "pid");
-      else if (key == "uptime_seconds") parse_number(rd.read_scalar(), hb.uptime_seconds, "uptime");
-      else if (key == "points_done") parse_number(rd.read_scalar(), hb.points_done, "points_done");
-      else if (key == "points_total") parse_number(rd.read_scalar(), hb.points_total, "total");
-      else if (key == "points_per_sec") parse_number(rd.read_scalar(), hb.points_per_sec, "rate");
-      else if (key == "eta_seconds") parse_number(rd.read_scalar(), hb.eta_seconds, "eta");
-      else throw ConfigError("heartbeat JSON: unknown key '" + std::string(key) + "'");
-    } while (rd.consume(','));
-    rd.expect('}');
-  }
+  rd.read_object([&](std::string_view key) {
+    if (key == "job") rd.read_string(hb.job);
+    else if (key == "pid") parse_number(rd.read_scalar(), hb.pid, "pid");
+    else if (key == "uptime_seconds") parse_number(rd.read_scalar(), hb.uptime_seconds, "uptime");
+    else if (key == "points_done") parse_number(rd.read_scalar(), hb.points_done, "points_done");
+    else if (key == "points_total") parse_number(rd.read_scalar(), hb.points_total, "total");
+    else if (key == "points_per_sec") parse_number(rd.read_scalar(), hb.points_per_sec, "rate");
+    else if (key == "eta_seconds") parse_number(rd.read_scalar(), hb.eta_seconds, "eta");
+    else rd.fail("unknown key '" + std::string(key) + "'");
+  });
+  rd.finish();
   return hb;
 }
 

@@ -34,11 +34,6 @@ std::string to_json(const MetricsRegistry& reg);
 /// as the shortest round-trip decimal ("0.123"). Shared by both exporters.
 std::string format_metric_value(double v);
 
-/// Atomic file write: tmp + rename within the target's directory, so a
-/// scraper (or a second explorer process) never reads a half-written file.
-/// Throws ConfigError on I/O failure.
-void write_file_atomic(const std::string& path, const std::string& content);
-
 /// The live-status file a serving loop drops next to its queue
 /// (heartbeat.json): enough for `explorer status --watch` to render
 /// progress and ETA without talking to the server process.

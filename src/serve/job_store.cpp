@@ -4,13 +4,11 @@
 #include <cctype>
 #include <charconv>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "common/table.hpp"
 #include "explore/explore.hpp"
-#include "obs/export.hpp"
 #include "serve/checked_lines.hpp"
 
 namespace smartnoc::serve {
@@ -18,20 +16,6 @@ namespace smartnoc::serve {
 namespace fs = std::filesystem;
 
 namespace {
-
-/// Atomic file write (tmp + rename): the target either keeps its old content
-/// or has all of the new one, never a prefix.
-void write_file_atomic(const fs::path& target, const std::string& content) {
-  obs::write_file_atomic(target.string(), content);
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw ConfigError("cannot open '" + path.string() + "'");
-  std::stringstream buf;
-  buf << f.rdbuf();
-  return buf.str();
-}
 
 /// "my Sweep.sweep" -> "my-sweep": lowercase alnum runs joined by '-'.
 std::string sanitize_hint(const std::string& hint) {

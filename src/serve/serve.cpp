@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
@@ -85,10 +86,10 @@ class StatusWriter {
     hb.uptime_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
     try {
-      obs::write_file_atomic((fs::path(dir_) / "heartbeat.json").string(), obs::to_json(hb));
+      write_file_atomic((fs::path(dir_) / "heartbeat.json").string(), obs::to_json(hb));
       const auto& reg = obs::MetricsRegistry::global();
-      obs::write_file_atomic((fs::path(dir_) / "metrics.prom").string(), obs::to_prometheus(reg));
-      obs::write_file_atomic((fs::path(dir_) / "metrics.json").string(), obs::to_json(reg));
+      write_file_atomic((fs::path(dir_) / "metrics.prom").string(), obs::to_prometheus(reg));
+      write_file_atomic((fs::path(dir_) / "metrics.json").string(), obs::to_json(reg));
     } catch (const std::exception& e) {
       // Status files are best-effort; never take the job down over them.
       std::fprintf(stderr, "[serve] status write failed: %s\n", e.what());
@@ -173,9 +174,7 @@ explore::ResultTable run_job_impl(JobStore& store, const std::string& id, Result
                                   const ServeOptions& opt, StatusWriter* status) {
   const JobInfo before = store.info(id);
   if (before.state == JobInfo::State::Done) {
-    std::ifstream f(fs::path(before.dir) / "results.csv", std::ios::binary);
-    std::string csv((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
-    return explore::ResultTable::from_csv(csv);
+    return explore::ResultTable::from_csv(read_file(before.dir + "/results.csv"));
   }
 
   ServeInstruments& si = ServeInstruments::get();
@@ -281,8 +280,8 @@ explore::ResultTable run_job_impl(JobStore& store, const std::string& id, Result
     if (tracer) {
       tracer->span(-1, "job", id, 0, tracer->now_us());
       try {
-        obs::write_file_atomic((fs::path(before.dir) / "spans.json").string(),
-                               tracer->to_chrome_json("explorer serve"));
+        write_file_atomic((fs::path(before.dir) / "spans.json").string(),
+                          tracer->to_chrome_json("explorer serve"));
       } catch (const std::exception& e) {
         std::fprintf(stderr, "[serve] span write failed: %s\n", e.what());
       }

@@ -6,6 +6,7 @@
 #include <type_traits>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/parse.hpp"
 #include "sim/workload.hpp"
 #include "telemetry/trace_workload.hpp"
@@ -326,243 +327,53 @@ ScenarioSpec parse_scenario_text(const std::string& text) {
 
 namespace {
 
-/// A minimal JSON reader covering the scenario grammar: objects, arrays,
-/// strings (with \" \\ \/ \b \f \n \r \t escapes), numbers, booleans and
-/// null. Numbers keep their raw spelling so 64-bit seeds survive.
-struct JsonValue {
-  enum class Kind { Null, Bool, Number, String, Array, Object } kind = Kind::Null;
-  bool b = false;
-  std::string text;  ///< string value, or the raw spelling of a number
-  std::vector<JsonValue> arr;
-  std::vector<std::pair<std::string, JsonValue>> obj;
-
-  const JsonValue* get(const std::string& key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& s) : s_(s) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing garbage after JSON document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw ConfigError("scenario JSON, offset " + std::to_string(pos_) + ": " + msg);
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "', got '" + peek() + "'");
-    ++pos_;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      JsonValue v;
-      v.kind = JsonValue::Kind::String;
-      v.text = string();
-      return v;
-    }
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      JsonValue v;
-      v.kind = JsonValue::Kind::Bool;
-      v.b = true;
-      return v;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      JsonValue v;
-      v.kind = JsonValue::Kind::Bool;
-      return v;
-    }
-    if (s_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return JsonValue{};
-    }
-    return number();
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Object;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.obj.emplace_back(std::move(key), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Array;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.arr.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          int code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            if (!std::isxdigit(static_cast<unsigned char>(h))) fail("malformed \\u escape");
-            code = code * 16 + (std::isdigit(static_cast<unsigned char>(h))
-                                    ? h - '0'
-                                    : std::tolower(static_cast<unsigned char>(h)) - 'a' + 10);
-          }
-          // Only the Latin-1 range survives as a single byte (our emitter
-          // writes \u only for control characters, all below 0x20).
-          if (code > 0xFF) fail("\\u escape beyond \\u00ff is not supported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default: fail(std::string("unsupported escape '\\") + e + "'");
-      }
-    }
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    v.text = s_.substr(start, pos_ - start);
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-/// Scalar JSON fields are routed through the same apply_scalar as the text
-/// form: numbers/bools re-use their raw spelling as the token.
-std::string scalar_token(const JsonValue& v, const std::string& key) {
-  switch (v.kind) {
-    case JsonValue::Kind::String: return v.text;
-    case JsonValue::Kind::Number: return v.text;
-    case JsonValue::Kind::Bool: return v.b ? "true" : "false";
-    default: throw ConfigError("scenario JSON: key '" + key + "' must be a scalar");
-  }
-}
-
 ScenarioSpec parse_scenario_json(const std::string& text) {
-  const JsonValue root = JsonParser(text).parse();
-  if (root.kind != JsonValue::Kind::Object) {
-    throw ConfigError("scenario JSON: top level must be an object");
-  }
+  JsonReader rd(text, "scenario");
+  // Scalars reach apply_scalar / apply_phase_value as the text form's
+  // tokens: a string's decoded text, a number's or boolean's raw spelling.
+  std::string token;
+  const auto scalar = [&](std::string_view key) -> const std::string& {
+    const char c = rd.peek();
+    if (c == '"') {
+      rd.read_string(token);
+      return token;
+    }
+    if (c != '{' && c != '[') {
+      token = rd.read_scalar();
+      if (token != "null") return token;
+    }
+    rd.fail("key '" + std::string(key) + "' must be a scalar");
+  };
+  if (rd.peek() != '{') rd.fail("top level must be an object");
   ScenarioSpec spec;
   spec.config = NocConfig::paper_4x4();
-  for (const auto& [key, v] : root.obj) {
+  rd.read_object([&](std::string_view key) {
     if (key == "phases") {
-      if (v.kind != JsonValue::Kind::Array) {
-        throw ConfigError("scenario JSON: 'phases' must be an array");
-      }
-      for (const JsonValue& p : v.arr) {
-        if (p.kind != JsonValue::Kind::Object) {
-          throw ConfigError("scenario JSON: each phase must be an object");
-        }
+      if (rd.peek() != '[') rd.fail("'phases' must be an array");
+      rd.read_array([&] {
+        if (rd.peek() != '{') rd.fail("each phase must be an object");
         PhaseSpec ph;
-        for (const auto& [pk, pv] : p.obj) {
-          if (!apply_phase_value(ph, pk, scalar_token(pv, pk), true, "")) {
-            throw ConfigError("scenario JSON: unknown phase key '" + pk + "'");
+        rd.read_object([&](std::string_view pk) {
+          if (!apply_phase_value(ph, pk, scalar(pk), true, "")) {
+            rd.fail("unknown phase key '" + std::string(pk) + "'");
           }
-        }
+        });
         finish_phase(ph);
         spec.phases.push_back(std::move(ph));
-      }
-      continue;
-    }
-    if (key == "fault_events") {
-      if (v.kind != JsonValue::Kind::Array) {
-        throw ConfigError("scenario JSON: 'fault_events' must be an array of schedule tokens");
-      }
-      for (const JsonValue& t : v.arr) {
-        if (t.kind != JsonValue::Kind::String) {
-          throw ConfigError("scenario JSON: each fault event must be a token string");
-        }
-        const auto evs = noc::parse_fault_schedule_token(t.text);
+      });
+    } else if (key == "fault_events") {
+      if (rd.peek() != '[') rd.fail("'fault_events' must be an array of schedule tokens");
+      rd.read_array([&] {
+        if (rd.peek() != '"') rd.fail("each fault event must be a token string");
+        rd.read_string(token);
+        const auto evs = noc::parse_fault_schedule_token(token);
         spec.fault_events.insert(spec.fault_events.end(), evs.begin(), evs.end());
-      }
-      continue;
+      });
+    } else {
+      apply_scalar(spec, std::string(key), scalar(key));
     }
-    apply_scalar(spec, key, scalar_token(v, key));
-  }
+  });
+  rd.finish();
   spec.config.fit_derived();
   spec.validate();
   return spec;

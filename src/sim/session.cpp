@@ -4,8 +4,9 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
-#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "dedicated/dedicated_network.hpp"
@@ -599,31 +600,28 @@ void Session::flush_telemetry() {
         static_cast<unsigned long long>(probe_->events().size()));
   }
   if (!tel.csv.empty()) {
-    telemetry::write_text_file(tel.csv, telemetry::export_time_series_csv(*probe_));
+    write_file_atomic(tel.csv, telemetry::export_time_series_csv(*probe_));
   }
   // Power folding uses the live era's configuration (frequency and link
   // swing never change across eras - workload factories only adjust the
   // bandwidth scale - so one EnergyParams covers the whole timeline).
   const NocConfig& pcfg = era_count_ > 0 ? era_cfg_ : spec_.config;
   if (!tel.power_csv.empty()) {
-    telemetry::write_text_file(
-        tel.power_csv,
-        telemetry::export_power_series_csv(*probe_, pcfg,
-                                           power::EnergyParams::for_config(pcfg)));
+    write_file_atomic(tel.power_csv,
+                      telemetry::export_power_series_csv(*probe_, pcfg,
+                                                         power::EnergyParams::for_config(pcfg)));
   }
   if (!tel.heatmap.empty()) {
     const Cycle span = net_ != nullptr ? probe_->global_cycle(net_->now()) : 0;
-    telemetry::write_text_file(tel.heatmap, telemetry::export_link_heatmap_csv(*probe_, span));
-    telemetry::write_text_file(tel.heatmap + ".txt",
-                               telemetry::export_link_heatmap_ascii(*probe_));
+    write_file_atomic(tel.heatmap, telemetry::export_link_heatmap_csv(*probe_, span));
+    write_file_atomic(tel.heatmap + ".txt", telemetry::export_link_heatmap_ascii(*probe_));
   }
   if (!tel.chrome.empty()) {
     if (probe_->power_series_enabled()) {
       const power::EnergyParams ep = power::EnergyParams::for_config(pcfg);
-      telemetry::write_text_file(tel.chrome,
-                                 telemetry::export_chrome_trace_json(*probe_, &pcfg, &ep));
+      write_file_atomic(tel.chrome, telemetry::export_chrome_trace_json(*probe_, &pcfg, &ep));
     } else {
-      telemetry::write_text_file(tel.chrome, telemetry::export_chrome_trace_json(*probe_));
+      write_file_atomic(tel.chrome, telemetry::export_chrome_trace_json(*probe_));
     }
   }
 }

@@ -1,11 +1,10 @@
 #include "telemetry/export.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/parse.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 
 namespace smartnoc::telemetry {
@@ -210,14 +209,6 @@ std::string export_chrome_trace_json(const Probe& probe, const NocConfig* cfg,
   }
   out << "\n]\n";
   return out.str();
-}
-
-void write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw SimError("cannot open '" + path + "' for writing");
-  f << content;
-  f.flush();
-  if (!f) throw SimError("short write to '" + path + "'");
 }
 
 }  // namespace smartnoc::telemetry

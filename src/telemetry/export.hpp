@@ -54,7 +54,4 @@ std::string export_power_series_csv(const Probe& probe, const NocConfig& cfg,
 std::string export_chrome_trace_json(const Probe& probe, const NocConfig* cfg = nullptr,
                                      const power::EnergyParams* params = nullptr);
 
-/// Writes `content` to `path`. Throws SimError on I/O failure.
-void write_text_file(const std::string& path, const std::string& content);
-
 }  // namespace smartnoc::telemetry

@@ -34,15 +34,13 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "common/parse.hpp"
 #include "common/table.hpp"
 #include "explore/explore.hpp"
@@ -119,6 +117,17 @@ int usage(const char* argv0, int code) {
   return code;
 }
 
+/// Writes an output file; false, with the message printed, when it cannot.
+bool write_file(const std::string& path, const std::string& content) {
+  try {
+    write_file_atomic(path, content);
+    return true;
+  } catch (const ConfigError&) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
+    return false;
+  }
+}
+
 struct TelemetryArgs {
   std::string prefix;       ///< --telemetry
   std::string trace_prefix; ///< --record-trace
@@ -128,14 +137,14 @@ struct TelemetryArgs {
 
 int run_scenario_file(const std::string& path, const std::string& json_path, bool quiet,
                       const TelemetryArgs& tel) {
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "cannot open scenario file '%s'\n", path.c_str());
+  std::string text;
+  try {
+    text = read_file(path, "scenario file");
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  std::stringstream buf;
-  buf << f.rdbuf();
-  sim::ScenarioSpec spec = sim::parse_scenario(buf.str());
+  sim::ScenarioSpec spec = sim::parse_scenario(text);
   // CLI telemetry flags layer over the scenario's block.
   sim::set_telemetry_outputs(spec.telemetry, tel.prefix, tel.trace_prefix, tel.epoch);
   spec.validate();
@@ -160,14 +169,7 @@ int run_scenario_file(const std::string& path, const std::string& json_path, boo
                  "telemetry_chrome_events in the scenario to keep more\n",
                  session.probe()->events().size());
   }
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", json_path.c_str());
-      return 1;
-    }
-    out << sim::to_json(result);
-  }
+  if (!json_path.empty() && !write_file(json_path, sim::to_json(result))) return 1;
   if (!result.ok) {
     std::fprintf(stderr, "scenario failed: %s\n", result.error.c_str());
     return 1;
@@ -175,27 +177,12 @@ int run_scenario_file(const std::string& path, const std::string& json_path, boo
   return 0;
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  f << content;
-  return static_cast<bool>(f);
-}
-
-std::string read_file_or_throw(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw ConfigError("cannot open '" + path + "'");
-  std::stringstream buf;
-  buf << f.rdbuf();
-  return buf.str();
-}
-
 /// A job's result rows: the final table when Done, otherwise whatever the
 /// checkpoint holds so far (in matrix order).
 explore::ResultTable load_job_table(const serve::JobStore& store, const std::string& id) {
   if (store.info(id).state == serve::JobInfo::State::Done) {
     return explore::ResultTable::from_csv(
-        read_file_or_throw(store.job_dir(id) + "/results.csv"));
+        read_file(store.job_dir(id) + "/results.csv"));
   }
   explore::ResultTable table;
   for (const auto& [index, rec] : store.load_checkpoint(id)) table.add(rec);
@@ -254,7 +241,7 @@ int serve_cli(const std::string& cmd, int argc, char** argv) {
     const std::string path =
         (std::filesystem::path(pos[0]) / (json_out ? "metrics.json" : "metrics.prom")).string();
     try {
-      std::fputs(read_file_or_throw(path).c_str(), stdout);
+      std::fputs(read_file(path).c_str(), stdout);
     } catch (const std::exception&) {
       std::fprintf(stderr, "no metrics snapshot at '%s' (has a server run here?)\n",
                    path.c_str());
@@ -271,7 +258,7 @@ int serve_cli(const std::string& cmd, int argc, char** argv) {
       return 2;
     }
     for (std::size_t k = 1; k < pos.size(); ++k) {
-      const std::string text = read_file_or_throw(pos[k]);
+      const std::string text = read_file(pos[k]);
       // Reject malformed sweeps at the door, with line numbers, instead of
       // letting the server mark the job FAILED later.
       const explore::SweepSpec spec = explore::parse_sweep(text);
@@ -314,7 +301,7 @@ int serve_cli(const std::string& cmd, int argc, char** argv) {
         std::string line = strf("[watch] %zu/%zu jobs finished", done_jobs, jobs);
         try {
           const obs::Heartbeat hb = obs::heartbeat_from_json(
-              read_file_or_throw(store.root() + "/heartbeat.json"));
+              read_file(store.root() + "/heartbeat.json"));
           if (!hb.job.empty() && hb.points_total > 0) {
             line += strf(" | %s: %llu/%llu (%d%%) %.1f points/s eta %.0fs", hb.job.c_str(),
                          static_cast<unsigned long long>(hb.points_done),
@@ -442,14 +429,14 @@ int main(int argc, char** argv) {
       sweep_file = a;
     }
     if (!sweep_file.empty()) {
-      std::ifstream f(sweep_file);
-      if (!f) {
-        std::fprintf(stderr, "cannot open sweep file '%s'\n", sweep_file.c_str());
+      std::string text;
+      try {
+        text = read_file(sweep_file, "sweep file");
+      } catch (const ConfigError& e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return 2;
       }
-      std::stringstream buf;
-      buf << f.rdbuf();
-      spec = explore::parse_sweep(buf.str());
+      spec = explore::parse_sweep(text);
     }
 
     // Pass 2: flags. Values go through the same strict parsers as the
@@ -541,23 +528,17 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "warning: span capture truncated at %zu events\n",
                      tracer->events().size());
       }
-      obs::write_file_atomic(spans_out, tracer->to_chrome_json("explorer sweep"));
+      write_file_atomic(spans_out, tracer->to_chrome_json("explorer sweep"));
     }
     if (!metrics_out.empty()) {
-      obs::write_file_atomic(metrics_out, obs::to_prometheus(obs::MetricsRegistry::global()));
+      write_file_atomic(metrics_out, obs::to_prometheus(obs::MetricsRegistry::global()));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
 
-  if (!csv_path.empty() && !write_file(csv_path, table.to_csv())) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", csv_path.c_str());
-    return 1;
-  }
-  if (!json_path.empty() && !write_file(json_path, table.to_json())) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", json_path.c_str());
-    return 1;
-  }
+  if (!csv_path.empty() && !write_file(csv_path, table.to_csv())) return 1;
+  if (!json_path.empty() && !write_file(json_path, table.to_json())) return 1;
   return 0;
 }

@@ -407,6 +407,12 @@ TEST(ResultTable, CsvRoundTrip) {
   EXPECT_EQ(parsed.to_csv(), csv);
 
   EXPECT_THROW(ResultTable::from_csv("not,a,result,table\n"), ConfigError);
+  // A boolean column takes only 1/0/true/false: "yes" is an error, not false.
+  std::string yes = csv;
+  const std::size_t ok_field = yes.find(",0,\"line 1");
+  ASSERT_NE(ok_field, std::string::npos);
+  yes.replace(ok_field, 3, ",yes,");
+  EXPECT_THROW(ResultTable::from_csv(yes), ConfigError);
 }
 
 TEST(ResultTable, JsonRoundTrip) {
@@ -421,6 +427,12 @@ TEST(ResultTable, JsonRoundTrip) {
   EXPECT_EQ(parsed.to_json(), json);
 
   EXPECT_EQ(ResultTable::from_json("[]").size(), 0u);
+  // A boolean column takes only true/false (or 1/0): 2 is an error, not false.
+  std::string two = json;
+  const std::size_t ok_field = two.find("\"ok\": false");
+  ASSERT_NE(ok_field, std::string::npos);
+  two.replace(ok_field, 11, "\"ok\": 2");
+  EXPECT_THROW(ResultTable::from_json(two), ConfigError);
 }
 
 // --- Pareto frontier ---------------------------------------------------------

@@ -1,0 +1,235 @@
+// The JSON reader's contract, checked through its three front-ends
+// (scenario files, result records, heartbeats):
+//
+//   * escapes and malformed input: every JSON escape decodes, and an unknown
+//     escape, a bad or out-of-range \u, a malformed scalar or trailing bytes
+//     throw ConfigError - the same rules whichever front-end reads them;
+//   * a seeded mutation campaign: flipped, inserted, deleted and duplicated
+//     bytes in a serialized document either throw ConfigError or parse to a
+//     value that survives its own serialize -> parse round trip.
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/error.hpp"
+#include "common/rng.hpp"
+#include "explore/result_sink.hpp"
+#include "noc/fault_engine.hpp"
+#include "obs/export.hpp"
+#include "sim/scenario.hpp"
+
+namespace smartnoc {
+namespace {
+
+const std::string kPhases =
+    R"("phases": [{"name": "p", "workload": "vopd", "cycles": 10}])";
+
+struct FrontEnd {
+  const char* context;  ///< how its errors name the document
+  /// Reads a document whose one string member holds the literal `body`.
+  std::function<std::string(const std::string& body)> decode;
+  /// Reads a whole document.
+  std::function<void(const std::string& doc)> read;
+  /// Documents this front-end must refuse.
+  std::vector<std::string> malformed;
+};
+
+std::vector<FrontEnd> front_ends() {
+  return {
+      {"scenario",
+       [](const std::string& body) {
+         // A scenario name may not start or end with a blank: pad it.
+         const std::string name =
+             sim::parse_scenario("{\"name\": \"<" + body + ">\", " + kPhases + "}").name;
+         return name.substr(1, name.size() - 2);
+       },
+       [](const std::string& doc) { sim::parse_scenario(doc); },
+       {
+           "{" + kPhases + "} x",
+           "{\"seed\": +7, " + kPhases + "}",
+           "{\"seed\": 007, " + kPhases + "}",
+           "{\"fault_rate\": .5, " + kPhases + "}",
+           "{\"name\": null, " + kPhases + "}",
+           "{\"name\": [\"a\"], " + kPhases + "}",
+           "{\"phases\": [1]}",
+           "{\"phases\": {}}",
+           "{\"fault_events\": [7], " + kPhases + "}",
+           "{\"name\": \"a\", " + kPhases,
+           "{\"na\\me\": \"a\", " + kPhases + "}",
+       }},
+      {"ResultTable",
+       [](const std::string& body) {
+         return explore::record_from_json("{\"workload\": \"" + body + "\"}").workload;
+       },
+       [](const std::string& doc) { explore::record_from_json(doc); },
+       {
+           R"({"ok": tru})",
+           R"({"ok": 2})",
+           R"({"ok": "true"})",
+           R"({"flows": 01})",
+           R"({"flows": null})",
+           R"({"workload": 5})",
+           R"({"injection": 1.})",
+           R"({"index": 1} x)",
+           R"({"index": 1}})",
+           "{\f\"index\": 1}",
+       }},
+      {"heartbeat",
+       [](const std::string& body) {
+         return obs::heartbeat_from_json("{\"job\": \"" + body + "\"}").job;
+       },
+       [](const std::string& doc) { obs::heartbeat_from_json(doc); },
+       {
+           R"({"pid": 1} {})",
+           R"({"pid": -})",
+           R"({"pid": 1e})",
+           R"({"job": null})",
+           R"({"points_done": "3"})",
+           R"({"eta_seconds": inf})",
+       }},
+  };
+}
+
+TEST(JsonReader, EscapesAndMalformedInput) {
+  // String literal bodies and what they decode to (nullopt: must throw).
+  const std::pair<std::string, std::optional<std::string>> strings[] = {
+      {R"(plain)", "plain"},
+      {R"(a\"b)", "a\"b"},
+      {R"(a\\b)", "a\\b"},
+      {R"(a\/b)", "a/b"},
+      {R"(a\bb)", "a\bb"},
+      {R"(a\fb)", "a\fb"},
+      {R"(a\tb)", "a\tb"},
+      {R"(x\u0041y)", "xAy"},
+      {R"(\u0001\u00fF)", "\x01\xff"},
+      {R"(x\uZZZZy)", std::nullopt},
+      {R"(x\u-0ff)", std::nullopt},
+      {R"(x\u00)", std::nullopt},
+      {R"(x\u0100)", std::nullopt},
+      {R"(q\qz)", std::nullopt},
+      {R"(tail\)", std::nullopt},
+  };
+  for (const FrontEnd& fe : front_ends()) {
+    for (const auto& [body, want] : strings) {
+      if (want) {
+        EXPECT_EQ(fe.decode(body), *want) << fe.context << ": " << body;
+      } else {
+        EXPECT_THROW(fe.decode(body), ConfigError) << fe.context << ": " << body;
+      }
+    }
+    for (const std::string& doc : fe.malformed) {
+      try {
+        fe.read(doc);
+        ADD_FAILURE() << fe.context << " accepted " << doc;
+      } catch (const ConfigError& e) {
+        // The reader's own errors name the document and the byte offset.
+        const std::string what = e.what();
+        if (what.find(" JSON, byte ") != std::string::npos) {
+          EXPECT_EQ(what.rfind(fe.context, 0), 0u) << what;
+        }
+      }
+    }
+  }
+}
+
+// --- Mutation campaign ---------------------------------------------------------
+
+/// One to three byte edits: flip a bit, insert a byte (JSON punctuation half
+/// of the time, so mutants get past the first token), delete or duplicate.
+std::string mutate(std::string s, Xoshiro256& rng) {
+  static const std::string kBytes = "{}[]:,\"\\ 0123456789-+.eEtrufalsn";
+  const int edits = 1 + static_cast<int>(rng.below(3));
+  for (int k = 0; k < edits && !s.empty(); ++k) {
+    const std::size_t at = rng.below(s.size());
+    switch (rng.below(4)) {
+      case 0: s[at] = static_cast<char>(s[at] ^ (1u << rng.below(8))); break;
+      case 1: {
+        const char c = rng.below(2) == 0 ? kBytes[rng.below(kBytes.size())]
+                                         : static_cast<char>(rng.below(256));
+        s.insert(at, 1, c);
+        break;
+      }
+      case 2: s.erase(at, 1); break;
+      default: s.insert(at, 1, s[at]); break;
+    }
+  }
+  return s;
+}
+
+/// Runs `n` mutants of `doc`; returns how many parsed.
+template <class T, class Parse, class Serialize>
+int run_campaign(const std::string& doc, Parse parse, Serialize serialize, std::uint64_t seed,
+                 int n = 2000) {
+  Xoshiro256 rng(seed);
+  int parsed = 0;
+  for (int i = 0; i < n; ++i) {
+    const std::string mutant = mutate(doc, rng);
+    std::optional<T> v;
+    try {
+      v = parse(mutant);
+    } catch (const ConfigError&) {
+      continue;  // a typed refusal is a pass
+    }
+    ++parsed;
+    const std::string again = serialize(*v);
+    EXPECT_EQ(parse(again), *v) << "mutant:\n" << mutant << "\nreserialized:\n" << again;
+  }
+  return parsed;
+}
+
+TEST(JsonMutation, ScenarioMutantsThrowOrRoundTrip) {
+  sim::ScenarioSpec spec = sim::parse_scenario(
+      "name = appswitch\ndesign = smart\nmesh = 8x4\nseed = 18446744073709551557\n"
+      "fault_rate = 0.25\ndrain_timeout = 5000\n"
+      "phase warm workload=wlan injection=1 cycles=2000\n"
+      "phase b workload=vopd injection=0.5 cycles=9000 measure reconfigure\n"
+      "phase drain drain\n");
+  spec.fault_events = noc::parse_fault_schedule_token("kill@2500:27:E+stall@2600:5@3000");
+  const int parsed = run_campaign<sim::ScenarioSpec>(
+      sim::serialize_scenario_json(spec), sim::parse_scenario, sim::serialize_scenario_json,
+      20261018);
+  EXPECT_GT(parsed, 100) << "the campaign should reach the accepting path";
+}
+
+TEST(JsonMutation, RecordMutantsThrowOrRoundTrip) {
+  explore::RunRecord rec;
+  rec.index = 17;
+  rec.width = 8;
+  rec.height = 4;
+  rec.injection = 0.05;
+  rec.workload = "scenario:a \"b\",c";
+  rec.fault_schedule = "kill@2000:5:E";
+  rec.design = "Mesh";
+  rec.seed = 0xdeadbeefcafef00dULL;
+  rec.ok = true;
+  rec.error = "line1\nline2\t\\end";
+  rec.packets = 1234;
+  rec.avg_net_latency = 1.0 / 3.0;
+  rec.throughput_ppc = 5e-324;
+  rec.power_mw = 3.842384;
+  const int parsed = run_campaign<explore::RunRecord>(
+      explore::record_to_json(rec), explore::record_from_json, explore::record_to_json,
+      20261019);
+  EXPECT_GT(parsed, 100) << "the campaign should reach the accepting path";
+}
+
+TEST(JsonMutation, HeartbeatMutantsThrowOrRoundTrip) {
+  obs::Heartbeat hb;
+  hb.pid = 12345;
+  hb.uptime_seconds = 17.25;
+  hb.job = "j003 \"smoke\"\r\n\\";
+  hb.points_done = 42;
+  hb.points_total = 96;
+  hb.points_per_sec = 3.5;
+  hb.eta_seconds = 15.428571428571429;
+  const int parsed = run_campaign<obs::Heartbeat>(
+      obs::to_json(hb), obs::heartbeat_from_json,
+      [](const obs::Heartbeat& h) { return obs::to_json(h); }, 20261020);
+  EXPECT_GT(parsed, 100) << "the campaign should reach the accepting path";
+}
+
+}  // namespace
+}  // namespace smartnoc

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "explore/explore.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -236,11 +237,11 @@ TEST(ObsExport, ValueFormatting) {
 TEST(ObsExport, WriteFileAtomicLeavesNoTmp) {
   const fs::path dir = scratch_dir("atomic");
   const fs::path target = dir / "metrics.prom";
-  obs::write_file_atomic(target.string(), "one\n");
-  obs::write_file_atomic(target.string(), "two\n");
+  write_file_atomic(target.string(), "one\n");
+  write_file_atomic(target.string(), "two\n");
   EXPECT_EQ(slurp(target), "two\n");
   EXPECT_FALSE(fs::exists(target.string() + ".tmp"));
-  EXPECT_THROW(obs::write_file_atomic((dir / "no_dir" / "x").string(), "x"), ConfigError);
+  EXPECT_THROW(write_file_atomic((dir / "no_dir" / "x").string(), "x"), ConfigError);
 }
 
 // --- Heartbeat ---------------------------------------------------------------
@@ -259,6 +260,10 @@ TEST(ObsHeartbeat, JsonRoundTrip) {
 
   const obs::Heartbeat idle;
   EXPECT_EQ(obs::heartbeat_from_json(obs::to_json(idle)), idle);
+
+  obs::Heartbeat hostile = hb;
+  hostile.job = "q\" b\\ n\n r\r c\x01";
+  EXPECT_EQ(obs::heartbeat_from_json(obs::to_json(hostile)), hostile);
 }
 
 TEST(ObsHeartbeat, RejectsGarbage) {
