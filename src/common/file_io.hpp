@@ -26,9 +26,16 @@ inline std::string read_file(const std::string& path, std::string_view what = "f
 
 /// Atomic file write: tmp + rename within the target's directory, so a
 /// reader (a scraper, a second explorer process, a resumed job) never sees a
-/// half-written file. Throws ConfigError on I/O failure.
+/// half-written file. A target that exists and is not a regular file
+/// (/dev/null, /dev/stdout, a FIFO) is written in place instead: its
+/// directory may not be writable, and a rename would replace the device
+/// node with a plain file. Throws ConfigError on I/O failure.
 inline void write_file_atomic(const std::string& path, std::string_view content) {
-  const std::string tmp = path + ".tmp";
+  std::error_code ec;
+  const auto st = std::filesystem::status(path, ec);
+  const bool in_place =
+      std::filesystem::exists(st) && !std::filesystem::is_regular_file(st);
+  const std::string tmp = in_place ? path : path + ".tmp";
   {
     std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
     if (!f) throw ConfigError("cannot write '" + tmp + "'");
@@ -36,7 +43,7 @@ inline void write_file_atomic(const std::string& path, std::string_view content)
     f.flush();
     if (!f) throw ConfigError("write failed for '" + tmp + "'");
   }
-  std::error_code ec;
+  if (in_place) return;
   std::filesystem::rename(tmp, path, ec);
   if (ec) throw ConfigError("cannot rename '" + tmp + "': " + ec.message());
 }

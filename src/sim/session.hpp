@@ -211,7 +211,8 @@ class Session {
   /// CSV, the per-epoch power CSV, the heatmap (CSV + ASCII sidecar) and
   /// the Chrome-tracing JSON. run() calls this automatically once all
   /// phases complete; step()-driven callers invoke it themselves.
-  /// Idempotent; throws SimError/TraceError on I/O failure.
+  /// Idempotent; throws ConfigError (file writes) or TraceError (capture)
+  /// on I/O failure.
   void flush_telemetry();
 
  private:

@@ -2,7 +2,10 @@
 // JSON golden exposition, histogram bucketing, executor counter conservation
 // (tasks summed over workers == points run), span lanes, heartbeat
 // round-trip, and the purity pin - metrics and spans never change results.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -242,6 +245,22 @@ TEST(ObsExport, WriteFileAtomicLeavesNoTmp) {
   EXPECT_EQ(slurp(target), "two\n");
   EXPECT_FALSE(fs::exists(target.string() + ".tmp"));
   EXPECT_THROW(write_file_atomic((dir / "no_dir" / "x").string(), "x"), ConfigError);
+}
+
+// A target that is not a regular file (/dev/null, /dev/stdout, a FIFO) is
+// written in place: renaming a tmp file over it would replace the node.
+TEST(ObsExport, WriteFileAtomicWritesSpecialFilesInPlace) {
+  const fs::path fifo = scratch_dir("atomic_fifo") / "out.pipe";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const int rd = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);  // so the writer's open won't block
+  ASSERT_GE(rd, 0);
+  write_file_atomic(fifo.string(), "through the pipe\n");
+  char buf[64] = {};
+  const ssize_t n = ::read(rd, buf, sizeof buf - 1);
+  ::close(rd);
+  EXPECT_TRUE(fs::is_fifo(fifo));
+  EXPECT_FALSE(fs::exists(fifo.string() + ".tmp"));
+  EXPECT_EQ(std::string(buf, n > 0 ? static_cast<size_t>(n) : 0), "through the pipe\n");
 }
 
 // --- Heartbeat ---------------------------------------------------------------
