@@ -5,6 +5,7 @@
 // as input ... and generates the RTL description as well as the layout").
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <string>
 
@@ -98,20 +99,23 @@ struct NocConfig {
             "packet_bits must be a positive multiple of flit_bits");
     require(vcs_per_port >= 1 && vcs_per_port <= 16, "vcs_per_port must be in [1,16]");
     // Virtual cut-through requires a whole packet to fit in one VC.
-    require(vc_depth_flits >= flits_per_packet(),
-            "virtual cut-through requires vc_depth_flits >= flits_per_packet (" +
-                std::to_string(vc_depth_flits) + " < " + std::to_string(flits_per_packet()) + ")");
+    require(vc_depth_flits >= flits_per_packet(), [&] {
+      return "virtual cut-through requires vc_depth_flits >= flits_per_packet (" +
+             std::to_string(vc_depth_flits) + " < " + std::to_string(flits_per_packet()) + ")";
+    });
     // Paper: credit width = log2(#VCs) + 1 valid bit.
     int vc_bits = 1;
     while ((1 << vc_bits) < vcs_per_port) ++vc_bits;
-    require(credit_bits >= vc_bits + 1,
-            "credit_bits must be >= log2(vcs_per_port)+1 = " + std::to_string(vc_bits + 1));
+    require(credit_bits >= vc_bits + 1, [&] {
+      return "credit_bits must be >= log2(vcs_per_port)+1 = " + std::to_string(vc_bits + 1);
+    });
     // Header must hold the 2-bit-per-router source route plus VC id and
     // a 2-bit flit-type field (paper: 20-bit head header on 4x4).
     const int route_bits = 2 * max_route_entries();
-    require(route_bits + vc_bits + 2 <= header_bits,
-            "header_bits=" + std::to_string(header_bits) + " too small: route needs " +
-                std::to_string(route_bits) + " + vc " + std::to_string(vc_bits) + " + type 2");
+    require(route_bits + vc_bits + 2 <= header_bits, [&] {
+      return "header_bits=" + std::to_string(header_bits) + " too small: route needs " +
+             std::to_string(route_bits) + " + vc " + std::to_string(vc_bits) + " + type 2";
+    });
     require(freq_ghz > 0.0 && freq_ghz <= 10.0, "freq_ghz out of range (0,10]");
     require(hop_mm > 0.0, "hop_mm must be positive");
     require(hpc_max_override >= 0, "hpc_max_override must be >= 0");
@@ -146,8 +150,14 @@ struct NocConfig {
   friend bool operator==(const NocConfig&, const NocConfig&) = default;
 
  private:
-  static void require(bool ok, const std::string& msg) {
+  // Messages are built only when a check fails: a sweep validates every
+  // point it serves, and a valid config must not pay for its error text.
+  static void require(bool ok, const char* msg) {
     if (!ok) throw ConfigError(msg);
+  }
+  template <std::invocable Msg>
+  static void require(bool ok, Msg&& msg) {
+    if (!ok) throw ConfigError(msg());
   }
 };
 

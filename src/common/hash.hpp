@@ -51,6 +51,30 @@ inline std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t salt = 0) {
   return h.digest();
 }
 
+/// fnv1a64 of four byte strings at once, equal to four fnv1a64 calls. One
+/// FNV-1a chain waits on each multiply; four independent chains overlap in
+/// the pipeline while they share a length, and the longer ones finish
+/// alone.
+inline void fnv1a64_x4(const std::string_view (&in)[4], std::uint64_t (&out)[4]) {
+  std::uint64_t h[4];
+  std::size_t shared = in[0].size();
+  for (int l = 0; l < 4; ++l) {
+    h[l] = Fnv1a64::kOffset;
+    if (in[l].size() < shared) shared = in[l].size();
+  }
+  for (std::size_t i = 0; i < shared; ++i) {
+    for (int l = 0; l < 4; ++l) {
+      h[l] = (h[l] ^ static_cast<unsigned char>(in[l][i])) * Fnv1a64::kPrime;
+    }
+  }
+  for (int l = 0; l < 4; ++l) {
+    for (std::size_t i = shared; i < in[l].size(); ++i) {
+      h[l] = (h[l] ^ static_cast<unsigned char>(in[l][i])) * Fnv1a64::kPrime;
+    }
+    out[l] = h[l];
+  }
+}
+
 /// Parses exactly 16 hex digits (either case) into `v`; false on anything
 /// else (wrong length, a sign, a prefix, a non-hex byte).
 inline bool parse_hex64(std::string_view s, std::uint64_t& v) {
@@ -91,28 +115,52 @@ struct Hash128 {
 /// mixer); pinned by the golden vectors like everything else here.
 inline constexpr std::uint64_t kHash128LoSalt = 0x9e3779b97f4a7c15ULL;
 
-/// Equal to {fnv1a64(bytes, 0), fnv1a64(bytes, kHash128LoSalt)}, computed
-/// in one pass: the two lanes are independent multiply chains, so they
-/// overlap in the pipeline instead of running back to back.
-inline Hash128 hash128(std::string_view bytes) {
-  std::uint64_t hi = Fnv1a64::kOffset;
-  std::uint64_t lo = Fnv1a64::kOffset ^ kHash128LoSalt;
-  for (const char c : bytes) {
-    const auto b = static_cast<unsigned char>(c);
-    hi = (hi ^ b) * Fnv1a64::kPrime;
-    lo = (lo ^ b) * Fnv1a64::kPrime;
+/// hash128 fed in pieces: appending bytes in any split gives the hash of
+/// their concatenation. The two lanes are independent multiply chains, so
+/// they overlap in the pipeline instead of running back to back.
+class Hash128Stream {
+ public:
+  void append(std::string_view bytes) {
+    std::uint64_t hi = hi_;
+    std::uint64_t lo = lo_;
+    for (const char c : bytes) {
+      const auto b = static_cast<unsigned char>(c);
+      hi = (hi ^ b) * Fnv1a64::kPrime;
+      lo = (lo ^ b) * Fnv1a64::kPrime;
+    }
+    hi_ = hi;
+    lo_ = lo;
   }
-  return Hash128{hi, lo};
+
+  Hash128 digest() const { return Hash128{hi_, lo_}; }
+
+ private:
+  std::uint64_t hi_ = Fnv1a64::kOffset;
+  std::uint64_t lo_ = Fnv1a64::kOffset ^ kHash128LoSalt;
+};
+
+/// Equal to {fnv1a64(bytes, 0), fnv1a64(bytes, kHash128LoSalt)}, computed
+/// in one pass.
+inline Hash128 hash128(std::string_view bytes) {
+  Hash128Stream h;
+  h.append(bytes);
+  return h.digest();
 }
 
-/// Appends typed values to a byte string in a fixed, platform-independent
+/// Appends typed values to a byte sink in a fixed, platform-independent
 /// layout: integers little-endian at fixed widths, doubles as their IEEE-754
 /// bit pattern, strings length-prefixed. Every value is preceded by nothing -
 /// framing is the writer's responsibility (the canonical encodings tag a
 /// version up front) - so identical field sequences produce identical bytes.
+/// The sink is a std::string that collects the bytes, or a Hash128Stream
+/// that hashes them as they come, with no string built.
+template <class Out = std::string>
 class CanonicalEncoder {
  public:
-  void u8(std::uint8_t v) { buf_ += static_cast<char>(v); }
+  void u8(std::uint8_t v) {
+    const char b = static_cast<char>(v);
+    out_.append(std::string_view(&b, 1));
+  }
 
   void u32(std::uint32_t v) { le(v, 4); }
   void u64(std::uint64_t v) { le(v, 8); }
@@ -126,22 +174,22 @@ class CanonicalEncoder {
   /// distinct - exactly what a content key wants).
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    buf_ += s;
+    out_.append(s);
   }
 
-  const std::string& bytes() const { return buf_; }
+  const Out& out() const { return out_; }
 
  private:
   /// The low `n` bytes of v, little-endian, appended in one go.
   void le(std::uint64_t v, int n) {
     char b[8];
     for (int i = 0; i < n; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    buf_.append(b, static_cast<std::size_t>(n));
+    out_.append(std::string_view(b, static_cast<std::size_t>(n)));
   }
 
-  std::string buf_;
+  Out out_;
 };
 
 }  // namespace smartnoc

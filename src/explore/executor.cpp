@@ -51,6 +51,8 @@ class WorkDeque {
 };
 
 thread_local int t_current_worker = -1;
+thread_local std::uint64_t t_current_call = 0;
+std::atomic<std::uint64_t> g_calls{0};
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -120,6 +122,8 @@ void Executor::set_tracer(obs::SpanTracer* tracer, std::string span_category) {
 
 int Executor::current_worker() { return t_current_worker; }
 
+std::uint64_t Executor::current_call() { return t_current_call; }
+
 std::atomic<bool>& Executor::instrumentation_enabled() {
   static std::atomic<bool> enabled{true};
   return enabled;
@@ -128,6 +132,7 @@ std::atomic<bool>& Executor::instrumentation_enabled() {
 void Executor::for_each(std::size_t n, const std::function<void(std::size_t)>& job) const {
   if (n == 0) return;
   const int workers = threads_ < static_cast<int>(n) ? threads_ : static_cast<int>(n);
+  const std::uint64_t call = g_calls.fetch_add(1, std::memory_order_relaxed) + 1;
 
   const bool instr = instrumentation_enabled().load(std::memory_order_relaxed);
   obs::SpanTracer* const tracer = instr ? tracer_ : nullptr;
@@ -152,7 +157,9 @@ void Executor::for_each(std::size_t n, const std::function<void(std::size_t)>& j
 
   auto worker_loop = [&](int w) {
     const int outer_lane = t_current_worker;
+    const std::uint64_t outer_call = t_current_call;
     t_current_worker = w;
+    t_current_call = call;
     const auto loop_start = std::chrono::steady_clock::now();
     WorkerTally tally;
     WorkDeque& own = deques[static_cast<std::size_t>(w)];
@@ -207,6 +214,7 @@ void Executor::for_each(std::size_t n, const std::function<void(std::size_t)>& j
     }
     if (instr) tally.flush(instruments[static_cast<std::size_t>(w)], seconds_since(loop_start));
     t_current_worker = outer_lane;
+    t_current_call = outer_call;
   };
 
   // The calling thread is worker 0 (as in ShardRuntime, whose constructing

@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -55,6 +56,12 @@ class Executor {
   /// Jobs on the caller's own lane see 0, at any width, and the caller
   /// reads its previous value (-1 at top level) again once for_each returns.
   static int current_worker();
+
+  /// The for_each call the calling thread runs a job of: unique per call
+  /// in the process, 0 outside one. Callers keep the inputs of a call's
+  /// jobs fixed until it returns, so per-thread state derived from them
+  /// (the serving hooks' PointCursor) holds for as long as this does.
+  static std::uint64_t current_call();
 
   /// Process-wide switch for the executor's metrics + span recording.
   /// Defaults to on; bench_obs_overhead flips it to measure the armed

@@ -34,7 +34,8 @@ struct SweepHooks {
   /// must be byte-identical to what run_point would have produced.
   std::function<bool(const SweepSpec&, const RunPoint&, RunRecord&)> lookup;
   /// Called with every record the executor actually computed (not with
-  /// served ones), e.g. to populate the cache.
+  /// served ones), e.g. to populate the cache: right after the point's
+  /// lookup, on the same thread.
   std::function<void(const SweepSpec&, const RunPoint&, const RunRecord&)> store;
   /// When set, the executor records one span per point (plus steal markers)
   /// into this tracer. Pure side channel: never influences the table.

@@ -12,44 +12,59 @@
 
 namespace smartnoc::explore {
 
-namespace {
+PointCursor::PointCursor(const SweepSpec& spec)
+    : spec_(&spec),
+      prefix_(spec.axes.empty() ? 0 : spec.axes.size() - 1),
+      digits_(spec.axes.size()),
+      want_(spec.axes.size()) {}
 
-/// make_point_scenario without the final config check, so a point whose
-/// combination is inconsistent still has a scenario to echo.
-sim::ScenarioSpec resolve_point(const SweepSpec& spec, const RunPoint& pt) {
-  sim::ScenarioSpec sc;
+const sim::ScenarioSpec& PointCursor::resolve(const RunPoint& pt) {
+  const SweepSpec& spec = *spec_;
   if (!pt.scenario_file.empty()) {
-    sc = sim::parse_scenario(read_file(pt.scenario_file, "scenario file"));
+    point_ = sim::parse_scenario(read_file(pt.scenario_file, "scenario file"));
   } else {
-    sc = spec.base;
+    const std::vector<SweepAxis>& axes = spec.axes;
+    const std::size_t n = axes.size();
     std::size_t rest = pt.index;
-    for (auto a = spec.axes.rbegin(); a != spec.axes.rend(); ++a) {
-      apply_point_value(sc, a->key, a->values[rest % a->values.size()]);
-      rest /= a->values.size();
+    for (std::size_t k = n; k-- > 0;) {
+      want_[k] = rest % axes[k].values.size();
+      rest /= axes[k].values.size();
     }
+    // Level k + 1 is kept while the point shares digits [0, k]. The last
+    // axis is applied to the point itself, so it has no level.
+    std::size_t k = 0;
+    while (k < valid_ && digits_[k] == want_[k]) ++k;
+    valid_ = k;
+    for (; k + 1 < n; ++k) {
+      prefix_[k] = level(k);
+      apply_point_value(prefix_[k], axes[k].key, axes[k].values[want_[k]]);
+      digits_[k] = want_[k];
+      valid_ = k + 1;
+    }
+    point_ = level(k);
+    if (n > 0) apply_point_value(point_, axes[k].key, axes[k].values[want_[k]]);
     // Position-derived seed: identical for point i no matter what thread
     // runs it or what other axes exist.
-    sc.config.seed = SplitMix64(spec.base_seed ^ (0x9e3779b97f4a7c15ULL * (pt.index + 1))).next();
-    sc.config.fit_derived();
+    point_.config.seed =
+        SplitMix64(spec.base_seed ^ (0x9e3779b97f4a7c15ULL * (pt.index + 1))).next();
+    point_.config.fit_derived();
     // The classic phases run the windows the base and the axes resolved to.
-    sc.phases[0].cycles = sc.config.warmup_cycles;
-    sc.phases[1].cycles = sc.config.measure_cycles;
-    sc.phases[2].cycles = sc.config.drain_timeout;
+    point_.phases[0].cycles = point_.config.warmup_cycles;
+    point_.phases[1].cycles = point_.config.measure_cycles;
+    point_.phases[2].cycles = point_.config.drain_timeout;
   }
   // Per-point observability (every design: Mesh/Smart via MeshNetwork's
   // observer, Dedicated via its own packet/activity hooks).
   const auto tagged = [&](const std::string& prefix) {
     return prefix.empty() ? prefix : prefix + "_p" + std::to_string(pt.index);
   };
-  sim::set_telemetry_outputs(sc.telemetry, tagged(spec.telemetry_prefix),
+  sim::set_telemetry_outputs(point_.telemetry, tagged(spec.telemetry_prefix),
                              tagged(spec.trace_prefix), spec.telemetry_epoch);
-  return sc;
+  return point_;
 }
 
-}  // namespace
-
 sim::ScenarioSpec make_point_scenario(const SweepSpec& spec, const RunPoint& pt) {
-  sim::ScenarioSpec sc = resolve_point(spec, pt);
+  sim::ScenarioSpec sc = PointCursor(spec).resolve(pt);
   sc.config.validate();
   return sc;
 }
@@ -79,7 +94,7 @@ RunRecord run_point(const SweepSpec& spec, const RunPoint& pt, int shard_cap) {
   if (!pt.scenario_file.empty()) rec.workload = "scenario:" + pt.scenario_file;
 
   try {
-    sim::ScenarioSpec scenario = resolve_point(spec, pt);
+    sim::ScenarioSpec scenario = PointCursor(spec).resolve(pt);
     stamp_point_echo(pt, scenario, rec);
     rec.hpc_max = scenario.config.hpc_max_override;
     scenario.config.validate();

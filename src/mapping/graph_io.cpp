@@ -1,6 +1,5 @@
 #include "mapping/graph_io.hpp"
 
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -100,9 +99,7 @@ TaskGraph load_task_graph(const std::string& path) {
 }
 
 void save_task_graph(const TaskGraph& graph, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) throw SimError("cannot write task graph file " + path);
-  f << serialize_task_graph(graph);
+  write_file_atomic(path, serialize_task_graph(graph));
 }
 
 }  // namespace smartnoc::mapping

@@ -26,7 +26,8 @@ std::string serialize_task_graph(const TaskGraph& graph);
 /// Graphviz DOT with bandwidth-labelled edges.
 std::string to_dot(const TaskGraph& graph);
 
-/// File helpers (throw ConfigError / SimError on I/O problems).
+/// File helpers (throw ConfigError on I/O problems). A save is atomic: the
+/// file is written beside the target and renamed over it.
 TaskGraph load_task_graph(const std::string& path);
 void save_task_graph(const TaskGraph& graph, const std::string& path);
 

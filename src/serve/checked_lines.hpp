@@ -46,8 +46,11 @@ struct CheckedFile {
 };
 
 /// Reads a checked-line file: one read into CheckedFile::bytes, then each
-/// line is split in place and its checksum verified, so every line handed
-/// out is byte-for-byte what was written. Payloads are not parsed here -
+/// line is split in place and its tag and checksum field checked, so every
+/// line handed out is byte-for-byte what was written. The checksums are
+/// verified after the split, four lines at a time (fnv1a64_x4): opening a
+/// cache hashes every byte of it, and one FNV chain is bound by multiply
+/// latency. Lines keep their file order. Payloads are not parsed here -
 /// callers decode them when (and only if) they need the record. A missing
 /// file yields header_ok=false and no lines; a wrong header drops the
 /// whole content (callers rewrite). The payload may contain any byte but
@@ -76,6 +79,7 @@ inline CheckedFile read_checked_lines(const std::string& path, const std::string
   };
   if (next_line() != header) return out;
   out.header_ok = true;
+  std::vector<std::uint64_t> sums;  // the checksum field of each split line
   while (p < end) {
     const std::string_view line = next_line();
     if (line.empty()) continue;
@@ -83,12 +87,34 @@ inline CheckedFile read_checked_lines(const std::string& path, const std::string
     const std::size_t sp2 = sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
     std::uint64_t sum = 0;
     if (sp2 == std::string_view::npos || sp2 - sp1 != 17 ||
-        !parse_hex64(line.substr(sp1 + 1, 16), sum) || sum != fnv1a64(line.substr(sp2 + 1))) {
+        !parse_hex64(line.substr(sp1 + 1, 16), sum)) {
       ++out.dropped;
       continue;
     }
     out.lines.push_back(CheckedLine{line.substr(0, sp1), line.substr(sp2 + 1)});
+    sums.push_back(sum);
   }
+
+  // Keeps line i if its checksum holds, compacting in place (kept <= i).
+  std::size_t kept = 0;
+  const auto keep = [&](std::size_t i, std::uint64_t hash) {
+    if (hash == sums[i]) {
+      out.lines[kept++] = out.lines[i];
+    } else {
+      ++out.dropped;
+    }
+  };
+  const std::size_t n = out.lines.size();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const std::string_view in[4] = {out.lines[i].payload, out.lines[i + 1].payload,
+                                    out.lines[i + 2].payload, out.lines[i + 3].payload};
+    std::uint64_t hash[4];
+    fnv1a64_x4(in, hash);
+    for (std::size_t l = 0; l < 4; ++l) keep(i + l, hash[l]);
+  }
+  for (; i < n; ++i) keep(i, fnv1a64(out.lines[i].payload));
+  out.lines.resize(kept);
   return out;
 }
 

@@ -25,8 +25,8 @@ namespace {
 
 // Key encoding follows the row's type. The mesh view row is never in the
 // key (its width and height rows are), but every row type has an encoding.
-template <class T>
-void put(CanonicalEncoder& e, const T& v) {
+template <class E, class T>
+void put(E& e, const T& v) {
   if constexpr (std::is_same_v<T, bool>) e.u8(v ? 1 : 0);
   else if constexpr (std::is_same_v<T, int>) e.i64(v);
   else if constexpr (std::is_same_v<T, std::uint64_t>) e.u64(v);
@@ -41,7 +41,8 @@ void put(CanonicalEncoder& e, const T& v) {
   }
 }
 
-void encode_fault_event(CanonicalEncoder& e, const noc::FaultEventSpec& f) {
+template <class E>
+void encode_fault_event(E& e, const noc::FaultEventSpec& f) {
   e.u64(f.cycle);
   e.u8(static_cast<std::uint8_t>(f.kind));
   e.i64(f.node);
@@ -49,10 +50,8 @@ void encode_fault_event(CanonicalEncoder& e, const noc::FaultEventSpec& f) {
   e.u64(f.until);
 }
 
-}  // namespace
-
-std::string canonical_point_bytes(const sim::ScenarioSpec& s) {
-  CanonicalEncoder e;
+template <class E>
+void encode_point(E& e, const sim::ScenarioSpec& s) {
   e.str("SNPK");  // magic: smartnoc point key
   e.u32(kPointKeyVersion);
   auto encode_row = [&e](const FieldMeta& m, const auto& v) {
@@ -68,11 +67,22 @@ std::string canonical_point_bytes(const sim::ScenarioSpec& s) {
   for (const noc::FaultEventSpec& f : s.fault_events) encode_fault_event(e, f);
   e.u32(static_cast<std::uint32_t>(s.phases.size()));
   for (const sim::PhaseSpec& p : s.phases) sim::for_each_phase_field(encode_row, p);
-  return e.bytes();
+}
+
+}  // namespace
+
+std::string canonical_point_bytes(const sim::ScenarioSpec& s) {
+  CanonicalEncoder e;
+  encode_point(e, s);
+  return e.out();
 }
 
 Hash128 point_key(const sim::ScenarioSpec& scenario) {
-  return hash128(canonical_point_bytes(scenario));
+  // Hashed as it is encoded: a warm sweep derives a key per point, and
+  // builds no byte string for it.
+  CanonicalEncoder<Hash128Stream> e;
+  encode_point(e, scenario);
+  return e.out().digest();
 }
 
 }  // namespace smartnoc::serve

@@ -6,6 +6,8 @@
 // out as a stable, versioned byte string - fixed-width little-endian
 // integers, IEEE-754 bit patterns for doubles, length-prefixed strings -
 // and point_key hashes it to the 128-bit key the result cache stores under.
+// point_key hashes the bytes as it encodes them, so no byte string is built;
+// the key equals hash128(canonical_point_bytes(...)).
 //
 // Stability contract: the byte layout and the hash are durable on-disk
 // format. Golden vectors in tests/test_serve.cpp pin both; any change to

@@ -7,8 +7,9 @@
 //   <32-hex point key> <16-hex fnv1a64(json)> <single-line record JSON>
 //
 // Opening the cache verifies and indexes, it does not decode: the file is
-// read in one go, every line's checksum is checked, and the key is mapped
-// to the verified record JSON, which stays in the load buffer. A lookup
+// read in one go, every line is split and its checksum checked - four lines
+// at a time, on independent FNV-1a chains (read_checked_lines) - and the key
+// is mapped to the verified record JSON, which stays in the load buffer. A lookup
 // decodes its record on hit, outside the mutex, so the executor's workers
 // decode in parallel. A line whose checksum holds but whose JSON does not
 // parse is dropped on its first lookup: it counts as corrupt and as a miss,

@@ -1,5 +1,6 @@
 #include "serve/serve.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -7,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include <unistd.h>
@@ -107,63 +109,74 @@ class StatusWriter {
   bool wrote_once_ = false;
 };
 
+/// One thread's cache_hooks state. The executor runs a point's lookup and,
+/// on a miss, its store back to back on one thread, so the lookup's key
+/// waits for the store in one slot per thread. The cursor folds the points
+/// of one spec within one executor call, the span its spec stays fixed.
+struct Lane {
+  std::uint64_t hooks = 0;     ///< the cache_hooks object whose lookup wrote the slot
+  std::size_t index = 0;       ///< the point the slot's key belongs to
+  std::optional<Hash128> key;  ///< empty: that point is not cacheable
+  std::uint64_t call = 0;      ///< the executor call the cursor folds for
+  std::optional<explore::PointCursor> cursor;
+};
+
+thread_local Lane t_lane;
+
 }  // namespace
 
 explore::SweepHooks cache_hooks(ResultCache& cache) {
-  // The executor calls lookup(pt) and - on a miss - store(pt) for the same
-  // point. Both need the point's key, and deriving it (resolve the scenario,
-  // hash the canonical bytes) is the whole per-point cost of a cold cache,
-  // so the lookup's key is kept for the store instead of being recomputed.
-  // The map is per-hooks-object state: one SweepHooks must serve at most one
-  // run_sweep at a time (indices are only unique within a matrix).
-  struct KeyMemo {
-    std::mutex mu;
-    std::map<std::size_t, Hash128> keys;
-  };
-  auto memo = std::make_shared<KeyMemo>();
+  // The store reuses the lookup's key instead of deriving it again: the
+  // derivation (resolve the scenario, hash its canonical bytes) is the whole
+  // per-point cost of a cold cache. Each hooks object gets its own id, so a
+  // store never takes a key another hooks object's lookup left behind.
+  static std::atomic<std::uint64_t> next_id{0};
+  const std::uint64_t id = next_id.fetch_add(1, std::memory_order_relaxed) + 1;
 
   explore::SweepHooks hooks;
-  hooks.lookup = [&cache, memo](const explore::SweepSpec& spec, const explore::RunPoint& pt,
-                                explore::RunRecord& rec) {
-    sim::ScenarioSpec scenario;
+  hooks.lookup = [&cache, id](const explore::SweepSpec& spec, const explore::RunPoint& pt,
+                              explore::RunRecord& rec) {
+    Lane& lane = t_lane;
+    lane.hooks = id;
+    lane.index = pt.index;
+    lane.key.reset();
+    // Outside an executor call (call 0) every lookup resolves afresh.
+    const std::uint64_t call = explore::Executor::current_call();
+    if (call == 0 || lane.call != call || &lane.cursor->spec() != &spec) {
+      lane.cursor.emplace(spec);
+      lane.call = call;
+    }
+    const sim::ScenarioSpec* scenario = nullptr;
     try {
-      scenario = explore::make_point_scenario(spec, pt);
+      scenario = &lane.cursor->resolve(pt);
+      scenario->config.validate();
     } catch (const std::exception&) {
       return false;  // e.g. unreadable scenario file: let run_point report it
     }
     // A replay's key names the capture's path, not its bytes, so a
     // re-recorded capture would be served stale: replays always run.
-    for (const sim::PhaseSpec& ph : scenario.phases) {
+    for (const sim::PhaseSpec& ph : scenario->phases) {
       if (telemetry::is_trace_workload_key(ph.workload)) return false;
     }
-    const Hash128 key = point_key(scenario);
-    {
-      std::lock_guard<std::mutex> lock(memo->mu);
-      memo->keys[pt.index] = key;
-    }
+    lane.key = point_key(*scenario);
     // Telemetry/trace sidecar files only exist if the point actually runs,
     // so serving from the cache would silently skip them. The key is still
-    // memoized above: the computed record is stored for future plain runs.
+    // kept above: the computed record is stored for future plain runs.
     if (!spec.telemetry_prefix.empty() || !spec.trace_prefix.empty()) return false;
-    auto hit = cache.lookup(key);
+    auto hit = cache.lookup(*lane.key);
     if (!hit) return false;
     // hpc_max stays the cached value: it comes out of the session and is
     // determined by the key.
     rec = std::move(*hit);
-    explore::stamp_point_echo(pt, scenario, rec);
+    explore::stamp_point_echo(pt, *scenario, rec);
     return true;
   };
-  hooks.store = [&cache, memo](const explore::SweepSpec&, const explore::RunPoint& pt,
-                               const explore::RunRecord& rec) {
-    Hash128 key;
-    {
-      std::lock_guard<std::mutex> lock(memo->mu);
-      const auto it = memo->keys.find(pt.index);
-      if (it == memo->keys.end()) return;  // lookup found no key: uncacheable
-      key = it->second;
-      memo->keys.erase(it);
-    }
-    cache.insert(key, rec);
+  hooks.store = [&cache, id](const explore::SweepSpec&, const explore::RunPoint& pt,
+                             const explore::RunRecord& rec) {
+    Lane& lane = t_lane;
+    if (lane.hooks != id || lane.index != pt.index || !lane.key) return;  // uncacheable
+    cache.insert(*lane.key, rec);
+    lane.key.reset();
   };
   return hooks;
 }

@@ -25,6 +25,11 @@ namespace smartnoc::serve {
 /// byte-identical to the uncached run (pinned by tests). Lookups are
 /// bypassed (stores still happen) when the sweep requests telemetry or
 /// trace files - those side effects only exist if the point actually runs.
+/// Inside an executor call each thread resolves its points through one
+/// explore::PointCursor, so the spec must stay unchanged for the call; a
+/// store takes the key of the same thread's lookup of that point, so a
+/// point's store must follow its lookup on one thread, as run_sweep and
+/// run_job do. One hooks object may serve any number of sweeps in turn.
 explore::SweepHooks cache_hooks(ResultCache& cache);
 
 struct ServeOptions {

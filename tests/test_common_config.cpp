@@ -2,6 +2,9 @@
 // at construction, with the paper's Table II defaults passing untouched.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "common/config.hpp"
 
 namespace smartnoc {
@@ -95,6 +98,48 @@ TEST(NocConfig, RejectsBadScalars) {
     NocConfig c;
     c.width = 0;
     EXPECT_THROW(c.validate(), ConfigError);
+  }
+}
+
+TEST(NocConfig, ValidateMessagesArePinned) {
+  // One failing config per check, with the exact message it throws: the
+  // messages reach users through explorer's exit-2 errors and sweep rows.
+  struct Row {
+    std::function<void(NocConfig&)> break_it;
+    std::string message;
+  };
+  const Row rows[] = {
+      {[](NocConfig& c) { c.width = 0; }, "mesh dimensions must be >= 1x1, got 0x4"},
+      {[](NocConfig& c) { c.flit_bits = 0; }, "flit_bits must be positive"},
+      {[](NocConfig& c) { c.packet_bits = 250; },
+       "packet_bits must be a positive multiple of flit_bits"},
+      {[](NocConfig& c) { c.vcs_per_port = 17; }, "vcs_per_port must be in [1,16]"},
+      {[](NocConfig& c) { c.vc_depth_flits = 7; },
+       "virtual cut-through requires vc_depth_flits >= flits_per_packet (7 < 8)"},
+      {[](NocConfig& c) { c.vcs_per_port = 4; },
+       "credit_bits must be >= log2(vcs_per_port)+1 = 3"},
+      {[](NocConfig& c) { c.width = c.height = 8; },
+       "header_bits=20 too small: route needs 30 + vc 1 + type 2"},
+      {[](NocConfig& c) { c.freq_ghz = 12.0; }, "freq_ghz out of range (0,10]"},
+      {[](NocConfig& c) { c.hop_mm = 0.0; }, "hop_mm must be positive"},
+      {[](NocConfig& c) { c.hpc_max_override = -1; }, "hpc_max_override must be >= 0"},
+      {[](NocConfig& c) { c.router_stages = 2; },
+       "this microarchitecture is the paper's 3-stage router"},
+      {[](NocConfig& c) { c.bandwidth_scale = -1.0; }, "bandwidth_scale must be positive"},
+      {[](NocConfig& c) { c.retry_limit = -1; }, "retry_limit must be >= 0"},
+      {[](NocConfig& c) { c.retry_backoff_cycles = 0; },
+       "retry_backoff_cycles must be positive"},
+      {[](NocConfig& c) { c.shard_threads = 257; }, "shard_threads must be in [1,256]"},
+  };
+  for (const Row& row : rows) {
+    NocConfig c;
+    row.break_it(c);
+    try {
+      c.validate();
+      ADD_FAILURE() << "no throw, expected: " << row.message;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()), row.message);
+    }
   }
 }
 

@@ -9,12 +9,14 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "explore/explore.hpp"
 #include "serve/point_key.hpp"
 #include "sim/runner.hpp"
@@ -192,6 +194,48 @@ TEST(SweepSpec, ScrambledAxisLinesKeepTheirRowsAndKeys) {
   EXPECT_EQ(key(0), "4835f40f6d9414748a45971023781a71");
   EXPECT_EQ(key(21), "270a410ff4a86231389700d95287f37a");
   EXPECT_EQ(key(32), "c2e41b9e59f6839d301ac280e0c15bae");
+}
+
+TEST(PointCursor, FoldEqualsAFreshResolutionAtAnyLaneStrideAndOrder) {
+  // All eight axis keys at uneven radices (2 and 3), so lane strides of 1,
+  // 2 and 3 change different digits from point to point.
+  const SweepSpec spec = explore::parse_sweep(
+      "mesh = 2x2, 3x3\n"
+      "flit_bits = 32, 64\n"
+      "hpc = 0, 2\n"
+      "injection = 0.02, 0.04, 0.06\n"
+      "pattern = transpose, neighbor\n"
+      "fault_rate = 0, 0.05\n"
+      "fault_schedule = none, kill@300:0:E\n"
+      "design = mesh, smart, dedicated\n");
+  ASSERT_EQ(spec.axes.size(), 8u);
+  const std::vector<RunPoint> pts = spec.expand();
+  std::vector<sim::ScenarioSpec> fresh;
+  for (const RunPoint& pt : pts) fresh.push_back(explore::make_point_scenario(spec, pt));
+
+  // One cursor per executor lane, folding whatever the lane is handed.
+  for (const int threads : {1, 2, 3}) {
+    explore::Executor exec(threads);
+    std::vector<std::optional<explore::PointCursor>> lanes(static_cast<std::size_t>(threads));
+    std::atomic<std::size_t> wrong{0};
+    exec.for_each(pts.size(), [&](std::size_t i) {
+      auto& lane = lanes[static_cast<std::size_t>(explore::Executor::current_worker())];
+      if (!lane) lane.emplace(spec);
+      if (!(lane->resolve(pts[i]) == fresh[i])) wrong.fetch_add(1);
+    });
+    EXPECT_EQ(wrong.load(), 0u) << "threads=" << threads;
+  }
+
+  // One cursor visiting every point in a scrambled order, then twice in a row.
+  std::vector<std::size_t> order(pts.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  Xoshiro256 rng(22);
+  for (std::size_t i = order.size(); i > 1; --i) std::swap(order[i - 1], order[rng.next() % i]);
+  explore::PointCursor cursor(spec);
+  for (const std::size_t i : order) {
+    EXPECT_TRUE(cursor.resolve(pts[i]) == fresh[i]) << "point " << i;
+    EXPECT_TRUE(cursor.resolve(pts[i]) == fresh[i]) << "point " << i << " again";
+  }
 }
 
 // --- Workloads ---------------------------------------------------------------

@@ -88,6 +88,11 @@ TEST(GraphIo, FileRoundTrip) {
   EXPECT_EQ(g2.edges().size(), g.edges().size());
 }
 
+TEST(GraphIo, SaveIntoMissingDirectoryThrowsConfigError) {
+  const std::string path = ::testing::TempDir() + "no_such_dir/vopd.tg";
+  EXPECT_THROW(save_task_graph(make_app(SocApp::VOPD), path), ConfigError);
+}
+
 TEST(GraphIo, LoadMissingFileThrows) {
   EXPECT_THROW(load_task_graph("/nonexistent/nope.tg"), ConfigError);
 }

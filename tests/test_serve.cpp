@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <tuple>
 #include <type_traits>
@@ -99,7 +100,7 @@ TEST(ServeHash, CanonicalEncoderLayout) {
   e.i64(-1);
   e.f64(-0.0);
   e.str("hi");
-  const std::string b = e.bytes();
+  const std::string b = e.out();
   ASSERT_EQ(b.size(), 1u + 4u + 8u + 8u + 8u + 4u + 2u);
   EXPECT_EQ(static_cast<unsigned char>(b[0]), 0xab);
   EXPECT_EQ(static_cast<unsigned char>(b[1]), 0x04);  // little-endian
@@ -440,6 +441,177 @@ TEST(ServeCache, ChecksumValidButUnparsableRecordMissesOnceAndIsReplaced) {
   EXPECT_EQ(reopened.counters().hits, spec.size());
   EXPECT_EQ(reopened.counters().misses, 0u);
   EXPECT_EQ(served.to_csv(), again.to_csv());
+}
+
+TEST(ServeCache, LaneVerifyMatchesAPerLineReference) {
+  // 23 lines: five groups of four and a tail of three, so both the
+  // four-lane verify and the one-line tail run. Payloads have unequal
+  // lengths (0 and 1 byte among them), a damaged line sits at each
+  // position mod 4, the last line is cut off partway and one key repeats.
+  const fs::path dir = scratch_dir("cache_lanes");
+  struct Line {
+    std::string tag, payload;
+    std::uint64_t sum = 0;
+  };
+  std::vector<Line> lines;
+  for (std::size_t i = 0; i < 23; ++i) {
+    std::string payload;
+    if (i == 2) {
+      payload = "";
+    } else if (i == 5 || i == 15) {
+      payload = "x";
+    } else {
+      RunRecord r;
+      r.packets = i;
+      r.workload = std::string(i % 7, 'w');
+      payload = explore::record_to_json(r);
+    }
+    const std::size_t key = i == 20 ? 3 : i;  // line 20 repeats line 3's key
+    lines.push_back({hash128("key" + std::to_string(key)).hex(), payload, fnv1a64(payload)});
+  }
+  lines[8].payload[10] ^= 0x01;  // position 8 = 0 mod 4: payload byte
+  lines[13].sum ^= 1;            // 1 mod 4: checksum
+  lines[18].payload[40] ^= 0x20; // 2 mod 4: payload byte
+  lines[15].sum ^= 2;            // 3 mod 4: a 1-byte payload's checksum
+  std::string file = std::string(serve::ResultCache::kHeader) + "\n";
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string text = lines[i].tag + ' ' +
+                             strf("%016llx", static_cast<unsigned long long>(lines[i].sum)) +
+                             ' ' + lines[i].payload;
+    if (i + 1 < lines.size()) {
+      file += text + '\n';
+    } else {
+      lines[i].payload.resize(lines[i].payload.size() - 5);  // cut mid-payload, no newline
+      file += text.substr(0, text.size() - 5);
+    }
+  }
+  {
+    std::ofstream f(dir / "results.srcl", std::ios::binary | std::ios::trunc);
+    f << file;
+  }
+
+  // The reference: a line holds iff its own fnv1a64 matches its checksum.
+  std::vector<std::pair<std::string, std::string>> kept;
+  std::map<std::string, std::string> last;  // key -> last verified payload
+  std::uint64_t dropped = 0;
+  for (const Line& l : lines) {
+    if (fnv1a64(l.payload) != l.sum) {
+      ++dropped;
+      continue;
+    }
+    kept.emplace_back(l.tag, l.payload);
+    last[l.tag] = l.payload;
+  }
+  ASSERT_EQ(dropped, 5u);
+
+  const serve::CheckedFile read =
+      serve::read_checked_lines((dir / "results.srcl").string(), serve::ResultCache::kHeader);
+  EXPECT_TRUE(read.header_ok);
+  EXPECT_EQ(read.dropped, dropped);
+  ASSERT_EQ(read.lines.size(), kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(read.lines[i].tag, kept[i].first) << "line " << i;
+    EXPECT_EQ(read.lines[i].payload, kept[i].second) << "line " << i;
+  }
+
+  // The cache serves each key's last verified line, when it decodes.
+  serve::ResultCache cache(dir.string());
+  EXPECT_EQ(cache.counters().corrupt_dropped, dropped);
+  EXPECT_EQ(cache.size(), last.size());
+  for (const Line& l : lines) {
+    const auto hit = cache.lookup(*Hash128::from_hex(l.tag));
+    const auto it = last.find(l.tag);
+    std::optional<RunRecord> want;
+    if (it != last.end() && !it->second.empty() && it->second != "x") {
+      want = explore::record_from_json(it->second);
+    }
+    EXPECT_EQ(hit, want) << l.tag;
+  }
+}
+
+TEST(ServeCache, OneHooksObjectServesConsecutiveSweepsOfDifferentSizes) {
+  // As a bench pass does: one hooks object over two run_sweep calls whose
+  // point indices overlap, at different worker counts.
+  const fs::path dir = scratch_dir("cache_reuse");
+  const SweepSpec small = serve_spec();
+  const SweepSpec large = explore::parse_sweep(
+      "mesh = 2x2, 3x3\n"
+      "injection = 0.02, 0.03, 0.05\n"
+      "design = smart, mesh\n"
+      "warmup = 200\n"
+      "measure = 2000\n"
+      "drain_timeout = 20000\n");
+  serve::ResultCache cache(dir.string());
+  const explore::SweepHooks hooks = serve::cache_hooks(cache);
+  const ResultTable a = explore::run_sweep(large, 3, {}, hooks);
+  const ResultTable b = explore::run_sweep(small, 2, {}, hooks);
+  EXPECT_EQ(cache.counters().inserts, large.size() + small.size());
+
+  // Every computed record sits under its own point's key.
+  serve::ResultCache reopened(dir.string());
+  for (const auto& [spec, table] : {std::pair{&large, &a}, std::pair{&small, &b}}) {
+    for (const explore::RunPoint& pt : spec->expand()) {
+      const auto hit =
+          reopened.lookup(serve::point_key(explore::make_point_scenario(*spec, pt)));
+      ASSERT_TRUE(hit.has_value()) << "point " << pt.index;
+      RunRecord want = table->at(pt.index);
+      want.index = 0;
+      EXPECT_EQ(*hit, want) << "point " << pt.index;
+    }
+  }
+
+  // A rerun through the same hooks object is served whole.
+  const serve::ResultCache::Counters before = cache.counters();
+  EXPECT_EQ(explore::run_sweep(small, 3, {}, hooks).to_csv(), b.to_csv());
+  EXPECT_EQ(explore::run_sweep(large, 2, {}, hooks).to_csv(), a.to_csv());
+  EXPECT_EQ(cache.counters().hits - before.hits, large.size() + small.size());
+  EXPECT_EQ(cache.counters().misses, before.misses);
+}
+
+TEST(ServeCache, HooksResolveASpecChangedBetweenSweepsAfresh) {
+  // The calling thread is lane 0 of every sweep, so its cursor must not
+  // carry over: the same spec object, changed in place, resolves anew.
+  const fs::path dir = scratch_dir("cache_changed_spec");
+  SweepSpec spec = serve_spec();
+  serve::ResultCache cache(dir.string());
+  const explore::SweepHooks hooks = serve::cache_hooks(cache);
+  explore::run_sweep(spec, 1, {}, hooks);
+  ASSERT_EQ(spec.axes.front().key, "mesh");
+  spec.axes.front().values = {"3x3"};
+  EXPECT_EQ(explore::run_sweep(spec, 1, {}, hooks).to_csv(), explore::run_sweep(spec, 1).to_csv());
+  EXPECT_EQ(cache.counters().hits, 0u);
+}
+
+TEST(ServeCache, EightAxisSweepIsServedWholeAtEveryWorkerCount) {
+  // Every axis key at uneven radices: the hooks fold each lane's points, and
+  // a folded scenario that differed from a fresh one would miss or echo
+  // wrong columns.
+  const fs::path dir = scratch_dir("cache_eight_axes");
+  const SweepSpec spec = explore::parse_sweep(
+      "mesh = 2x2, 3x3\n"
+      "flit_bits = 32, 64\n"
+      "hpc = 0, 2\n"
+      "injection = 0.02, 0.04, 0.06\n"
+      "pattern = transpose, neighbor\n"
+      "fault_rate = 0, 0.05\n"
+      "fault_schedule = none, kill@300:0:E\n"
+      "design = mesh, smart\n"
+      "warmup = 100\n"
+      "measure = 400\n"
+      "drain_timeout = 5000\n");
+  ASSERT_EQ(spec.axes.size(), 8u);
+  const ResultTable plain = explore::run_sweep(spec, 3);
+  {
+    serve::ResultCache cold(dir.string());
+    EXPECT_EQ(explore::run_sweep(spec, 3, {}, serve::cache_hooks(cold)).to_csv(), plain.to_csv());
+    EXPECT_EQ(cold.counters().inserts, spec.size());
+  }
+  for (const int threads : {1, 2, 3}) {
+    serve::ResultCache warm(dir.string());
+    const ResultTable served = explore::run_sweep(spec, threads, {}, serve::cache_hooks(warm));
+    EXPECT_EQ(warm.counters().hits, spec.size()) << "threads=" << threads;
+    EXPECT_EQ(served.to_csv(), plain.to_csv()) << "threads=" << threads;
+  }
 }
 
 TEST(ServeCache, UnknownHeaderRetiresTheFile) {
