@@ -8,6 +8,7 @@
 
 #include "common/config_fields.hpp"
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "common/table.hpp"
 
 namespace smartnoc::telemetry {
@@ -500,12 +501,13 @@ TraceFile decode_trace(const std::string& bytes) {
 }
 
 TraceFile read_trace_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw TraceError("cannot open trace file '" + path + "'");
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  if (!f) throw TraceError("error reading trace file '" + path + "'");
-  return decode_trace(buf.str());
+  std::string bytes;
+  try {
+    bytes = read_file(path, "trace file");
+  } catch (const ConfigError& e) {
+    throw TraceError(e.what());  // trace: callers catch the trace error type
+  }
+  return decode_trace(bytes);
 }
 
 TraceDiff diff_traces(const TraceFile& a, const TraceFile& b) {

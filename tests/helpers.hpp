@@ -1,10 +1,13 @@
-// Shared helpers for network-level tests: single-packet latency probes and
-// small flow-set builders.
+// Shared helpers for the tests: single-packet latency probes, small
+// flow-set builders, and the byte mutator of the seeded parser campaigns.
 #pragma once
 
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "common/config.hpp"
+#include "common/rng.hpp"
 #include "noc/network_iface.hpp"
 #include "noc/routing.hpp"
 
@@ -48,6 +51,27 @@ inline noc::FlowSet one_flow(const NocConfig& cfg, NodeId src, NodeId dst,
   noc::FlowSet fs;
   fs.add(src, dst, mbps, noc::xy_path(cfg.dims(), src, dst));
   return fs;
+}
+
+/// One to three byte edits: flip a bit, insert a byte (from `alphabet` half
+/// of the time, any byte otherwise), delete one, or duplicate one.
+inline std::string mutate(std::string s, Xoshiro256& rng, std::string_view alphabet) {
+  const int edits = 1 + static_cast<int>(rng.below(3));
+  for (int k = 0; k < edits && !s.empty(); ++k) {
+    const std::size_t at = rng.below(s.size());
+    switch (rng.below(4)) {
+      case 0: s[at] = static_cast<char>(s[at] ^ (1u << rng.below(8))); break;
+      case 1: {
+        const char c = rng.below(2) == 0 ? alphabet[rng.below(alphabet.size())]
+                                         : static_cast<char>(rng.below(256));
+        s.insert(at, 1, c);
+        break;
+      }
+      case 2: s.erase(at, 1); break;
+      default: s.insert(at, 1, s[at]); break;
+    }
+  }
+  return s;
 }
 
 }  // namespace smartnoc::testing

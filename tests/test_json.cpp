@@ -12,11 +12,13 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "explore/result_sink.hpp"
+#include "helpers.hpp"
 #include "noc/fault_engine.hpp"
 #include "obs/export.hpp"
 #include "sim/scenario.hpp"
@@ -137,27 +139,9 @@ TEST(JsonReader, EscapesAndMalformedInput) {
 
 // --- Mutation campaign ---------------------------------------------------------
 
-/// One to three byte edits: flip a bit, insert a byte (JSON punctuation half
-/// of the time, so mutants get past the first token), delete or duplicate.
-std::string mutate(std::string s, Xoshiro256& rng) {
-  static const std::string kBytes = "{}[]:,\"\\ 0123456789-+.eEtrufalsn";
-  const int edits = 1 + static_cast<int>(rng.below(3));
-  for (int k = 0; k < edits && !s.empty(); ++k) {
-    const std::size_t at = rng.below(s.size());
-    switch (rng.below(4)) {
-      case 0: s[at] = static_cast<char>(s[at] ^ (1u << rng.below(8))); break;
-      case 1: {
-        const char c = rng.below(2) == 0 ? kBytes[rng.below(kBytes.size())]
-                                         : static_cast<char>(rng.below(256));
-        s.insert(at, 1, c);
-        break;
-      }
-      case 2: s.erase(at, 1); break;
-      default: s.insert(at, 1, s[at]); break;
-    }
-  }
-  return s;
-}
+/// Inserted bytes are JSON punctuation half of the time, so mutants get past
+/// the first token.
+constexpr std::string_view kJsonBytes = "{}[]:,\"\\ 0123456789-+.eEtrufalsn";
 
 /// Runs `n` mutants of `doc`; returns how many parsed.
 template <class T, class Parse, class Serialize>
@@ -166,7 +150,7 @@ int run_campaign(const std::string& doc, Parse parse, Serialize serialize, std::
   Xoshiro256 rng(seed);
   int parsed = 0;
   for (int i = 0; i < n; ++i) {
-    const std::string mutant = mutate(doc, rng);
+    const std::string mutant = testing::mutate(doc, rng, kJsonBytes);
     std::optional<T> v;
     try {
       v = parse(mutant);

@@ -4,6 +4,7 @@
 // resume semantics (only missing points rerun).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -12,12 +13,15 @@
 #include <tuple>
 #include <type_traits>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/float_io.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "explore/explore.hpp"
+#include "helpers.hpp"
 #include "serve/checked_lines.hpp"
 #include "serve/job_store.hpp"
 #include "serve/point_key.hpp"
@@ -623,6 +627,80 @@ TEST(ServeCache, UnknownHeaderRetiresTheFile) {
   serve::ResultCache cache(dir.string());
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(slurp(dir / "results.srcl"), std::string(serve::ResultCache::kHeader) + "\n");
+}
+
+/// The lines of `s` split at '\n', empty ones left out (the reader skips them).
+std::vector<std::string_view> nonempty_lines(std::string_view s) {
+  std::vector<std::string_view> out;
+  while (!s.empty()) {
+    const std::size_t nl = std::min(s.find('\n'), s.size());
+    if (nl > 0) out.push_back(s.substr(0, nl));
+    s.remove_prefix(std::min(nl + 1, s.size()));
+  }
+  return out;
+}
+
+TEST(ServeCache, MutatedCacheFilesServeOnlyTheirStoredRecords) {
+  // A seeded campaign of flipped, inserted, deleted and duplicated bytes
+  // over a results.srcl written by a sweep. Every open succeeds, every line
+  // is indexed or counted corrupt, every served record is the one stored for
+  // its key, a line that survived intact is still served, and the open
+  // scrubs the damage so a second open finds none.
+  const fs::path dir = scratch_dir("cache_mutants");
+  const SweepSpec spec = serve_spec();
+  {
+    serve::ResultCache cache(dir.string());
+    explore::run_sweep(spec, 2, {}, serve::cache_hooks(cache));
+  }
+  const fs::path file = dir / "results.srcl";
+  const std::string original = slurp(file);
+  const std::vector<std::string_view> original_lines = nonempty_lines(original);
+  ASSERT_EQ(original_lines.size(), spec.size() + 1);
+  std::map<std::string_view, std::pair<Hash128, RunRecord>> stored;  // line -> key, record
+  {
+    serve::ResultCache cache(dir.string());
+    for (std::size_t i = 1; i < original_lines.size(); ++i) {
+      const Hash128 key = *Hash128::from_hex(original_lines[i].substr(0, 32));
+      stored.emplace(original_lines[i], std::pair{key, *cache.lookup(key)});
+    }
+  }
+
+  Xoshiro256 rng(20261021);
+  int damaged_opens = 0, retired = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string mutant = testing::mutate(original, rng, "\n 0123456789abcdef{}\":,");
+    {
+      std::ofstream f(file, std::ios::binary | std::ios::trunc);
+      f << mutant;
+    }
+    serve::ResultCache cache(dir.string());
+    const std::vector<std::string_view> lines = nonempty_lines(mutant);
+    const bool header_ok = mutant.starts_with(std::string(serve::ResultCache::kHeader) + '\n');
+    const std::size_t opened = cache.size();
+    if (header_ok) {
+      EXPECT_EQ(opened + cache.counters().corrupt_dropped, lines.size() - 1) << mutant;
+    } else {
+      EXPECT_EQ(opened, 0u) << mutant;
+      ++retired;
+    }
+    damaged_opens += cache.counters().corrupt_dropped > 0;
+    for (const auto& [line, entry] : stored) {
+      const auto hit = cache.lookup(entry.first);
+      if (hit) {
+        EXPECT_EQ(*hit, entry.second) << mutant;
+      }
+      const bool intact =
+          header_ok && std::find(lines.begin() + 1, lines.end(), line) != lines.end();
+      if (intact) {
+        EXPECT_TRUE(hit.has_value()) << "an intact line was not served:\n" << mutant;
+      }
+    }
+    serve::ResultCache again(dir.string());
+    EXPECT_EQ(again.counters().corrupt_dropped, 0u) << mutant;
+    EXPECT_EQ(again.size(), opened) << mutant;
+  }
+  EXPECT_GT(damaged_opens, 500) << "the campaign should mostly damage lines";
+  EXPECT_GT(retired, 10) << "the campaign should also hit the header";
 }
 
 // --- Job queue ---------------------------------------------------------------
