@@ -45,7 +45,7 @@ class RepeatedLink {
   }
 
   /// Power of an `mm`-long link streaming at `rate_gbps`, in mW
-  /// (used for the chip-correlation section of bench_table1_link).
+  /// (used for paper_report's chip correlation, results/paper/table1_chip.csv).
   double link_power_mw(int mm, double rate_gbps) const {
     return energy_fj_per_bit_mm(rate_gbps) * mm * rate_gbps * 1e-3;  // fJ*Gb/s = uW
   }
@@ -78,8 +78,9 @@ struct Table1Cell {
 };
 
 /// Regenerates the full Table I grid (both sizings, both swings, all six
-/// data rates) with paper values attached. Used by bench_table1_link and by
-/// the regression tests that pin the reproduction.
+/// data rates) with paper values attached. Used by paper_report
+/// (results/paper/table1_hops.csv) and by the regression tests that pin the
+/// reproduction.
 std::vector<Table1Cell> make_table1();
 
 /// Section III chip-correlation numbers: measured (paper) vs modelled.

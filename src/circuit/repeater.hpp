@@ -19,7 +19,7 @@
 //
 // All coefficients are calibrated to the paper's published corner points
 // (Table I and the Section III chip measurements); the residuals are
-// reported by bench_table1_link and recorded in EXPERIMENTS.md.
+// reported by paper_report and pinned in results/paper/table1_*.csv.
 #pragma once
 
 #include <string>

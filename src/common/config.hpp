@@ -5,6 +5,7 @@
 // as input ... and generates the RTL description as well as the layout").
 #pragma once
 
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <string>
@@ -118,9 +119,11 @@ struct NocConfig {
     });
     require(freq_ghz > 0.0 && freq_ghz <= 10.0, "freq_ghz out of range (0,10]");
     require(hop_mm > 0.0, "hop_mm must be positive");
+    require(std::isfinite(hop_mm), "hop_mm must be finite");
     require(hpc_max_override >= 0, "hpc_max_override must be >= 0");
     require(router_stages == 3, "this microarchitecture is the paper's 3-stage router");
     require(bandwidth_scale > 0.0, "bandwidth_scale must be positive");
+    require(std::isfinite(bandwidth_scale), "bandwidth_scale must be finite");
     require(retry_limit >= 0, "retry_limit must be >= 0");
     require(retry_backoff_cycles > 0, "retry_backoff_cycles must be positive");
     require(shard_threads >= 1 && shard_threads <= 256, "shard_threads must be in [1,256]");

@@ -1,7 +1,8 @@
 // Deterministic random number generation.
 //
-// The simulator must be bit-reproducible across platforms and runs: latency
-// tables in EXPERIMENTS.md and exact-value regression tests depend on it.
+// The simulator must be bit-reproducible across platforms and runs: the
+// paper_report CSVs pinned under results/paper/ and exact-value regression
+// tests depend on it.
 // We therefore avoid std::mt19937 + distribution objects (distributions are
 // implementation-defined) and implement SplitMix64 (for seeding / cheap
 // streams) and Xoshiro256** (for bulk draws) with explicit conversions.

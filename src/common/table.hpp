@@ -1,6 +1,7 @@
-// Plain-text table printer used by every bench binary to emit paper-style
-// rows. Columns are sized to content; numbers are formatted by the caller so
-// each bench controls its own precision.
+// Plain-text table printer used by the bench programs to emit paper-style
+// rows, and the project's one RFC-4180 CSV quoter. Columns are sized to
+// content; numbers are formatted by the caller so each table controls its
+// own precision.
 #pragma once
 
 #include <algorithm>
@@ -10,6 +11,19 @@
 #include <vector>
 
 namespace smartnoc {
+
+/// RFC-4180 quoting for a free-text CSV field: phase names from user
+/// scenario files and table cells may contain commas, quotes or newlines.
+inline std::string csv_field(const std::string& s) {
+  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"') out += "\"\"";
+    out += c;
+  }
+  out += '"';
+  return out;
+}
 
 class TextTable {
  public:
@@ -50,6 +64,21 @@ class TextTable {
   }
 
   void print() const { std::fputs(str().c_str(), stdout); }
+
+  /// The header and rows as CSV, every cell through csv_field.
+  std::string csv() const {
+    std::string out;
+    auto emit = [&](const std::vector<std::string>& r) {
+      for (std::size_t c = 0; c < r.size(); ++c) {
+        if (c > 0) out += ',';
+        out += csv_field(r[c]);
+      }
+      out += '\n';
+    };
+    emit(header_);
+    for (const auto& r : rows_) emit(r);
+    return out;
+  }
 
  private:
   std::vector<std::string> header_;

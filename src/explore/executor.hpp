@@ -64,8 +64,8 @@ class Executor {
   static std::uint64_t current_call();
 
   /// Process-wide switch for the executor's metrics + span recording.
-  /// Defaults to on; bench_obs_overhead flips it to measure the armed
-  /// machinery against a clean baseline.
+  /// Defaults to on; bench_gates' obs_machinery_cost gate flips it to
+  /// measure the armed machinery against a clean baseline.
   static std::atomic<bool>& instrumentation_enabled();
 
  private:

@@ -52,7 +52,8 @@ struct MappedApp {
   noc::FlowSet flows;
   NocConfig cfg;  ///< the input cfg with bandwidth_scale set for this app
 
-  /// Flow-count-weighted mean hop distance (diagnostics for EXPERIMENTS.md).
+  /// Flow-count-weighted mean hop distance (the hops/flow column of
+  /// paper_report's fig10a and heterogeneous CSVs).
   double mean_hops() const {
     if (flows.empty()) return 0.0;
     double h = 0.0;

@@ -17,19 +17,6 @@ std::string link_name(const MeshDims& dims, NodeId from, Dir d) {
   return out;
 }
 
-/// RFC-4180 quoting for a free-text CSV field (phase names come from user
-/// scenario files and may contain commas or quotes).
-std::string csv_field(const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
 
 std::string export_time_series_csv(const Probe& probe) {

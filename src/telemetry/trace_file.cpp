@@ -1,6 +1,7 @@
 #include "telemetry/trace_file.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -343,6 +344,11 @@ noc::FlowSet decode_flow_table(Cursor& c, const MeshDims& dims) {
     const auto src = static_cast<NodeId>(c.ranged_int("flow src", 0, dims.nodes() - 1));
     const auto dst = static_cast<NodeId>(c.ranged_int("flow dst", 0, dims.nodes() - 1));
     const double bw = c.f64("flow bandwidth");
+    // A NaN would even make a capture differ from itself in diff_traces.
+    if (!std::isfinite(bw) || bw < 0.0) {
+      throw TraceError("flow " + std::to_string(i) + " has bandwidth " + strf("%g", bw) +
+                       " MB/s (must be finite and >= 0)");
+    }
     const std::uint64_t hops = c.varint("flow hops");
     if (hops == 0 || hops > c.remaining()) {
       throw TraceError("flow " + std::to_string(i) + " has a truncated route");
@@ -494,9 +500,6 @@ TraceFile decode_trace(const std::string& bytes) {
   if (c.remaining() != 0) {
     throw TraceError(std::to_string(c.remaining()) + " trailing bytes after the end marker");
   }
-  out.config = out.eras.front().config;
-  out.flows = out.eras.front().flows;
-  out.entries = out.eras.front().entries;
   return out;
 }
 
@@ -510,7 +513,9 @@ TraceFile read_trace_file(const std::string& path) {
   return decode_trace(bytes);
 }
 
-TraceDiff diff_traces(const TraceFile& a, const TraceFile& b) {
+TraceDiff diff_traces(const TraceFile& ta, const TraceFile& tb) {
+  const TraceEra& a = ta.eras.front();
+  const TraceEra& b = tb.eras.front();
   TraceDiff d;
   auto differ = [&d](const std::string& line) {
     d.identical = false;
@@ -567,14 +572,14 @@ TraceDiff diff_traces(const TraceFile& a, const TraceFile& b) {
   }
 
   // Later eras (v2 captures): per-era record counts and first divergence.
-  // (Era 0 is the top-level comparison above.)
-  if (a.eras.size() != b.eras.size()) {
-    differ(strf("era sections: %zu vs %zu", a.eras.size(), b.eras.size()));
+  // (Era 0 is the comparison above.)
+  if (ta.eras.size() != tb.eras.size()) {
+    differ(strf("era sections: %zu vs %zu", ta.eras.size(), tb.eras.size()));
   }
-  const std::size_t neras = std::min(a.eras.size(), b.eras.size());
+  const std::size_t neras = std::min(ta.eras.size(), tb.eras.size());
   for (std::size_t e = 1; e < neras; ++e) {
-    const auto& ea = a.eras[e].entries;
-    const auto& eb = b.eras[e].entries;
+    const auto& ea = ta.eras[e].entries;
+    const auto& eb = tb.eras[e].entries;
     if (ea.size() != eb.size()) {
       differ(strf("era %zu records: %zu vs %zu", e, ea.size(), eb.size()));
     }
@@ -592,15 +597,16 @@ TraceDiff diff_traces(const TraceFile& a, const TraceFile& b) {
 }
 
 std::string summarize_trace(const TraceFile& trace) {
-  const Cycle first = trace.entries.empty() ? 0 : trace.entries.front().cycle;
-  const Cycle last = trace.entries.empty() ? 0 : trace.entries.back().cycle;
+  const TraceEra& era = trace.eras.front();
+  const Cycle first = era.entries.empty() ? 0 : era.entries.front().cycle;
+  const Cycle last = era.entries.empty() ? 0 : era.entries.back().cycle;
   std::string s = strf(
       "smartnoc trace v%u: %dx%d mesh, %d flows, %zu injections over cycles [%llu, %llu], "
       "%d-bit flits, %d-bit packets, seed %llu\n",
-      static_cast<unsigned>(trace.version), trace.config.width, trace.config.height,
-      trace.flows.size(), trace.entries.size(), static_cast<unsigned long long>(first),
-      static_cast<unsigned long long>(last), trace.config.flit_bits, trace.config.packet_bits,
-      static_cast<unsigned long long>(trace.config.seed));
+      static_cast<unsigned>(trace.version), era.config.width, era.config.height,
+      era.flows.size(), era.entries.size(), static_cast<unsigned long long>(first),
+      static_cast<unsigned long long>(last), era.config.flit_bits, era.config.packet_bits,
+      static_cast<unsigned long long>(era.config.seed));
   if (trace.eras.size() > 1) {
     s += strf("%zu era sections (cycles are era-local):\n", trace.eras.size());
     for (std::size_t i = 0; i < trace.eras.size(); ++i) {

@@ -48,8 +48,9 @@
 // single-era capture replays everywhere, including older builds).
 //
 // Every decode error - short file, bad magic, unknown version, a varint
-// running past the end or past 10 bytes, an out-of-range flow/direction -
-// throws TraceError; there are no partial silent reads.
+// running past the end or past 10 bytes, an out-of-range flow/direction, a
+// non-finite or negative flow bandwidth - throws TraceError; there are no
+// partial silent reads.
 #pragma once
 
 #include <cstdint>
@@ -78,15 +79,11 @@ struct TraceEra {
 };
 
 /// A decoded trace: everything needed to re-execute the recorded run.
-/// The top-level config/flows/entries mirror the *first* era, so every
-/// consumer written against the single-era v1 shape keeps working; v2
-/// multi-era captures additionally expose all eras in `eras`.
+/// A decoded file always holds at least one era; single-era consumers read
+/// `eras.front()`.
 struct TraceFile {
   std::uint16_t version = kTraceVersionV1;  ///< on-disk version as read
-  NocConfig config;                     ///< the first era's configuration
-  noc::FlowSet flows;                   ///< identical ids, routes, bandwidths
-  std::vector<noc::TraceEntry> entries; ///< first era's injections, cycle-sorted
-  std::vector<TraceEra> eras;           ///< all eras (size 1 for v1 files)
+  std::vector<TraceEra> eras;               ///< all eras (size 1 for v1 files)
 };
 
 /// Serializes a buffered single-era capture as format v1. Records must be

@@ -54,8 +54,8 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
   const telemetry::TraceFile b = telemetry::read_trace_file(path_b);
   const telemetry::TraceDiff d = telemetry::diff_traces(a, b);
   if (d.identical) {
-    std::printf("captures are identical (%d flows, %zu records)\n", a.flows.size(),
-                a.entries.size());
+    std::printf("captures are identical (%d flows, %zu records)\n", a.eras.front().flows.size(),
+                a.eras.front().entries.size());
     return 0;
   }
   std::fputs(d.report.c_str(), stdout);
@@ -64,10 +64,11 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
 
 int cmd_info(const telemetry::TraceFile& trace) {
   std::fputs(telemetry::summarize_trace(trace).c_str(), stdout);
+  const telemetry::TraceEra& era = trace.eras.front();
   std::uint64_t busiest = 0;
   FlowId busiest_flow = kInvalidFlow;
-  std::vector<std::uint64_t> per_flow(static_cast<std::size_t>(trace.flows.size()), 0);
-  for (const noc::TraceEntry& e : trace.entries) {
+  std::vector<std::uint64_t> per_flow(static_cast<std::size_t>(era.flows.size()), 0);
+  for (const noc::TraceEntry& e : era.entries) {
     per_flow[static_cast<std::size_t>(e.flow)] += 1;
   }
   for (std::size_t i = 0; i < per_flow.size(); ++i) {
@@ -77,16 +78,16 @@ int cmd_info(const telemetry::TraceFile& trace) {
     }
   }
   if (busiest_flow != kInvalidFlow) {
-    const noc::Flow& f = trace.flows.at(busiest_flow);
+    const noc::Flow& f = era.flows.at(busiest_flow);
     std::printf("busiest flow: %d (%d->%d), %llu packets\n", busiest_flow, f.src, f.dst,
                 static_cast<unsigned long long>(busiest));
   }
   return 0;
 }
 
-int cmd_flows(const telemetry::TraceFile& trace) {
+int cmd_flows(const telemetry::TraceEra& era) {
   TextTable table({"flow", "src", "dst", "bandwidth MB/s", "route"});
-  for (const noc::Flow& f : trace.flows) {
+  for (const noc::Flow& f : era.flows) {
     table.add_row({std::to_string(f.id), std::to_string(f.src), std::to_string(f.dst),
                    strf("%.4g", f.bandwidth_mbps), f.path.str()});
   }
@@ -94,14 +95,14 @@ int cmd_flows(const telemetry::TraceFile& trace) {
   return 0;
 }
 
-int cmd_dump(const telemetry::TraceFile& trace) {
-  for (const noc::TraceEntry& e : trace.entries) {
+int cmd_dump(const telemetry::TraceEra& era) {
+  for (const noc::TraceEntry& e : era.entries) {
     std::printf("%llu %d\n", static_cast<unsigned long long>(e.cycle), e.flow);
   }
   return 0;
 }
 
-int cmd_csv(const telemetry::TraceFile& trace, Cycle epoch) {
+int cmd_csv(const telemetry::TraceEra& era, Cycle epoch) {
   if (epoch == 0) {
     std::fprintf(stderr, "epoch must be > 0\n");
     return 2;
@@ -111,10 +112,10 @@ int cmd_csv(const telemetry::TraceFile& trace, Cycle epoch) {
   // late cycles, and output must stay proportional to the record count).
   std::printf("epoch,start_cycle,injected_packets\n");
   std::size_t i = 0;
-  while (i < trace.entries.size()) {
-    const Cycle e = trace.entries[i].cycle / epoch;
+  while (i < era.entries.size()) {
+    const Cycle e = era.entries[i].cycle / epoch;
     std::uint64_t n = 0;
-    while (i < trace.entries.size() && trace.entries[i].cycle / epoch == e) {
+    while (i < era.entries.size() && era.entries[i].cycle / epoch == e) {
       ++n;
       ++i;
     }
@@ -188,11 +189,11 @@ int main(int argc, char** argv) {
     }
     const telemetry::TraceFile trace = telemetry::read_trace_file(path);
     if (cmd == "info") return cmd_info(trace);
-    if (cmd == "flows") return cmd_flows(trace);
-    if (cmd == "dump") return cmd_dump(trace);
+    if (cmd == "flows") return cmd_flows(trace.eras.front());
+    if (cmd == "dump") return cmd_dump(trace.eras.front());
     if (cmd == "csv") {
       const Cycle epoch = argc >= 4 ? parse_u64_token(argv[3], "epoch") : 1024;
-      return cmd_csv(trace, epoch);
+      return cmd_csv(trace.eras.front(), epoch);
     }
     if (cmd == "power") {
       const Cycle epoch = argc >= 4 ? parse_u64_token(argv[3], "epoch") : 1024;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <string>
 
 #include "common/config.hpp"
@@ -122,10 +123,14 @@ TEST(NocConfig, ValidateMessagesArePinned) {
        "header_bits=20 too small: route needs 30 + vc 1 + type 2"},
       {[](NocConfig& c) { c.freq_ghz = 12.0; }, "freq_ghz out of range (0,10]"},
       {[](NocConfig& c) { c.hop_mm = 0.0; }, "hop_mm must be positive"},
+      {[](NocConfig& c) { c.hop_mm = std::numeric_limits<double>::infinity(); },
+       "hop_mm must be finite"},
       {[](NocConfig& c) { c.hpc_max_override = -1; }, "hpc_max_override must be >= 0"},
       {[](NocConfig& c) { c.router_stages = 2; },
        "this microarchitecture is the paper's 3-stage router"},
       {[](NocConfig& c) { c.bandwidth_scale = -1.0; }, "bandwidth_scale must be positive"},
+      {[](NocConfig& c) { c.bandwidth_scale = std::numeric_limits<double>::infinity(); },
+       "bandwidth_scale must be finite"},
       {[](NocConfig& c) { c.retry_limit = -1; }, "retry_limit must be >= 0"},
       {[](NocConfig& c) { c.retry_backoff_cycles = 0; },
        "retry_backoff_cycles must be positive"},

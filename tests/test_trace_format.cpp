@@ -1,11 +1,15 @@
 // Binary packet-trace format: encode/decode round trips, strict typed
 // error paths (truncated file, bad magic, version mismatch, garbage
-// varint - no crashes, no partial silent reads), and the headline
+// varint - no crashes, no partial silent reads), a seeded mutation
+// campaign over v1 and two-era v2 captures, and the headline
 // record -> replay identity: a `trace:<file>` replay of a captured run
 // reproduces the live run's RunResult and per-flow stats bit-identically.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -67,16 +71,16 @@ TEST(TraceFormat, RoundTripPreservesEverything) {
   w.add_all(entries);
 
   const TraceFile t = decode_trace(w.encode());
-  EXPECT_EQ(t.config, cfg);
-  ASSERT_EQ(t.flows.size(), flows.size());
+  EXPECT_EQ(t.eras[0].config, cfg);
+  ASSERT_EQ(t.eras[0].flows.size(), flows.size());
   for (FlowId i = 0; i < flows.size(); ++i) {
-    EXPECT_EQ(t.flows.at(i).src, flows.at(i).src);
-    EXPECT_EQ(t.flows.at(i).dst, flows.at(i).dst);
-    EXPECT_EQ(t.flows.at(i).bandwidth_mbps, flows.at(i).bandwidth_mbps);
-    EXPECT_EQ(t.flows.at(i).path.links, flows.at(i).path.links);
-    EXPECT_EQ(t.flows.at(i).route, flows.at(i).route);
+    EXPECT_EQ(t.eras[0].flows.at(i).src, flows.at(i).src);
+    EXPECT_EQ(t.eras[0].flows.at(i).dst, flows.at(i).dst);
+    EXPECT_EQ(t.eras[0].flows.at(i).bandwidth_mbps, flows.at(i).bandwidth_mbps);
+    EXPECT_EQ(t.eras[0].flows.at(i).path.links, flows.at(i).path.links);
+    EXPECT_EQ(t.eras[0].flows.at(i).route, flows.at(i).route);
   }
-  EXPECT_EQ(t.entries, entries);
+  EXPECT_EQ(t.eras[0].entries, entries);
 }
 
 TEST(TraceFormat, FileRoundTrip) {
@@ -86,8 +90,8 @@ TEST(TraceFormat, FileRoundTrip) {
   w.add(42, 1);
   w.write(path);
   const TraceFile t = telemetry::read_trace_file(path);
-  EXPECT_EQ(t.entries, (std::vector<noc::TraceEntry>{{42, 1}}));
-  EXPECT_EQ(t.config, cfg);
+  EXPECT_EQ(t.eras[0].entries, (std::vector<noc::TraceEntry>{{42, 1}}));
+  EXPECT_EQ(t.eras[0].config, cfg);
   std::remove(path.c_str());
 }
 
@@ -95,8 +99,8 @@ TEST(TraceFormat, EmptyTraceIsValid) {
   const NocConfig cfg = small_cfg();
   TraceWriter w(cfg, demo_flows(cfg));
   const TraceFile t = decode_trace(w.encode());
-  EXPECT_TRUE(t.entries.empty());
-  EXPECT_EQ(t.flows.size(), 3);
+  EXPECT_TRUE(t.eras[0].entries.empty());
+  EXPECT_EQ(t.eras[0].flows.size(), 3);
 }
 
 // --- Writer preconditions ----------------------------------------------------
@@ -196,8 +200,8 @@ TEST(TraceDiff, IdenticalCapturesCompareEqual) {
 TEST(TraceDiff, ConfigDifferenceIsNamedFieldByField) {
   const TraceFile a = decode_trace(demo_image());
   TraceFile b = decode_trace(demo_image());
-  b.config.seed += 1;
-  b.config.vcs_per_port += 1;
+  b.eras[0].config.seed += 1;
+  b.eras[0].config.vcs_per_port += 1;
   const telemetry::TraceDiff d = telemetry::diff_traces(a, b);
   EXPECT_FALSE(d.identical);
   EXPECT_NE(d.report.find("config.seed"), std::string::npos) << d.report;
@@ -463,9 +467,6 @@ TEST(TraceFormatV2, StreamingWriterMultiEraRoundTrip) {
   EXPECT_EQ(t.eras[1].entries, (std::vector<noc::TraceEntry>{{0, 2}, {5, 0}}));
   EXPECT_EQ(t.eras[0].config, cfg);
   EXPECT_EQ(t.eras[1].config, cfg2);
-  // Top level mirrors era 0 for v1-shaped consumers.
-  EXPECT_EQ(t.config, t.eras[0].config);
-  EXPECT_EQ(t.entries, t.eras[0].entries);
   std::remove(path.c_str());
 }
 
@@ -475,8 +476,9 @@ TEST(TraceFormatV2, V1FilesStillDecode) {
   const TraceFile t = decode_trace(demo_image());
   EXPECT_EQ(t.version, telemetry::kTraceVersionV1);
   ASSERT_EQ(t.eras.size(), 1u);
-  EXPECT_EQ(t.eras[0].config, t.config);
-  EXPECT_EQ(t.eras[0].entries, t.entries);
+  EXPECT_EQ(t.eras[0].config, small_cfg());
+  EXPECT_EQ(t.eras[0].entries,
+            (std::vector<noc::TraceEntry>{{3, 0}, {3, 2}, {10, 1}, {500000, 0}}));
 }
 
 TEST(TraceFormatV2, TruncatedStreamingFileThrowsEverywhere) {
@@ -594,6 +596,117 @@ TEST(TraceWorkload, EraSelectorPicksSection) {
   telemetry::TraceFileFactory weird("we@ird.sntr");
   EXPECT_EQ(weird.era(), 0u);
   std::remove(path.c_str());
+}
+
+// --- Mutation campaign ---------------------------------------------------------
+
+/// `image` with the first little-endian copy of `from` replaced by `to`.
+std::string patch_f64(std::string image, double from, double to) {
+  const auto le = [](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    std::string out;
+    for (int i = 0; i < 8; ++i) out += static_cast<char>(bits >> (8 * i));
+    return out;
+  };
+  const std::size_t at = image.find(le(from));
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) image.replace(at, 8, le(to));
+  return image;
+}
+
+TEST(TraceFormat, NonFiniteOrNegativeBandwidthThrows) {
+  // A NaN bandwidth used to decode, and diff_traces then reported the
+  // capture as differing from itself.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -1.0}) {
+    EXPECT_THROW(decode_trace(patch_f64(demo_image(), 400.0, bad)), TraceError) << bad;
+  }
+  EXPECT_NO_THROW(decode_trace(patch_f64(demo_image(), 400.0, 0.0)));
+}
+
+// Seed captures carry boundary doubles, so that one flipped bit reaches
+// infinity (2^1023: exponent 0x7FE, zero mantissa), NaN (DBL_MAX) or a
+// negative value (any sign bit).
+constexpr double kTwoTo1023 = 8.98846567431158e307;
+
+noc::FlowSet boundary_flows(const NocConfig& cfg) {
+  noc::FlowSet fs;
+  fs.add(0, 5, kTwoTo1023, noc::xy_path(cfg.dims(), 0, 5));
+  fs.add(12, 3, std::numeric_limits<double>::max(), noc::xy_path(cfg.dims(), 12, 3));
+  fs.add(7, 6, 0.0, noc::xy_path(cfg.dims(), 7, 6));
+  fs.add(15, 0, 400.0, noc::xy_path(cfg.dims(), 15, 0));
+  return fs;
+}
+
+/// Decodes `n` mutants of `image`: each must throw TraceError or yield eras
+/// whose records are cycle-sorted and name flows of their era's table, with
+/// every double finite and every bandwidth >= 0. Returns how many decoded.
+int run_trace_campaign(const std::string& image, std::uint64_t seed, int n) {
+  constexpr std::string_view kTraceBytes{"\x00\x01\x7f\x80\xff" "SNTRERA!TEND", 17};
+  Xoshiro256 rng(seed);
+  int decoded = 0;
+  for (int i = 0; i < n; ++i) {
+    const std::string mutant = testing::mutate(image, rng, kTraceBytes);
+    TraceFile t;
+    try {
+      t = decode_trace(mutant);
+    } catch (const TraceError&) {
+      continue;  // a typed refusal is a pass
+    }
+    ++decoded;
+    EXPECT_FALSE(t.eras.empty()) << "mutant " << i;
+    for (const telemetry::TraceEra& era : t.eras) {
+      const NocConfig& c = era.config;
+      EXPECT_TRUE(std::isfinite(c.freq_ghz) && std::isfinite(c.hop_mm) &&
+                  std::isfinite(c.bandwidth_scale))
+          << "mutant " << i << ": hop_mm " << c.hop_mm << ", bandwidth_scale "
+          << c.bandwidth_scale;
+      for (const noc::Flow& f : era.flows) {
+        EXPECT_TRUE(std::isfinite(f.bandwidth_mbps) && f.bandwidth_mbps >= 0.0)
+            << "mutant " << i << ": flow " << f.id << " bandwidth " << f.bandwidth_mbps;
+      }
+      for (std::size_t k = 0; k < era.entries.size(); ++k) {
+        const noc::TraceEntry& e = era.entries[k];
+        EXPECT_TRUE(e.flow >= 0 && e.flow < era.flows.size()) << "mutant " << i;
+        if (k > 0) {
+          EXPECT_LE(era.entries[k - 1].cycle, e.cycle) << "mutant " << i;
+        }
+      }
+    }
+    EXPECT_TRUE(telemetry::diff_traces(t, t).identical) << "mutant " << i;
+  }
+  return decoded;
+}
+
+TEST(TraceMutation, V1MutantsThrowOrDecodeSound) {
+  const NocConfig cfg = small_cfg();
+  TraceWriter w(cfg, boundary_flows(cfg));
+  w.add_all({{3, 0}, {3, 2}, {10, 1}, {11, 3}, {500000, 0}});
+  const int decoded = run_trace_campaign(w.encode(), 0x5EED0001, 2000);
+  EXPECT_GT(decoded, 100) << "the campaign must get past the header";
+}
+
+TEST(TraceMutation, TwoEraV2MutantsThrowOrDecodeSound) {
+  const std::string path = temp_path("v2_mutation.sntr");
+  NocConfig cfg = small_cfg();
+  cfg.hop_mm = kTwoTo1023;
+  NocConfig cfg2 = small_cfg();
+  cfg2.bandwidth_scale = kTwoTo1023;
+  {
+    telemetry::StreamingTraceWriter w(path);
+    w.begin_era(cfg, boundary_flows(cfg));
+    w.add(3, 0);
+    w.add(10, 3);
+    w.begin_era(cfg2, boundary_flows(cfg2));
+    w.add(0, 2);
+    w.add(7, 1);
+    w.finish();
+  }
+  const std::string image = read_file_bytes(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(decode_trace(image).eras.size(), 2u);
+  const int decoded = run_trace_campaign(image, 0x5EED0002, 2000);
+  EXPECT_GT(decoded, 100) << "the campaign must get past the header";
 }
 
 }  // namespace
