@@ -94,25 +94,9 @@ MeshNetwork::MeshNetwork(const NocConfig& cfg, FlowSet flows, PresetTable preset
   }
 }
 
-void MeshNetwork::use_reference_kernel(bool ref) {
-  SMARTNOC_CHECK(now_ == 0 && drained(),
-                 "kernel switch requires a pristine network (no ticks, no traffic)");
-  reference_kernel_ = ref;
-  // The seed kernel predates sharding and has no epilogue: it runs
-  // single-shard (the cross-pin against shards goes through the active-set
-  // kernel, which is itself pinned against the reference).
-  force_sharded_ = false;
-  configure_shards(ref ? 1 : configured_shards_);
-  // The seed kernel also selects flows by linear scan in the NICs; keeping
-  // the two toggles paired lets the golden matrix cross-pin the batched
-  // injector against the scan.
-  for (Nic& nic : nics_) nic.use_reference_scan(ref);
-}
-
 void MeshNetwork::force_sharded_path(bool on) {
   SMARTNOC_CHECK(now_ == 0 && drained(),
                  "force_sharded_path requires a pristine network (no ticks, no traffic)");
-  SMARTNOC_CHECK(!reference_kernel_, "force_sharded_path conflicts with the reference kernel");
   force_sharded_ = on;
   configure_shards(configured_shards_);  // rewires the NIC sinks
 }
@@ -192,9 +176,7 @@ void MeshNetwork::tick() {
   // inside the tick - the diff stays exact.)
   ActivityCounters before;
   if (observer_wants_deltas_) before = stats_.activity();
-  if (reference_kernel_) {
-    tick_reference();
-  } else if (shards_.size() > 1 || force_sharded_) {
+  if (shards_.size() > 1 || force_sharded_) {
     // Observer callbacks must arrive on one thread: with an observer the
     // same sharded protocol runs shard by shard on the caller, bit-identical
     // to the parallel path (pass order across shards is immaterial by design).
@@ -465,32 +447,6 @@ void MeshNetwork::set_span_tracer(obs::SpanTracer* tracer, int base_lane) {
   }
 }
 
-void MeshNetwork::tick_reference() {
-  // The seed's cycle loop, kept verbatim as the golden reference: linear
-  // credit scan, every router and NIC ticked every cycle.
-  now_ += 1;
-
-  for (std::size_t k = 0; k < ref_credits_.size();) {
-    if (ref_credits_[k].due <= now_) {
-      const InFlightCredit c = ref_credits_[k];
-      ref_credits_[k] = ref_credits_.back();
-      ref_credits_.pop_back();
-      deliver_credit(c.target, c.vc);
-    } else {
-      ++k;
-    }
-  }
-
-  ActivityCounters& act = stats_.activity();
-  for (Router& r : routers_) r.buffer_write(now_, act);
-  for (Router& r : routers_) r.switch_traversal(now_, act);
-  for (Router& r : routers_) r.switch_allocation(now_, act);
-  for (Nic& n : nics_) n.inject(now_, act);
-
-  act.clocked_inport_cycles += static_cast<std::uint64_t>(clocked_in_total_);
-  act.clocked_outport_cycles += static_cast<std::uint64_t>(clocked_out_total_);
-}
-
 void MeshNetwork::offer_packet(FlowId flow, Cycle created) {
   const Flow& f = flows_.at(flow);
   stats_.faults().packets_offered += 1;
@@ -517,17 +473,6 @@ void MeshNetwork::offer_packet(FlowId flow, Cycle created) {
 }
 
 bool MeshNetwork::drained() const {
-  if (reference_kernel_) {
-    // Seed behavior: a full scan of every component.
-    if (!ref_credits_.empty()) return false;
-    for (const Router& r : routers_) {
-      if (r.has_traffic()) return false;
-    }
-    for (const Nic& n : nics_) {
-      if (!n.idle()) return false;
-    }
-    return true;
-  }
   // Active-set invariant (post-compaction): the lists hold exactly the
   // routers with traffic and the non-idle NICs. Mailboxes and sinks are
   // always drained by the end of a tick, so shards add no extra terms.
@@ -590,10 +535,6 @@ void MeshNetwork::schedule_credit(const CreditPath& path, VcId vc, Cycle now) {
   ActivityCounters& act = sh != nullptr ? sh->act : stats_.activity();
   act.link_credit_mm += static_cast<std::uint64_t>(path.mm);
   act.xbar_credit_traversals += static_cast<std::uint64_t>(path.xbar_hops);
-  if (reference_kernel_) {
-    ref_credits_.push_back(InFlightCredit{due, target, vc});
-    return;
-  }
   SMARTNOC_CHECK(due > now_ && due - now_ < kWheelSize, "credit due beyond the wheel horizon");
   if (sh != nullptr) {
     // A credit for an origin outside this slice is parked on the shard and
@@ -631,8 +572,10 @@ void MeshNetwork::credit_from_nic(NodeId nic_node, VcId vc, Cycle now) {
 
 // --- Online fault injection --------------------------------------------------
 //
-// All surgery happens between ticks and is shared verbatim by both cycle
-// kernels, so fault runs stay bit-identical (pinned by the golden matrix).
+// All surgery happens between ticks and is shared verbatim by the single-
+// and multi-shard kernels, so fault runs stay bit-identical across shard
+// counts and against the tests' full-scan oracle (pinned by the golden
+// matrix).
 // The sequence for a structural change is always: preset surgery -> purge
 // the flows whose latch structure changed -> rebuild the segment table and
 // re-derive every credit queue from actual endpoint occupancy.
@@ -879,7 +822,6 @@ void MeshNetwork::rebuild_after_surgery() {
     s.credits_in_flight = 0;
     s.remote_credits.clear();
   }
-  ref_credits_.clear();
   const int vcs = cfg_.vcs_per_port;
   auto mark_endpoint = [&](const Endpoint& ep, std::array<bool, 16>& busy) {
     if (ep.is_nic) {
@@ -922,9 +864,8 @@ void MeshNetwork::rebuild_after_surgery() {
       clocked_out_total_ += p.out_clocked[idx(o)] ? 1 : 0;
     }
   }
-  // Active sets rebuilt from scratch in node order. The reference kernel
-  // ignores them; node order makes the rebuilt lists independent of the
-  // activation history, so post-fault cycles stay kernel- and
+  // Active sets rebuilt from scratch in node order: the rebuilt lists are
+  // then independent of the activation history, so post-fault cycles stay
   // shard-count-identical (each shard's list comes out in node order too).
   std::fill(router_in_set_.begin(), router_in_set_.end(), 0);
   std::fill(nic_in_set_.begin(), nic_in_set_.end(), 0);

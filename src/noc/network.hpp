@@ -32,9 +32,9 @@
 // points and the drain phase. In-flight credits sit in a bucketed time
 // wheel indexed by due cycle (delivery pops one bucket per tick), and
 // drained() reduces to three counter reads. Per-cycle results are
-// bit-identical to the seed's full-scan loop, which survives as the
-// reference kernel (use_reference_kernel) pinned against the active-set
-// core by the golden determinism test.
+// bit-identical to the seed's full-scan loop, which lives on as a test
+// oracle (tests/full_scan_kernel.hpp) that the golden determinism matrix
+// runs against this kernel.
 //
 // Parallelism: with cfg.shard_threads > 1 the mesh is partitioned into
 // column slices, one thread each, every shard owning its slice of the
@@ -68,6 +68,10 @@
 namespace smartnoc::obs {
 class SpanTracer;
 }  // namespace smartnoc::obs
+
+namespace smartnoc::testing {
+class FullScanKernel;
+}  // namespace smartnoc::testing
 
 namespace smartnoc::noc {
 
@@ -108,15 +112,6 @@ class MeshNetwork final : public Network, private Fabric {
   /// live() == 0 against drained().
   const PacketPool& packet_pool() const { return pool_; }
 
-  /// Switches this network to the seed's full-scan cycle kernel: every
-  /// router/NIC ticked every cycle, in-flight credits in a linearly scanned
-  /// vector, drained() as a whole-mesh walk. Results are bit-identical to
-  /// the active-set kernel (pinned by test_golden_determinism); it exists
-  /// as the reference for that cross-check and for before/after benches.
-  /// Must be called before any traffic enters the network.
-  void use_reference_kernel(bool ref);
-  bool reference_kernel() const { return reference_kernel_; }
-
   /// Static analysis of a flow under the installed presets: the routers
   /// where its flits stop. Zero-load SMART network latency = 1 + 3 * stops
   /// (pinned by tests against simulation).
@@ -149,7 +144,7 @@ class MeshNetwork final : public Network, private Fabric {
 
   /// Benches/tests: run the full sharded protocol (sinks, mailboxes,
   /// epilogue) even with one shard, to measure the armed machinery against
-  /// the plain kernel. Requires a pristine network, like the kernel switch.
+  /// the plain kernel. Requires a pristine network (no ticks, no traffic).
   void force_sharded_path(bool on);
 
   /// Attaches a wall-clock span tracer: each shard thread records its tick
@@ -169,7 +164,8 @@ class MeshNetwork final : public Network, private Fabric {
   /// Applies one primitive fault action to the live network: preset surgery,
   /// in-flight purge with full refcount accounting, online reroute of the
   /// affected flows, bounded retransmission, and a global credit recompute.
-  /// Shared by both cycle kernels, so fault runs stay bit-identical.
+  /// Between ticks only, so any driver of the tick (the kernels here, the
+  /// tests' full-scan oracle) sees the same surgery.
   void apply_fault_action(const FaultAction& action);
 
   /// Links currently failed (kills not yet repaired).
@@ -187,6 +183,10 @@ class MeshNetwork final : public Network, private Fabric {
   StallReport stall_report() const override;
 
  private:
+  /// The tests' full-scan oracle drives this network's routers, NICs and
+  /// credit wheel directly (tests/full_scan_kernel.hpp).
+  friend class ::smartnoc::testing::FullScanKernel;
+
   // --- Fabric interface -------------------------------------------------------
   void deliver_from_router(NodeId router, Dir out, FlitRef flit, Cycle now) override;
   void deliver_from_nic(NodeId nic, FlitRef flit, Cycle now) override;
@@ -202,7 +202,6 @@ class MeshNetwork final : public Network, private Fabric {
   std::int32_t flow_local(FlowId id) const { return flow_local_[static_cast<std::size_t>(id)]; }
 
   void tick_active_set();
-  void tick_reference();
   /// The cycle body shared by the single-shard and sharded kernels: pops
   /// s's credit-wheel bucket, runs BW/ST/SA/inject over s's active
   /// components charging `act`, then compacts s's active sets. Forced
@@ -216,8 +215,8 @@ class MeshNetwork final : public Network, private Fabric {
 
   // --- Sharded kernel (shard.hpp documents the protocol) -----------------------
   /// (Re)partitions the mesh into `count` column-slice shards and rewires
-  /// the NIC sinks. Requires a quiescent network (constructor, kernel
-  /// switches, bench arming).
+  /// the NIC sinks. Requires a quiescent network (constructor, bench
+  /// arming).
   void configure_shards(int count);
   /// One sharded tick: pass A / barrier / pass B / barrier on every shard
   /// (worker threads when `parallel`, in shard order on the caller when an
@@ -297,7 +296,6 @@ class MeshNetwork final : public Network, private Fabric {
   std::vector<int> shard_of_;  ///< NodeId -> owning shard (column slices)
   int configured_shards_ = 1;  ///< cfg.shard_threads clamped to the width
   bool force_sharded_ = false;
-  std::vector<InFlightCredit> ref_credits_;  ///< reference kernel's linear store
   std::vector<std::uint8_t> router_in_set_;
   std::vector<std::uint8_t> nic_in_set_;
   std::vector<FlowPathInfo> flow_info_;
@@ -307,7 +305,6 @@ class MeshNetwork final : public Network, private Fabric {
   std::uint32_t next_packet_id_ = 1;
   int clocked_in_total_ = 0;
   int clocked_out_total_ = 0;
-  bool reference_kernel_ = false;
   TraceObserver* observer_ = nullptr;
   bool observer_wants_deltas_ = false;  ///< cached obs->wants_activity_deltas()
   obs::SpanTracer* span_tracer_ = nullptr;

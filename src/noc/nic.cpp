@@ -68,30 +68,19 @@ void Nic::inject(Cycle now, ActivityCounters& act) {
     if (queued_total_ == 0) return;
     // Round-robin over flows with queued packets; needs a free endpoint VC.
     if (free_vcs_.empty()) return;
+    // queued_total_ > 0 guarantees a nonempty slot; the cyclic walk from
+    // the round-robin cursor visits nonempty flows in exactly the order a
+    // linear scan of every flow would, skipping packets still in
+    // retransmission backoff. Fault-free runs exit on the first probe.
     std::size_t chosen = local_flows_.size();  // sentinel: nothing picked
-    if (reference_scan_) {
-      for (std::size_t k = 0; k < local_flows_.size(); ++k) {
-        const std::size_t i = (rr_next_ + k) % local_flows_.size();
-        const PacketSlot head = local_flows_[i].head;
-        if (head != kInvalidSlot && pool_->at(head).not_before <= now) {
-          chosen = i;
-          break;
-        }
-      }
-    } else {
-      // queued_total_ > 0 guarantees a nonempty slot; the cyclic walk from
-      // the round-robin cursor visits nonempty flows in exactly the order
-      // the linear scan would, skipping packets still in retransmission
-      // backoff. Fault-free runs exit on the first probe (one compare).
-      const std::size_t n = nonempty_.size();
-      const auto it = std::lower_bound(nonempty_.begin(), nonempty_.end(), rr_next_);
-      const auto start = static_cast<std::size_t>(it - nonempty_.begin());
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t i = nonempty_[(start + k) % n];
-        if (pool_->at(local_flows_[i].head).not_before <= now) {
-          chosen = i;
-          break;
-        }
+    const std::size_t n = nonempty_.size();
+    const auto it = std::lower_bound(nonempty_.begin(), nonempty_.end(), rr_next_);
+    const auto start = static_cast<std::size_t>(it - nonempty_.begin());
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = nonempty_[(start + k) % n];
+      if (pool_->at(local_flows_[i].head).not_before <= now) {
+        chosen = i;
+        break;
       }
     }
     if (chosen == local_flows_.size()) return;

@@ -21,9 +21,9 @@
 // The round-robin injector picks from a sorted list of the local flows with
 // queued packets (cyclic lower_bound from the round-robin cursor), so a NIC
 // with many registered flows but few busy ones does not probe every flow
-// each cycle. The seed's linear scan survives behind use_reference_scan
-// (wired to MeshNetwork::use_reference_kernel and cross-pinned
-// bit-identical by the golden determinism matrix). Injected flits are
+// each cycle; it picks exactly what the seed's linear scan over every flow
+// would (test_noc_router_unit checks it against such a scan under random
+// offers, retransmissions and drops). Injected flits are
 // 16-byte FlitRefs, and reassembly is a small linear-scanned vector bounded
 // by the VC count. A running queued-packet counter makes idle() O(1) for
 // the network's active-set scheduler and drain check.
@@ -101,19 +101,13 @@ class alignas(64) Nic {
   int queued_packets() const { return queued_total_; }
   int source_free_vcs() const { return free_vcs_.size(); }
 
-  /// Selects the next flow with the seed's linear scan over every slot
-  /// instead of the nonempty-slot list (identical choice, O(flows) work);
-  /// the reference path for golden cross-checks and before/after benches.
-  void use_reference_scan(bool ref) { reference_scan_ = ref; }
-  bool reference_scan() const { return reference_scan_; }
-
   /// Sharded kernel: PacketPool refcounts and record_packet are process-wide
   /// and non-atomic, so during a parallel pass the NIC logs them into its
   /// shard's sink for serial replay in the tick epilogue. Null (the
   /// default) applies every op directly - the single-shard hot path.
   void set_shard_sink(ShardSink* sink) { sink_ = sink; }
 
-  // --- Fault engine (cold paths, shared by both cycle kernels) ---------------
+  // --- Fault engine (cold paths, between ticks) ------------------------------
   /// Re-queues a packet recovered from a fault at the *front* of its flow's
   /// queue for another transmission attempt, held back until `not_before`
   /// (exponential backoff). The caller has already refreshed the payload
@@ -189,7 +183,6 @@ class alignas(64) Nic {
   std::optional<ActiveTx> active_;
   int queued_total_ = 0;               ///< packets across all local queues
   VcQueue free_vcs_;
-  bool reference_scan_ = false;        ///< linear-scan flow selection
   std::size_t rr_next_ = 0;            ///< round-robin over local_flows_
   // Flow selection, read when a packet starts.
   std::vector<LocalFlow> local_flows_;  ///< flows sourced at this NIC

@@ -121,7 +121,7 @@ class alignas(64) Router {
   int free_vcs(Dir o) const { return out(o).free_vcs.size(); }
   int buffered_flits() const { return masks_.buffered; }
 
-  // --- Fault engine (cold paths, shared by both cycle kernels) ---------------
+  // --- Fault engine (cold paths, between ticks) ------------------------------
   /// Freezes switch allocation through cycle `until` (a RouterStall fault).
   /// BW and ST keep running, so granted streams finish and staging drains -
   /// traffic backs up behind the router instead of overflowing it.

@@ -9,9 +9,7 @@
 
 namespace smartnoc::noc {
 
-TrafficEngine::TrafficEngine(const NocConfig& cfg, const FlowSet& flows, std::uint64_t seed,
-                             BernoulliMode mode)
-    : mode_(mode) {
+TrafficEngine::TrafficEngine(const NocConfig& cfg, const FlowSet& flows, std::uint64_t seed) {
   gens_.reserve(static_cast<std::size_t>(flows.size()));
   // Per-NIC serialization limit: a NIC injects one flit per cycle, so the
   // offered load of its flows must not exceed 1/flits_per_packet packets
@@ -31,25 +29,6 @@ TrafficEngine::TrafficEngine(const NocConfig& cfg, const FlowSet& flows, std::ui
       SMARTNOC_LOG_WARN("NIC %zu offered %.4f pkt/cycle > serialization limit %.4f; "
                         "its source queue will grow",
                         n, per_src[n], limit);
-    }
-  }
-}
-
-void TrafficEngine::generate(Network& net) {
-  if (!enabled_) return;
-  if (mode_ == BernoulliMode::PerCycle) {
-    generate_per_cycle(net);
-  } else {
-    generate_gap_skip(net);
-  }
-}
-
-void TrafficEngine::generate_per_cycle(Network& net) {
-  for (Gen& g : gens_) {
-    draws_ += 1;
-    if (g.rng.bernoulli(g.p)) {
-      net.offer_packet(g.id, net.now());
-      generated_ += 1;
     }
   }
 }
@@ -74,7 +53,8 @@ void TrafficEngine::schedule(std::uint32_t gi, Cycle from) {
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
 }
 
-void TrafficEngine::generate_gap_skip(Network& net) {
+void TrafficEngine::generate(Network& net) {
+  if (!enabled_) return;
   const Cycle now = net.now();
   if (!heap_primed_) {
     // First call: every flow draws its gap from here; due >= now keeps the
@@ -118,11 +98,9 @@ double mbps_for_packets_per_cycle(const NocConfig& cfg, double packets_per_cycle
 }
 
 std::vector<TraceEntry> record_bernoulli_trace(const NocConfig& cfg, const FlowSet& flows,
-                                               std::uint64_t seed, Cycle cycles,
-                                               BernoulliMode mode) {
-  // Mirrors TrafficEngine exactly by replaying its packets into a
-  // trace-collecting network stub - one RNG stream per flow, same draw
-  // order in both modes (FlowSet order within a cycle).
+                                               std::uint64_t seed, Cycle cycles) {
+  // Runs a TrafficEngine against a trace-collecting network stub - one RNG
+  // stream per flow, same draw order (FlowSet order within a cycle).
   struct TraceNet final : Network {
     std::vector<TraceEntry>* out = nullptr;
     Cycle now_ = 0;
@@ -139,7 +117,7 @@ std::vector<TraceEntry> record_bernoulli_trace(const NocConfig& cfg, const FlowS
   std::vector<TraceEntry> trace;
   TraceNet net;
   net.out = &trace;
-  TrafficEngine engine(cfg, flows, seed, mode);
+  TrafficEngine engine(cfg, flows, seed);
   for (Cycle t = 1; t <= cycles; ++t) {
     net.tick();
     engine.generate(net);

@@ -25,45 +25,30 @@
 
 namespace smartnoc::noc {
 
-/// How the Bernoulli process is realized.
-///
-///   PerCycle - the seed's draw-per-cycle loop: one uniform per flow per
-///              cycle. O(flows x cycles) RNG work; kept selectable for the
-///              seed-stability tests whose pinned values were recorded
-///              against this stream.
-///   GapSkip  - geometric skip-ahead: one uniform per *packet* draws the
-///              gap to the next packet (inverse CDF of the geometric
-///              distribution), and a min-heap of per-flow due cycles makes
-///              generation O(packets * log flows). Statistically the same
-///              process, but a different realization at equal seeds (the
-///              per-flow streams are consumed per packet, not per cycle).
-///              The default since the pinned regressions were re-recorded
-///              against it (equally deterministic at equal seeds).
-enum class BernoulliMode : std::uint8_t { PerCycle, GapSkip };
-
-/// The project-wide default realization (GapSkip; see above).
-inline constexpr BernoulliMode kDefaultBernoulliMode = BernoulliMode::GapSkip;
-
+/// The Bernoulli process by geometric skip-ahead: one uniform per *packet*
+/// draws the gap to the flow's next packet (inverse CDF of the geometric
+/// distribution), and a min-heap of per-flow due cycles makes generation
+/// O(packets * log flows). Statistically the same process as one uniform
+/// draw per flow per cycle (the seed's loop, kept as an oracle in
+/// test_traffic_gap), but a different realization at equal seeds: each
+/// flow's stream (make_stream(seed, flow id)) is consumed per packet.
 class TrafficEngine {
  public:
-  TrafficEngine(const NocConfig& cfg, const FlowSet& flows, std::uint64_t seed,
-                BernoulliMode mode = kDefaultBernoulliMode);
+  TrafficEngine(const NocConfig& cfg, const FlowSet& flows, std::uint64_t seed);
 
   /// One cycle of generation, offering packets to the network at
   /// `net.now()`. Call once per tick (after it).
   void generate(Network& net);
 
-  /// Disables generation (drain phase). Re-enabling a GapSkip engine
-  /// re-draws the gap of any flow whose due cycle passed while disabled
-  /// (the PerCycle process simply resumes, having drawn nothing).
+  /// Disables generation (drain phase). Re-enabling re-draws the gap of
+  /// any flow whose due cycle passed while disabled (a per-cycle process
+  /// would simply resume, having drawn nothing).
   void set_enabled(bool e) { enabled_ = e; }
 
   std::uint64_t generated() const { return generated_; }
-  BernoulliMode mode() const { return mode_; }
 
-  /// Uniform variates consumed so far: flows x cycles under PerCycle, one
-  /// per packet (plus one per flow to seed the first gap) under GapSkip.
-  /// Tests pin the O(packets) claim on this counter.
+  /// Uniform variates consumed so far: one per packet, plus one per flow
+  /// to seed the first gap. Tests pin the O(packets) claim on this counter.
   std::uint64_t rng_draws() const { return draws_; }
 
  private:
@@ -73,7 +58,8 @@ class TrafficEngine {
     Xoshiro256 rng;
   };
   /// (due cycle, gens_ index) min-heap entry; index order breaks ties so
-  /// same-cycle packets pop in flow-registration order, like PerCycle.
+  /// same-cycle packets pop in flow-registration order, as a per-cycle
+  /// loop over the flows would offer them.
   struct DueEntry {
     Cycle due;
     std::uint32_t gen;
@@ -84,12 +70,9 @@ class TrafficEngine {
 
   Cycle draw_gap(Gen& g);                 ///< geometric gap >= 1 (one uniform)
   void schedule(std::uint32_t gi, Cycle from);  ///< push next due >= from
-  void generate_per_cycle(Network& net);
-  void generate_gap_skip(Network& net);
 
   std::vector<Gen> gens_;
-  std::vector<DueEntry> heap_;            ///< GapSkip event queue (min-heap)
-  BernoulliMode mode_ = kDefaultBernoulliMode;
+  std::vector<DueEntry> heap_;            ///< per-flow due cycles (min-heap)
   bool heap_primed_ = false;              ///< first-generate lazy init done
   bool enabled_ = true;
   std::uint64_t generated_ = 0;
@@ -132,13 +115,12 @@ struct TraceEntry {
   friend bool operator==(const TraceEntry&, const TraceEntry&) = default;
 };
 
-/// Pre-computes exactly the packets TrafficEngine(cfg, flows, seed, mode)
-/// would offer during cycles [1, cycles] (same streams, same draw order),
+/// Pre-computes exactly the packets TrafficEngine(cfg, flows, seed) would
+/// offer during cycles [1, cycles] (same streams, same draw order),
 /// assuming the engine's first generate() call happens at cycle 1 - which
 /// is what the Session/run_simulation loop does.
 std::vector<TraceEntry> record_bernoulli_trace(const NocConfig& cfg, const FlowSet& flows,
-                                               std::uint64_t seed, Cycle cycles,
-                                               BernoulliMode mode = kDefaultBernoulliMode);
+                                               std::uint64_t seed, Cycle cycles);
 
 /// Drop-in replacement for TrafficEngine that replays a trace. Entries
 /// must be sorted by cycle (record_bernoulli_trace output is).

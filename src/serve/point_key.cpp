@@ -2,8 +2,6 @@
 
 #include <type_traits>
 
-#include "noc/traffic.hpp"
-
 namespace smartnoc::serve {
 
 // Layout tripwires: if one of these structs grows a field, the field table
@@ -58,10 +56,11 @@ void encode_point(E& e, const sim::ScenarioSpec& s) {
     if (m.in_point_key) put(e, v);
   };
   sim::for_each_field(encode_row, s);
-  // Two retired slots (traffic mode, reference kernel), written as the
-  // constants they always held - GapSkip, then 0 - so every key minted
-  // before their retirement stays valid under this kPointKeyVersion.
-  e.u8(static_cast<std::uint8_t>(noc::BernoulliMode::GapSkip));
+  // Two retired slots (traffic mode, kernel switch), written as the
+  // constants they always held - 1 (the geometric skip-ahead process), then
+  // 0 - so every key minted before their retirement stays valid under this
+  // kPointKeyVersion.
+  e.u8(1);
   e.u8(0);
   e.u32(static_cast<std::uint32_t>(s.fault_events.size()));
   for (const noc::FaultEventSpec& f : s.fault_events) encode_fault_event(e, f);

@@ -142,10 +142,10 @@ constexpr bool is_bool_v = std::is_same_v<std::decay_t<T>, bool>;
 // Shared by the text and JSON front-ends and by sweeps, so all of them
 // accept exactly the same keys.
 void apply_scalar(ScenarioSpec& spec, const std::string& key, const std::string& value) {
-  // Retired test-only switches: the reference kernel and the per-cycle
-  // Bernoulli stream are oracles reached through MeshNetwork and
-  // TrafficEngine. Scenarios saved before the retirement carry both keys at
-  // their defaults, which still parse; any other value is refused.
+  // Retired test-only switches: the full-scan kernel and the per-cycle
+  // Bernoulli stream are test oracles now (tests/full_scan_kernel.hpp,
+  // test_traffic_gap). Scenarios saved before the retirement carry both
+  // keys at their defaults, which still parse; any other value is refused.
   if (key == "reference_kernel") {
     if (parse_bool_token(value, "reference_kernel")) {
       throw ConfigError("scenario key 'reference_kernel' is retired; only 'false' is accepted");

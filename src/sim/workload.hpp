@@ -40,9 +40,8 @@ class Workload {
 /// workload).
 class BernoulliWorkload final : public Workload {
  public:
-  BernoulliWorkload(const NocConfig& cfg, const noc::FlowSet& flows, std::uint64_t seed,
-                    noc::BernoulliMode mode = noc::kDefaultBernoulliMode)
-      : engine_(cfg, flows, seed, mode) {}
+  BernoulliWorkload(const NocConfig& cfg, const noc::FlowSet& flows, std::uint64_t seed)
+      : engine_(cfg, flows, seed) {}
   void generate(noc::Network& net) override { engine_.generate(net); }
   void set_enabled(bool e) override { engine_.set_enabled(e); }
   std::uint64_t generated() const override { return engine_.generated(); }

@@ -1,8 +1,5 @@
 #include "tools/noc_generator.hpp"
 
-#include <fstream>
-
-#include "common/error.hpp"
 #include "smart/config_reg.hpp"
 
 namespace smartnoc::tools {
@@ -24,25 +21,6 @@ GeneratedDesign generate_noc(const NocConfig& cfg) {
     d.register_map.emplace_back(smart::RegisterFile::address_of(n), n);
   }
   return d;
-}
-
-std::vector<std::string> GeneratedDesign::write_to(const std::string& dir) const {
-  std::vector<std::string> written;
-  auto write = [&](const std::string& name, const std::string& content) {
-    const std::string path = dir + "/" + name;
-    std::ofstream out(path);
-    if (!out) throw SimError("cannot write " + path);
-    out << content;
-    written.push_back(path);
-  };
-  for (const auto& f : rtl.files) write(f.name, f.content);
-  write("smart_vlr.lib", liberty);
-  write("vlr_tx.lef", lef_tx);
-  write("vlr_rx.lef", lef_rx);
-  write("vlr_tx.def", tx_block.def_text("vlr_tx"));
-  write("vlr_rx.def", rx_block.def_text("vlr_rx"));
-  write("floorplan.txt", floorplan);
-  return written;
 }
 
 }  // namespace smartnoc::tools

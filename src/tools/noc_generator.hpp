@@ -31,10 +31,6 @@ struct GeneratedDesign {
   std::string floorplan;
   RouterArea router_area;
   std::vector<std::pair<std::uint64_t, NodeId>> register_map;  ///< MMIO addr -> router
-
-  /// Writes every artifact under `dir` (created by the caller); returns
-  /// the list of files written.
-  std::vector<std::string> write_to(const std::string& dir) const;
 };
 
 GeneratedDesign generate_noc(const NocConfig& cfg);

@@ -112,7 +112,7 @@ std::string floorplan_report(const NocConfig& cfg) {
   emit(s, "tile pitch %.1f mm; router macro %.3f mm x %.3f mm at each tile corner;",
        cfg.hop_mm, std::sqrt(router_mm2), std::sqrt(router_mm2));
   emit(s, "remaining tile area reserved for the core (the figure's black regions).");
-  emit(s, "");
+  s += '\n';
   for (int y = dims.height() - 1; y >= 0; --y) {
     std::string top, mid;
     for (int x = 0; x < dims.width(); ++x) {
@@ -130,7 +130,7 @@ std::string floorplan_report(const NocConfig& cfg) {
   std::string bottom;
   for (int x = 0; x < dims.width(); ++x) bottom += "+--------";
   emit(s, "%s+", bottom.c_str());
-  emit(s, "");
+  s += '\n';
 
   TextTable t({"Component", "area (um^2)", "share"});
   auto row = [&](const char* name, double v) {
@@ -144,7 +144,7 @@ std::string floorplan_report(const NocConfig& cfg) {
   row("config register", area.config_reg_um2);
   t.add_row({"router total", strf("%.0f", area.total()), "100%"});
   s += t.str();
-  emit(s, "");
+  s += '\n';
   emit(s, "NoC area fraction: %.2f%% of each %.1f x %.1f mm tile (%d routers, %.3f mm^2 total)",
        100.0 * noc_fraction, cfg.hop_mm, cfg.hop_mm, dims.nodes(),
        router_mm2 * dims.nodes());

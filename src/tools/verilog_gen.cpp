@@ -47,7 +47,7 @@ std::string vlr_cells(const NocConfig& cfg) {
   emit(s, ");");
   emit(s, "  assign d_low = en ? d_full : {WIDTH{1'b0}};");
   emit(s, "endmodule");
-  emit(s, "");
+  s += '\n';
   emit(s, "module vlr_rx #(parameter WIDTH = %d) (", cfg.flit_bits);
   emit(s, "  input  wire [WIDTH-1:0] d_low,");
   emit(s, "  input  wire             en,");
@@ -227,7 +227,7 @@ std::string router(const NocConfig& cfg) {
   emit(s, "    .preset_bypass(preset_bypass), .xbar_sel(xbar_sel),");
   emit(s, "    .credit_sel(credit_sel), .in_clk_en(in_clk_en), .out_clk_en(out_clk_en)");
   emit(s, "  );");
-  emit(s, "");
+  s += '\n';
   emit(s, "  // Rx conversion, per input port (low swing -> full swing).");
   emit(s, "  wire [5*WIDTH-1:0] rx_full;");
   emit(s, "  genvar gi;");
@@ -240,7 +240,7 @@ std::string router(const NocConfig& cfg) {
   emit(s, "      );");
   emit(s, "    end");
   emit(s, "  endgenerate");
-  emit(s, "");
+  s += '\n';
   emit(s, "  // Input buffers (VCS per port) and the buffered datapath.");
   emit(s, "  wire [5*WIDTH-1:0] buf_rd;");
   emit(s, "  wire [5*VCS-1:0]   buf_empty, buf_full;");
@@ -260,7 +260,7 @@ std::string router(const NocConfig& cfg) {
   emit(s, "      assign buf_rd[WIDTH*gp +: WIDTH] = vc_rd[0 +: WIDTH];");
   emit(s, "    end");
   emit(s, "  endgenerate");
-  emit(s, "");
+  s += '\n';
   emit(s, "  // Switch allocation: one arbiter per output port.");
   emit(s, "  wire [5*5*VCS-1:0] sa_grant_flat;");
   emit(s, "  reg  [5*5*VCS-1:0] sa_req_flat;");
@@ -281,7 +281,7 @@ std::string router(const NocConfig& cfg) {
   emit(s, "    buf_wr_en   = {5*VCS{1'b0}};");
   emit(s, "    buf_rd_en   = {5*VCS{1'b0}};");
   emit(s, "  end");
-  emit(s, "");
+  s += '\n';
   emit(s, "  // Bypass muxes feed the crossbar; Tx converts back to low swing.");
   emit(s, "  wire [5*WIDTH-1:0] xbar_in, xbar_out;");
   emit(s, "  generate");
@@ -307,7 +307,7 @@ std::string router(const NocConfig& cfg) {
   emit(s, "      );");
   emit(s, "    end");
   emit(s, "  endgenerate");
-  emit(s, "");
+  s += '\n';
   emit(s, "  // Credit crossbar: the transpose presets forward credits without");
   emit(s, "  // entering the router (Sec. IV flow control).");
   emit(s, "  smart_xbar #(.WIDTH(CW)) u_credit_xbar (");

@@ -1,6 +1,6 @@
 // Golden cross-check for the event-driven simulation core: the active-set
-// kernel must produce *bit-identical* results to the seed's full-scan
-// reference kernel (MeshNetwork::use_reference_kernel) across a matrix of
+// kernel must produce *bit-identical* results to the seed's full-scan loop
+// (the FullScanKernel oracle in full_scan_kernel.hpp) across a matrix of
 // designs, HPC_max values, workloads and fault rates. Every RunResult
 // field, every activity counter and every per-flow statistic is compared
 // exactly - any scheduling divergence (a component skipped while it still
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "full_scan_kernel.hpp"
 #include "helpers.hpp"
 #include "mapping/nmap.hpp"
 #include "noc/fault_engine.hpp"
@@ -46,21 +47,6 @@ NocConfig matrix_config() {
   return cfg;
 }
 
-/// The explorer's deterministic fault pattern (job.cpp), replicated so the
-/// golden matrix covers fault-rerouted flow sets too.
-noc::FaultSet draw_faults(const MeshDims& dims, double rate, std::uint64_t seed) {
-  noc::FaultSet faults;
-  if (rate <= 0.0) return faults;
-  Xoshiro256 rng = make_stream(seed, (1ULL << 32) + 0xFA);
-  for (NodeId n = 0; n < dims.nodes(); ++n) {
-    for (Dir d : {Dir::East, Dir::North}) {
-      if (!dims.has_neighbor(n, d)) continue;
-      if (rng.bernoulli(rate)) faults.fail_link(dims, n, d);
-    }
-  }
-  return faults;
-}
-
 noc::FlowSet build_flows(NocConfig& cfg, const MatrixPoint& pt) {
   noc::FlowSet flows;
   if (std::string(pt.workload) == "uniform") {
@@ -75,20 +61,25 @@ noc::FlowSet build_flows(NocConfig& cfg, const MatrixPoint& pt) {
     flows = std::move(mapped.flows);
   }
   if (pt.fault_rate > 0.0) {
-    const noc::FaultSet faults = draw_faults(cfg.dims(), pt.fault_rate, 7);
-    noc::FlowSet rerouted;
-    for (const auto& f : flows) {
-      const auto path =
-          noc::route_around_faults(cfg.dims(), f.src, f.dst, noc::TurnModel::XY, faults);
-      if (path.has_value()) rerouted.add(f.src, f.dst, f.bandwidth_mbps, *path);
-    }
-    flows = std::move(rerouted);
+    // The explorer's deterministic fault pattern and reroute, so the golden
+    // matrix covers fault-rerouted flow sets too.
+    const noc::FaultSet faults = sim::draw_link_faults(cfg.dims(), pt.fault_rate, 7);
+    int dropped = 0;
+    flows = sim::reroute_around_faults(cfg.dims(), flows, faults, dropped);
   }
   return flows;
 }
 
-sim::RunResult run_once(const MatrixPoint& pt, bool reference_kernel,
-                        noc::NetworkStats* final_stats) {
+/// Runs the classic protocol on `net`, through the full-scan oracle when
+/// `full_scan` is set.
+sim::RunResult run_classic(noc::MeshNetwork& net, bool full_scan, const NocConfig& cfg) {
+  sim::BernoulliWorkload traffic(cfg, net.flows(), cfg.seed);
+  if (!full_scan) return sim::run_simulation(net, traffic, cfg);
+  testing::FullScanKernel oracle(net);
+  return sim::run_simulation(oracle, traffic, cfg);
+}
+
+sim::RunResult run_once(const MatrixPoint& pt, bool full_scan, noc::NetworkStats* final_stats) {
   NocConfig cfg = matrix_config();
   cfg.hpc_max_override = pt.design == Design::Smart ? pt.hpc_max : 0;
   noc::FlowSet flows = build_flows(cfg, pt);
@@ -101,9 +92,7 @@ sim::RunResult run_once(const MatrixPoint& pt, bool reference_kernel,
   } else {
     net = noc::make_baseline_mesh(cfg, std::move(flows));
   }
-  net->use_reference_kernel(reference_kernel);
-  sim::BernoulliWorkload traffic(cfg, net->flows(), cfg.seed);
-  const sim::RunResult res = sim::run_simulation(*net, traffic, cfg);
+  const sim::RunResult res = run_classic(*net, full_scan, cfg);
   if (final_stats != nullptr) *final_stats = net->stats();
   return res;
 }
@@ -162,8 +151,8 @@ class GoldenMatrix : public ::testing::TestWithParam<MatrixPoint> {};
 TEST_P(GoldenMatrix, ActiveSetMatchesReferenceKernel) {
   const MatrixPoint pt = GetParam();
   noc::NetworkStats stats_active, stats_reference;
-  const sim::RunResult active = run_once(pt, /*reference_kernel=*/false, &stats_active);
-  const sim::RunResult reference = run_once(pt, /*reference_kernel=*/true, &stats_reference);
+  const sim::RunResult active = run_once(pt, /*full_scan=*/false, &stats_active);
+  const sim::RunResult reference = run_once(pt, /*full_scan=*/true, &stats_reference);
   const std::string what = point_name(pt);
   ASSERT_TRUE(reference.drained) << what << ": reference run must drain to be a valid golden";
   EXPECT_GT(reference.packets_delivered, 0u) << what << ": matrix point carries no traffic";
@@ -194,10 +183,10 @@ INSTANTIATE_TEST_SUITE_P(Matrix, GoldenMatrix, ::testing::ValuesIn(golden_matrix
 
 // --- Online fault schedules --------------------------------------------------
 // The runtime fault surgery (preset truncation, in-flight purge, online
-// reroute, retransmission) is one code path shared by both cycle kernels;
-// these points pin that claim end to end by running the same mid-phase
-// fault scenario through Session under each kernel and comparing every
-// result field, flow statistic and degradation counter exactly.
+// reroute, retransmission) runs between ticks, whoever drives them. These
+// points run the same mid-phase fault scenario through a production
+// Session and through the full-scan oracle, and compare every result
+// field, flow statistic and degradation counter exactly.
 
 struct FaultSchedulePoint {
   Design design;
@@ -205,18 +194,45 @@ struct FaultSchedulePoint {
   const char* schedule;
 };
 
-sim::RunResult run_fault_scenario(const FaultSchedulePoint& pt, bool reference_kernel,
-                                  noc::NetworkStats* final_stats) {
+sim::ScenarioSpec fault_spec(const FaultSchedulePoint& pt) {
   NocConfig cfg = matrix_config();
   cfg.hpc_max_override = pt.design == Design::Smart ? pt.hpc_max : 0;
   sim::ScenarioSpec spec = sim::ScenarioSpec::classic(pt.design, "uniform", 0.05, cfg);
   spec.fault_events = noc::parse_fault_schedule_token(pt.schedule);
-  sim::Session session(std::move(spec));
-  session.step(0);  // builds the first (and only) era's network, ticks nothing
-  session.mesh_network()->use_reference_kernel(reference_kernel);
+  return spec;
+}
+
+sim::RunResult run_fault_session(const FaultSchedulePoint& pt, noc::NetworkStats* final_stats) {
+  sim::Session session(fault_spec(pt));
   const sim::SessionResult sr = session.run();
-  if (final_stats != nullptr) *final_stats = session.network().stats();
+  *final_stats = session.network().stats();
   return sim::session_to_run_result(sr);
+}
+
+/// The same scenario on the oracle: the network and source Session's owning
+/// mode would build, a borrowing Session stepped one cycle at a time, and
+/// the schedule's due actions applied after each cycle - where Session
+/// fires them. One era, so session time is the network clock.
+sim::RunResult run_fault_oracle(const FaultSchedulePoint& pt, noc::NetworkStats* final_stats) {
+  const sim::ScenarioSpec spec = fault_spec(pt);
+  NocConfig cfg = spec.config;
+  const auto factory = sim::WorkloadRegistry::instance().at("uniform");
+  noc::FlowSet flows = factory->flows(cfg, 0.05);
+  std::unique_ptr<noc::MeshNetwork> net =
+      pt.design == Design::Smart ? std::move(smart::make_smart_network(cfg, std::move(flows)).net)
+                                 : noc::make_baseline_mesh(cfg, std::move(flows));
+  const std::unique_ptr<sim::Workload> source = factory->source(cfg, net->flows(), cfg.seed);
+  testing::FullScanKernel oracle(*net);
+  sim::Session session(oracle, *source, sim::classic_phases(cfg));
+  noc::FaultSchedule faults(spec.fault_events);
+  while (!session.done()) {
+    session.step(1);
+    while (const noc::FaultAction* a = faults.pop_due(session.session_cycles())) {
+      net->apply_fault_action(*a);
+    }
+  }
+  *final_stats = net->stats();
+  return sim::session_to_run_result(session.run());
 }
 
 void expect_identical_fault_counters(const noc::FaultCounters& a, const noc::FaultCounters& b,
@@ -246,8 +262,8 @@ TEST(GoldenFaults, FaultSchedulesMatchAcrossKernels) {
         std::string(design_name(pt.design)) + "/hpc" + std::to_string(pt.hpc_max) + "/" +
         pt.schedule;
     noc::NetworkStats stats_active, stats_reference;
-    const sim::RunResult active = run_fault_scenario(pt, false, &stats_active);
-    const sim::RunResult reference = run_fault_scenario(pt, true, &stats_reference);
+    const sim::RunResult active = run_fault_session(pt, &stats_active);
+    const sim::RunResult reference = run_fault_oracle(pt, &stats_reference);
     ASSERT_TRUE(reference.ok) << what << ": " << reference.error;
     EXPECT_GT(reference.packets_delivered, 0u) << what;
     expect_identical_results(active, reference, what);
@@ -347,8 +363,8 @@ INSTANTIATE_TEST_SUITE_P(Matrix, GoldenShards, ::testing::ValuesIn(shard_matrix(
 // sends to four seeded destinations within Manhattan radius 4, 0.03
 // flits/node/cycle in total. Hundreds of routers are active each cycle, so
 // the phase loops' look-ahead prefetches run well inside their bounds and
-// at the list ends; the active-set, reference and 2-shard kernels must
-// still agree exactly.
+// at the list ends; the active-set kernel, the full-scan oracle and two
+// shards must still agree exactly.
 
 noc::FlowSet local_radius_flows(const NocConfig& cfg) {
   constexpr int kRadius = 4;
@@ -375,7 +391,7 @@ noc::FlowSet local_radius_flows(const NocConfig& cfg) {
   return out;
 }
 
-enum class Kernel { ActiveSet, Reference, TwoShards };
+enum class Kernel { ActiveSet, FullScan, TwoShards };
 
 sim::RunResult run_local_24x24(Kernel kernel, noc::NetworkStats* final_stats) {
   NocConfig cfg = matrix_config();
@@ -386,10 +402,8 @@ sim::RunResult run_local_24x24(Kernel kernel, noc::NetworkStats* final_stats) {
   cfg.fit_derived();
   cfg.validate();
   auto net = std::move(smart::make_smart_network(cfg, local_radius_flows(cfg)).net);
-  if (kernel == Kernel::Reference) net->use_reference_kernel(true);
   EXPECT_EQ(net->shard_count(), cfg.shard_threads);
-  sim::BernoulliWorkload traffic(cfg, net->flows(), cfg.seed);
-  const sim::RunResult res = sim::run_simulation(*net, traffic, cfg);
+  const sim::RunResult res = run_classic(*net, kernel == Kernel::FullScan, cfg);
   *final_stats = net->stats();
   EXPECT_EQ(net->packet_pool().live(), 0u);
   return res;
@@ -398,7 +412,7 @@ sim::RunResult run_local_24x24(Kernel kernel, noc::NetworkStats* final_stats) {
 TEST(GoldenMidSize, LocalTraffic24x24MatchesAcrossKernels) {
   noc::NetworkStats stats_active, stats_reference, stats_sharded;
   const sim::RunResult active = run_local_24x24(Kernel::ActiveSet, &stats_active);
-  const sim::RunResult reference = run_local_24x24(Kernel::Reference, &stats_reference);
+  const sim::RunResult reference = run_local_24x24(Kernel::FullScan, &stats_reference);
   const sim::RunResult sharded = run_local_24x24(Kernel::TwoShards, &stats_sharded);
   ASSERT_TRUE(reference.ok) << reference.error;
   ASSERT_TRUE(reference.drained);
@@ -434,7 +448,9 @@ TEST(GoldenDrain, CounterCheckMatchesFullScan) {
     // While credits are in flight the counter check may be stricter than
     // the component scan; it must never report drained while a component
     // still holds work.
-    if (!scan) EXPECT_FALSE(net->drained()) << "cycle " << c;
+    if (!scan) {
+      EXPECT_FALSE(net->drained()) << "cycle " << c;
+    }
     net->tick();
     drained = net->drained();
   }

@@ -1,14 +1,20 @@
 // Router and NIC unit tests against a mock fabric: pipeline stage-by-stage
 // behaviour, per-packet switch holds, input locking, arbitration fairness
-// under sustained two-way contention, and credit discipline - without a
-// whole network around them. Under the structure-of-arrays flit split the
-// tests own the PacketPool a network would normally own: payloads are
-// allocated up front and flits travel as FlitRefs.
+// under sustained two-way contention, credit discipline, and the NIC's
+// flow picker against a linear-scan model - without a whole network
+// around them. Under the structure-of-arrays flit split the tests own the
+// PacketPool a network would normally own: payloads are allocated up front
+// and flits travel as FlitRefs.
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <map>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "noc/nic.hpp"
 #include "noc/packet_pool.hpp"
 #include "noc/router.hpp"
@@ -415,24 +421,183 @@ TEST(NicUnit, SparseFlowIdsReachTheirOwnQueues) {
 }
 
 TEST(NicUnit, RequeueFrontJumpsAheadAndKeepsFifo) {
-  for (const bool reference_scan : {false, true}) {
-    SCOPED_TRACE(reference_scan ? "reference scan" : "nonempty list");
-    SparseNic t;
-    t.nic.use_reference_scan(reference_scan);
-    const PacketSlot p1 = t.put(7, 1), p2 = t.put(7, 1), p3 = t.put(7, 1);
-    const PacketSlot retry = t.packet(7);
-    t.nic.requeue_front(retry, 1, /*not_before=*/50);
-    // Onto an empty queue, a requeued packet is both head and tail.
-    const PacketSlot lone = t.packet(0);
-    t.nic.requeue_front(lone, 0, /*not_before=*/50);
-    const PacketSlot after_lone = t.put(0, 0);
-    EXPECT_EQ(t.nic.queued_packets(), 6);
-    EXPECT_EQ(t.nic.retry_waiting(49), 2);
-    EXPECT_EQ(t.nic.retry_waiting(50), 0);
-    // Both heads serve their backoff: nothing injects before cycle 50.
-    EXPECT_TRUE(t.drain(49).empty());
-    EXPECT_EQ(t.drain(50), (std::vector<PacketSlot>{lone, retry, after_lone, p1, p2, p3}));
-    EXPECT_EQ(t.pool.live(), 0u);
+  SparseNic t;
+  const PacketSlot p1 = t.put(7, 1), p2 = t.put(7, 1), p3 = t.put(7, 1);
+  const PacketSlot retry = t.packet(7);
+  t.nic.requeue_front(retry, 1, /*not_before=*/50);
+  // Onto an empty queue, a requeued packet is both head and tail.
+  const PacketSlot lone = t.packet(0);
+  t.nic.requeue_front(lone, 0, /*not_before=*/50);
+  const PacketSlot after_lone = t.put(0, 0);
+  EXPECT_EQ(t.nic.queued_packets(), 6);
+  EXPECT_EQ(t.nic.retry_waiting(49), 2);
+  EXPECT_EQ(t.nic.retry_waiting(50), 0);
+  // Both heads serve their backoff: nothing injects before cycle 50.
+  EXPECT_TRUE(t.drain(49).empty());
+  EXPECT_EQ(t.drain(50), (std::vector<PacketSlot>{lone, retry, after_lone, p1, p2, p3}));
+  EXPECT_EQ(t.pool.live(), 0u);
+}
+
+/// The seed's injector: per-flow FIFOs and a round-robin cursor over every
+/// local flow, scanned linearly for the first head out of backoff. The
+/// oracle for Nic's sorted nonempty-list picker.
+struct LinearScanNic {
+  struct Queued {
+    PacketSlot slot;
+    Cycle not_before;
+  };
+  std::vector<std::deque<Queued>> queues;  ///< by local index
+  std::size_t cursor = 0;
+  int free_vcs = 0;
+  PacketSlot active = kInvalidSlot;
+  int active_flits = 0;
+  int next_seq = 0;
+
+  int queued() const {
+    int n = 0;
+    for (const auto& q : queues) n += static_cast<int>(q.size());
+    return n;
+  }
+  int waiting(Cycle now) const {
+    int n = 0;
+    for (const auto& q : queues) {
+      for (const Queued& p : q) n += p.not_before > now ? 1 : 0;
+    }
+    return n;
+  }
+  /// The (slot, seq) the NIC must put on the wire at `now`, if any.
+  std::optional<std::pair<PacketSlot, int>> inject(Cycle now, const PacketPool& pool) {
+    if (active == kInvalidSlot) {
+      if (free_vcs == 0) return std::nullopt;
+      for (std::size_t k = 0; k < queues.size() && active == kInvalidSlot; ++k) {
+        const std::size_t i = (cursor + k) % queues.size();
+        if (queues[i].empty() || queues[i].front().not_before > now) continue;
+        active = queues[i].front().slot;
+        queues[i].pop_front();
+        active_flits = pool.at(active).flits;
+        next_seq = 0;
+        free_vcs -= 1;
+        cursor = (i + 1) % queues.size();
+      }
+      if (active == kInvalidSlot) return std::nullopt;
+    }
+    const std::pair<PacketSlot, int> flit{active, next_seq};
+    if (++next_seq == active_flits) active = kInvalidSlot;
+    return flit;
+  }
+};
+
+// Random offers, backed-off retransmissions, queue drops, credit returns
+// and injections at random cycles: every flit the NIC puts on the wire must
+// be the one the linear scan picks, and the queue counters must agree.
+TEST(NicUnit, PickerMatchesLinearScanUnderRandomTraffic) {
+  const NocConfig cfg = cfg4();
+  const RoutePath path = xy_path(cfg.dims(), 4, 6);
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Xoshiro256 rng = make_stream(seed, 0x41C);
+    MockFabric fab;
+    NetworkStats stats;
+    PacketPool pool;
+    Nic nic(4, cfg, &fab, &stats, &pool);
+    // Two to six local flows with sparse, ascending FlowIds.
+    std::vector<FlowId> ids;
+    const std::size_t n_flows = 2 + rng.below(5);
+    for (FlowId id = static_cast<FlowId>(rng.below(3)); ids.size() < n_flows;
+         id += 1 + static_cast<FlowId>(rng.below(50))) {
+      ASSERT_EQ(nic.register_flow(sparse_flow(cfg, id, 4, 6)),
+                static_cast<std::int32_t>(ids.size()));
+      ids.push_back(id);
+    }
+    const auto max_vcs = static_cast<std::uint64_t>(cfg.vcs_per_port);
+    const int vcs = 1 + static_cast<int>(rng.below(max_vcs));
+    nic.init_source_credits(vcs);
+    LinearScanNic model;
+    model.queues.resize(ids.size());
+    model.free_vcs = vcs;
+    std::vector<VcId> credits_owed;  // receive VCs of packets whose tail left
+    std::uint32_t next_id = 1;
+    Cycle now = 1;
+    ActivityCounters act;
+
+    for (int op = 0; op < 300; ++op) {
+      now += rng.below(3);
+      const auto local = static_cast<std::int32_t>(rng.below(ids.size()));
+      const FlowId flow = ids[static_cast<std::size_t>(local)];
+      auto& queue = model.queues[static_cast<std::size_t>(local)];
+      switch (rng.below(8)) {
+        case 0:
+        case 1: {
+          const PacketSlot s =
+              offer(pool, next_id++, flow, path, 1 + static_cast<int>(rng.below(3)), now);
+          nic.offer_packet(s, local);
+          queue.push_back({s, 0});
+          break;
+        }
+        case 2: {
+          const PacketSlot s =
+              offer(pool, next_id++, flow, path, 1 + static_cast<int>(rng.below(3)), now);
+          const Cycle not_before = now + rng.below(20);
+          nic.requeue_front(s, local, not_before);
+          queue.push_front({s, not_before});
+          break;
+        }
+        case 3: {
+          std::vector<PacketSlot> dropped;
+          nic.drop_flow_queue(flow, local, [&](PacketSlot s) {
+            dropped.push_back(s);
+            pool.release(s);
+          });
+          std::vector<PacketSlot> expected;
+          for (const auto& q : queue) expected.push_back(q.slot);
+          ASSERT_EQ(dropped, expected) << "op " << op;
+          queue.clear();
+          break;
+        }
+        case 4:
+          if (!credits_owed.empty()) {
+            const std::size_t k = rng.below(credits_owed.size());
+            nic.credit_arrived(credits_owed[k]);
+            credits_owed.erase(credits_owed.begin() + static_cast<std::ptrdiff_t>(k));
+            model.free_vcs += 1;
+          }
+          break;
+        default: {
+          const std::size_t before = fab.sent.size();
+          nic.inject(now, act);
+          const auto want = model.inject(now, pool);
+          ASSERT_EQ(fab.sent.size(), before + (want.has_value() ? 1 : 0))
+              << "op " << op << " at cycle " << now;
+          if (!want.has_value()) break;
+          const FlitRef f = fab.sent.back().flit;
+          ASSERT_EQ(f.slot, want->first) << "op " << op << " at cycle " << now;
+          ASSERT_EQ(f.seq, want->second) << "op " << op << " at cycle " << now;
+          if (is_tail(f.type)) credits_owed.push_back(f.vc);
+          pool.release(f.slot);  // the sink consumes the flit
+          break;
+        }
+      }
+      ASSERT_EQ(nic.queued_packets(), model.queued()) << "op " << op;
+      ASSERT_EQ(nic.retry_waiting(now), model.waiting(now)) << "op " << op;
+    }
+    // Everything left drains in the model's order once credits return.
+    for (const VcId vc : credits_owed) nic.credit_arrived(vc);
+    model.free_vcs += static_cast<int>(credits_owed.size());
+    for (now += 20; !nic.idle(); ++now) {
+      nic.inject(now, act);
+      const auto want = model.inject(now, pool);
+      ASSERT_TRUE(want.has_value());
+      const FlitRef f = fab.sent.back().flit;
+      ASSERT_EQ(f.slot, want->first);
+      ASSERT_EQ(f.seq, want->second);
+      if (is_tail(f.type)) {
+        nic.credit_arrived(f.vc);
+        model.free_vcs += 1;
+      }
+      pool.release(f.slot);
+    }
+    EXPECT_EQ(model.queued(), 0);
+    EXPECT_EQ(pool.live(), 0u);
   }
 }
 

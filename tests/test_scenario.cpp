@@ -2,8 +2,9 @@
 //
 //   * golden: a Session running the classic 3-phase scenario is
 //     *bit-identical* to the seed's hand-rolled warmup/measure/drain loop
-//     (copied verbatim below as ground truth), across designs x kernels x
-//     workloads - and so is the run_simulation wrapper;
+//     (copied verbatim below as ground truth, on the active-set kernel and
+//     on the full-scan oracle), across designs x workloads - and so is the
+//     run_simulation wrapper;
 //   * round-trips: parse -> serialize -> parse is the identity for both
 //     the text and the JSON scenario forms;
 //   * drain timeouts surface as failed results uniformly (Session,
@@ -22,6 +23,7 @@
 
 #include "dedicated/dedicated_network.hpp"
 #include "explore/job.hpp"
+#include "full_scan_kernel.hpp"
 #include "helpers.hpp"
 #include "mapping/nmap.hpp"
 #include "noc/fault_engine.hpp"
@@ -109,7 +111,7 @@ LegacyResult legacy_run_simulation(noc::Network& net, noc::TrafficEngine& traffi
 
 struct GoldenPoint {
   Design design;
-  bool reference_kernel;  // the seed's full-scan kernel (Mesh/Smart only)
+  bool reference_kernel;  // legacy legs on the full-scan oracle (Mesh/Smart only)
   const char* workload;   // registry key
   double injection;
 };
@@ -119,9 +121,17 @@ std::string golden_name(const GoldenPoint& pt) {
          (pt.reference_kernel ? "reference" : "active") + "_" + pt.workload;
 }
 
+/// A hand-built network and what ticks it: the network itself, or the
+/// full-scan oracle over it for the reference points.
+struct LegacyNet {
+  std::unique_ptr<noc::Network> net;
+  std::unique_ptr<testing::FullScanKernel> oracle;
+  noc::Network& driver() { return oracle != nullptr ? *oracle : *net; }
+};
+
 /// Hand-builds network + flows exactly the way the pre-Scenario drivers
 /// did (the sequence Session's owning mode must replicate).
-std::unique_ptr<noc::Network> build_legacy(NocConfig& cfg, const GoldenPoint& pt) {
+LegacyNet build_legacy(NocConfig& cfg, const GoldenPoint& pt) {
   noc::FlowSet flows;
   if (std::string(pt.workload) == "vopd") {
     mapping::MappedApp mapped = mapping::map_app(mapping::SocApp::VOPD, cfg);
@@ -132,18 +142,21 @@ std::unique_ptr<noc::Network> build_legacy(NocConfig& cfg, const GoldenPoint& pt
     flows = noc::make_synthetic_flows(cfg, noc::SyntheticPattern::UniformRandom, pt.injection,
                                       noc::TurnModel::XY);
   }
-  std::unique_ptr<noc::Network> net;
+  LegacyNet out;
   switch (pt.design) {
-    case Design::Mesh: net = noc::make_baseline_mesh(cfg, std::move(flows)); break;
-    case Design::Smart: net = std::move(smart::make_smart_network(cfg, std::move(flows)).net); break;
+    case Design::Mesh: out.net = noc::make_baseline_mesh(cfg, std::move(flows)); break;
+    case Design::Smart:
+      out.net = std::move(smart::make_smart_network(cfg, std::move(flows)).net);
+      break;
     case Design::Dedicated:
-      net = std::make_unique<dedicated::DedicatedNetwork>(cfg, std::move(flows));
+      out.net = std::make_unique<dedicated::DedicatedNetwork>(cfg, std::move(flows));
       break;
   }
   if (pt.reference_kernel) {
-    dynamic_cast<noc::MeshNetwork&>(*net).use_reference_kernel(true);
+    out.oracle =
+        std::make_unique<testing::FullScanKernel>(dynamic_cast<noc::MeshNetwork&>(*out.net));
   }
-  return net;
+  return out;
 }
 
 void expect_identical(const LegacyResult& a, const sim::RunResult& b, const std::string& what) {
@@ -182,26 +195,23 @@ TEST_P(GoldenClassic, SessionMatchesLegacyLoop) {
 
   // Ground truth: the seed's loop on a hand-built network.
   NocConfig legacy_cfg = short_config();
-  auto legacy_net = build_legacy(legacy_cfg, pt);
-  noc::TrafficEngine legacy_traffic(legacy_cfg, legacy_net->flows(), legacy_cfg.seed);
-  const LegacyResult truth = legacy_run_simulation(*legacy_net, legacy_traffic, legacy_cfg);
+  LegacyNet legacy = build_legacy(legacy_cfg, pt);
+  noc::TrafficEngine legacy_traffic(legacy_cfg, legacy.net->flows(), legacy_cfg.seed);
+  const LegacyResult truth = legacy_run_simulation(legacy.driver(), legacy_traffic, legacy_cfg);
   ASSERT_GT(truth.packets_delivered, 0u) << what << ": golden point carries no traffic";
 
   // The wrapper on an identical second network.
   NocConfig wrap_cfg = short_config();
-  auto wrap_net = build_legacy(wrap_cfg, pt);
-  sim::BernoulliWorkload wrap_traffic(wrap_cfg, wrap_net->flows(), wrap_cfg.seed);
-  const sim::RunResult wrapped = sim::run_simulation(*wrap_net, wrap_traffic, wrap_cfg);
+  LegacyNet wrap = build_legacy(wrap_cfg, pt);
+  sim::BernoulliWorkload wrap_traffic(wrap_cfg, wrap.net->flows(), wrap_cfg.seed);
+  const sim::RunResult wrapped = sim::run_simulation(wrap.driver(), wrap_traffic, wrap_cfg);
   expect_identical(truth, wrapped, what + " [run_simulation]");
 
-  // The owning Session building everything from the declaration.
+  // The owning Session building everything from the declaration, always on
+  // the production kernel.
   sim::ScenarioSpec spec =
       sim::ScenarioSpec::classic(pt.design, pt.workload, pt.injection, short_config());
   sim::Session session(spec);
-  if (pt.reference_kernel) {
-    session.step(0);  // builds the first era's network, ticks nothing
-    session.mesh_network()->use_reference_kernel(true);
-  }
   const sim::RunResult owned = sim::session_to_run_result(session.run());
   expect_identical(truth, owned, what + " [Session]");
 }

@@ -77,17 +77,6 @@ TEST(ShardPartition, ColumnBlocksAndWidthClamp) {
   EXPECT_EQ(clamped->shard_count(), 4);
 }
 
-TEST(ShardPartition, ReferenceKernelRevertsToOneShard) {
-  NocConfig cfg = mesh8_config();
-  cfg.shard_threads = 4;
-  auto net = noc::make_baseline_mesh(cfg, testing::one_flow(cfg, 0, 7));
-  ASSERT_EQ(net->shard_count(), 4);
-  net->use_reference_kernel(true);
-  EXPECT_EQ(net->shard_count(), 1);  // tick_reference has no sharded protocol
-  net->use_reference_kernel(false);
-  EXPECT_EQ(net->shard_count(), 4);  // switching back restores the config
-}
-
 // The hard case from the issue: a SMART bypass chain that crosses shard
 // boundaries. Presets are static within an era, so the whole multi-hop
 // traversal resolves sender-side into ONE mailbox event - the zero-load

@@ -1,10 +1,11 @@
-// Geometric skip-ahead traffic (BernoulliMode::GapSkip): determinism at
-// equal seeds, O(packets) RNG consumption (vs the old draw-per-cycle
-// path's O(flows x cycles)), statistical agreement with the per-cycle
-// process, and bit-identical live-vs-replay runs.
+// Geometric skip-ahead traffic (TrafficEngine): determinism at equal
+// seeds, O(packets) RNG consumption (vs the seed's draw-per-cycle loop's
+// O(flows x cycles)), statistical agreement with that per-cycle process,
+// kept below as an oracle, and bit-identical live-vs-replay runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "helpers.hpp"
 #include "noc/traffic.hpp"
@@ -46,16 +47,41 @@ class SinkNet final : public Network {
   Cycle now_ = 0;
 };
 
+/// The seed's per-cycle Bernoulli process: each flow draws one uniform from
+/// its own stream (make_stream(seed, flow id)) every cycle and offers a
+/// packet when it lands under the flow's packets_per_cycle. Same cycles
+/// and same order as record_bernoulli_trace.
+std::vector<TraceEntry> per_cycle_trace(const NocConfig& cfg, const FlowSet& flows,
+                                        std::uint64_t seed, Cycle cycles) {
+  struct PerCycleFlow {
+    FlowId id;
+    double p;
+    Xoshiro256 rng;
+  };
+  std::vector<PerCycleFlow> gens;
+  for (const Flow& f : flows) {
+    gens.push_back(
+        {f.id, f.packets_per_cycle(cfg), make_stream(seed, static_cast<std::uint64_t>(f.id))});
+  }
+  std::vector<TraceEntry> trace;
+  for (Cycle t = 1; t <= cycles; ++t) {
+    for (PerCycleFlow& g : gens) {
+      if (g.rng.bernoulli(g.p)) trace.push_back(TraceEntry{t, g.id});
+    }
+  }
+  return trace;
+}
+
 TEST(GapSkip, DeterministicAtEqualSeeds) {
   const NocConfig cfg = small_cfg();
   const auto flows =
       make_synthetic_flows(cfg, SyntheticPattern::UniformRandom, 0.1, TurnModel::XY);
-  const auto a = record_bernoulli_trace(cfg, flows, 9, 20'000, BernoulliMode::GapSkip);
-  const auto b = record_bernoulli_trace(cfg, flows, 9, 20'000, BernoulliMode::GapSkip);
+  const auto a = record_bernoulli_trace(cfg, flows, 9, 20'000);
+  const auto b = record_bernoulli_trace(cfg, flows, 9, 20'000);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
   // A different seed is a different realization.
-  const auto c = record_bernoulli_trace(cfg, flows, 10, 20'000, BernoulliMode::GapSkip);
+  const auto c = record_bernoulli_trace(cfg, flows, 10, 20'000);
   EXPECT_NE(a, c);
 }
 
@@ -64,8 +90,8 @@ TEST(GapSkip, AgreesWithPerCyclePathAtEqualSeeds) {
   const auto flows =
       make_synthetic_flows(cfg, SyntheticPattern::UniformRandom, 0.1, TurnModel::XY);
   const Cycle cycles = 50'000;
-  const auto per_cycle = record_bernoulli_trace(cfg, flows, 9, cycles, BernoulliMode::PerCycle);
-  const auto gap = record_bernoulli_trace(cfg, flows, 9, cycles, BernoulliMode::GapSkip);
+  const auto per_cycle = per_cycle_trace(cfg, flows, 9, cycles);
+  const auto gap = record_bernoulli_trace(cfg, flows, 9, cycles);
   ASSERT_GT(per_cycle.size(), 5000u);
   // Same process parameters, so the same expected rate: the two paths'
   // totals differ only by sampling noise (they are different realizations
@@ -82,23 +108,16 @@ TEST(GapSkip, RngWorkIsPerPacketNotPerCycle) {
   const Cycle cycles = 20'000;
   const auto n_flows = static_cast<std::uint64_t>(flows.size());
 
-  SinkNet per_net(cfg);
-  TrafficEngine per_cycle(cfg, flows, cfg.seed, BernoulliMode::PerCycle);
-  for (Cycle t = 0; t < cycles; ++t) {
-    per_net.tick();
-    per_cycle.generate(per_net);
-  }
-  EXPECT_EQ(per_cycle.rng_draws(), n_flows * cycles);  // O(flows x cycles)
-
   SinkNet gap_net(cfg);
-  TrafficEngine gap(cfg, flows, cfg.seed, BernoulliMode::GapSkip);
+  TrafficEngine gap(cfg, flows, cfg.seed);
   for (Cycle t = 0; t < cycles; ++t) {
     gap_net.tick();
     gap.generate(gap_net);
   }
   // One draw per packet plus one per flow to seed the first gap.
   EXPECT_EQ(gap.rng_draws(), gap.generated() + n_flows);
-  EXPECT_LT(gap.rng_draws(), per_cycle.rng_draws() / 10);
+  // The per-cycle process draws once per flow per cycle.
+  EXPECT_LT(gap.rng_draws(), n_flows * cycles / 10);
   EXPECT_GT(gap.generated(), 0u);
 }
 
@@ -106,7 +125,7 @@ TEST(GapSkip, PacketsArriveInCycleAndFlowOrder) {
   const NocConfig cfg = small_cfg();
   const auto flows = make_synthetic_flows(cfg, SyntheticPattern::UniformRandom, 0.3,
                                           TurnModel::XY);
-  const auto trace = record_bernoulli_trace(cfg, flows, 3, 5'000, BernoulliMode::GapSkip);
+  const auto trace = record_bernoulli_trace(cfg, flows, 3, 5'000);
   ASSERT_GT(trace.size(), 100u);
   for (std::size_t i = 1; i < trace.size(); ++i) {
     ASSERT_LE(trace[i - 1].cycle, trace[i].cycle);
@@ -124,14 +143,13 @@ TEST(GapSkip, LiveRunMatchesReplayExactly) {
     return make_synthetic_flows(cfg, SyntheticPattern::Transpose, 0.05, TurnModel::XY);
   };
   auto live = smart::make_smart_network(cfg, mk());
-  sim::BernoulliWorkload engine(cfg, live.net->flows(), cfg.seed, BernoulliMode::GapSkip);
+  sim::BernoulliWorkload engine(cfg, live.net->flows(), cfg.seed);
   const sim::RunResult live_run = sim::run_simulation(*live.net, engine, cfg);
   ASSERT_TRUE(live_run.ok) << live_run.error;
 
   auto replayed = smart::make_smart_network(cfg, mk());
   auto trace = record_bernoulli_trace(cfg, replayed.net->flows(), cfg.seed,
-                                      cfg.warmup_cycles + cfg.measure_cycles,
-                                      BernoulliMode::GapSkip);
+                                      cfg.warmup_cycles + cfg.measure_cycles);
   sim::ReplayWorkload replayer(std::move(trace));
   const sim::RunResult replay_run = sim::run_simulation(*replayed.net, replayer, cfg);
 
