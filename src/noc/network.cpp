@@ -13,14 +13,6 @@ namespace {
 
 std::size_t idx(Dir d) { return static_cast<std::size_t>(dir_index(d)); }
 
-/// The shard whose pass this thread is currently executing (null outside a
-/// sharded pass, including the whole single-shard hot path). Routes flit
-/// deliveries and credit schedules local-vs-boundary and selects the
-/// activity-delta target. Thread-local, not per-network: one OS thread works
-/// on one shard of one network at a time (executor workers run independent
-/// networks; shard workers run one shard each).
-thread_local ShardState* tl_shard = nullptr;
-
 /// Shard-thread span lanes batch this many ticks per recorded span.
 constexpr std::uint64_t kSpanChunkTicks = 4096;
 
@@ -58,8 +50,8 @@ MeshNetwork::MeshNetwork(const NocConfig& cfg, FlowSet flows, PresetTable preset
   routers_.reserve(static_cast<std::size_t>(dims.nodes()));
   nics_.reserve(static_cast<std::size_t>(dims.nodes()));
   for (NodeId n = 0; n < dims.nodes(); ++n) {
-    routers_.emplace_back(n, cfg_, static_cast<Fabric*>(this), &pool_);
-    nics_.emplace_back(n, cfg_, static_cast<Fabric*>(this), &stats_, &pool_);
+    routers_.emplace_back(n, cfg_, &pool_);
+    nics_.emplace_back(n, cfg_, &stats_, &pool_);
   }
   router_in_set_.assign(static_cast<std::size_t>(dims.nodes()), 0);
   nic_in_set_.assign(static_cast<std::size_t>(dims.nodes()), 0);
@@ -245,7 +237,7 @@ void MeshNetwork::run_phases(ShardState& s, ActivityCounters& act) {
   for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
     prefetch_ahead(i);
     Router& r = router_at(i);
-    if (r.has_holds()) r.switch_traversal(now_, act);
+    if (r.holds() != 0) traverse(s, act, s.active_routers[i]);
   }
   // Phase 4: Switch Allocation (grants fire ST next cycle).
   for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
@@ -260,7 +252,7 @@ void MeshNetwork::run_phases(ShardState& s, ActivityCounters& act) {
     if (i + kPrefetchAhead < s.active_nics.size()) {
       nics_[static_cast<std::size_t>(s.active_nics[i + kPrefetchAhead])].prefetch_hot();
     }
-    nics_[static_cast<std::size_t>(s.active_nics[i])].inject(now_, act);
+    inject(s, act, s.active_nics[i]);
   }
 
   // Compaction: drop components that went quiescent, preserving insertion
@@ -330,15 +322,13 @@ void MeshNetwork::tick_sharded(bool parallel) {
 
 void MeshNetwork::shard_pass_a(ShardState& s) {
   // The single-shard phase body, with activity landing in the shard's delta;
-  // deliveries/credits that leave the slice are deferred to mailboxes via
-  // tl_shard (see deliver()).
-  tl_shard = &s;
+  // deliveries/credits that leave the slice are deferred to mailboxes (see
+  // deliver()).
   s.ticks += 1;
   if (span_tracer_ != nullptr && s.span_chunk_ticks == 0) {
     s.span_chunk_start_us = span_tracer_->now_us();
   }
   run_phases(s, s.act);
-  tl_shard = nullptr;
 }
 
 void MeshNetwork::shard_pass_b(ShardState& s) {
@@ -349,17 +339,15 @@ void MeshNetwork::shard_pass_b(ShardState& s) {
   // exactly the state a local mid-phase delivery would have: the staged
   // flit's arrival stamp blocks same-cycle pickup, so the skipped phases
   // were no-ops for it.
-  tl_shard = &s;
   for (ShardState& src : shards_) {
     auto& inbox = src.outbox[static_cast<std::size_t>(s.id)];
     for (const ShardFlitEvent& ev : inbox) {
       if (ev.ep.is_nic) {
-        Nic& nic = nics_[static_cast<std::size_t>(ev.ep.node)];
-        nic.accept_flit(ev.flit, ev.arrival);
+        accept_at_nic(s, s.act, ev.ep.node, ev.flit, ev.arrival);
         // A tail consumed on arrival leaves the NIC idle: activating it
         // would keep it (and drained()) alive one tick longer than the
         // single-threaded kernel - activate only when work remains.
-        if (!nic.idle()) activate_nic(ev.ep.node);
+        if (!nics_[static_cast<std::size_t>(ev.ep.node)].idle()) activate_nic(ev.ep.node);
       } else {
         routers_[static_cast<std::size_t>(ev.ep.node)].accept_flit(ev.ep.in, ev.flit,
                                                                    ev.arrival);
@@ -368,7 +356,6 @@ void MeshNetwork::shard_pass_b(ShardState& s) {
     }
     inbox.clear();  // reader-cleared; the source is not touching it in pass B
   }
-  tl_shard = nullptr;
 
   if (span_tracer_ != nullptr) {
     s.span_chunk_ticks += 1;
@@ -484,9 +471,26 @@ bool MeshNetwork::drained() const {
   return true;
 }
 
-void MeshNetwork::deliver(const Segment& seg, FlitRef flit, Cycle now, bool from_router) {
-  ShardState* const sh = tl_shard;
-  ActivityCounters& act = sh != nullptr ? sh->act : stats_.activity();
+void MeshNetwork::traverse(ShardState& s, ActivityCounters& act, NodeId n) {
+  Router& r = routers_[static_cast<std::size_t>(n)];
+  for_each_dir(r.holds(), [&](Dir o) {
+    const auto d = r.switch_traversal(o, now_, act);
+    if (!d) return;
+    deliver(s, act, segments_.output(n, o), d->flit, now_, /*from_router=*/true);
+    if (is_tail(d->flit.type)) {
+      schedule_credit(s, act, segments_.credit_router_input(n, d->in), d->in_vc, now_);
+    }
+  });
+}
+
+void MeshNetwork::inject(ShardState& s, ActivityCounters& act, NodeId n) {
+  if (const auto f = nics_[static_cast<std::size_t>(n)].inject(now_)) {
+    deliver(s, act, segments_.injection(n), *f, now_, /*from_router=*/false);
+  }
+}
+
+void MeshNetwork::deliver(ShardState& s, ActivityCounters& act, const Segment& seg,
+                          FlitRef flit, Cycle now, bool from_router) {
   act.xbar_flit_traversals += static_cast<std::uint64_t>(seg.bypassed + (from_router ? 1 : 0));
   act.link_flit_mm += static_cast<std::uint64_t>(seg.mm);
   act.pipeline_latches += 1;
@@ -498,20 +502,18 @@ void MeshNetwork::deliver(const Segment& seg, FlitRef flit, Cycle now, bool from
   if (observer_ != nullptr) {
     observer_->segment_traversed(seg, segments_.links(seg), flit, pool_, now, arrival);
   }
-  if (sh != nullptr) {
-    // Sharded pass: the endpoint may belong to another slice. The whole
-    // segment is already resolved (activity charged, hop_index advanced,
-    // arrival stamped) - a SMART bypass chain crossing several shards is
-    // one mailbox event, not a per-shard arbitration exchange.
-    const int owner = shard_of_[static_cast<std::size_t>(seg.ep.node)];
-    if (owner != sh->id) {
-      sh->outbox[static_cast<std::size_t>(owner)].push_back(ShardFlitEvent{seg.ep, flit, arrival});
-      sh->boundary_flits += 1;
-      return;
-    }
+  const int owner = shard_of_[static_cast<std::size_t>(seg.ep.node)];
+  if (owner != s.id) {
+    // The endpoint belongs to another slice. The whole segment is already
+    // resolved (activity charged, hop_index advanced, arrival stamped) - a
+    // SMART bypass chain crossing several shards is one mailbox event, not
+    // a per-shard arbitration exchange.
+    s.outbox[static_cast<std::size_t>(owner)].push_back(ShardFlitEvent{seg.ep, flit, arrival});
+    s.boundary_flits += 1;
+    return;
   }
   if (seg.ep.is_nic) {
-    nics_[static_cast<std::size_t>(seg.ep.node)].accept_flit(flit, arrival);
+    accept_at_nic(s, act, seg.ep.node, flit, arrival);
     activate_nic(seg.ep.node);
   } else {
     routers_[static_cast<std::size_t>(seg.ep.node)].accept_flit(seg.ep.in, flit, arrival);
@@ -519,39 +521,31 @@ void MeshNetwork::deliver(const Segment& seg, FlitRef flit, Cycle now, bool from
   }
 }
 
-void MeshNetwork::deliver_from_router(NodeId router, Dir out_dir, FlitRef flit, Cycle now) {
-  deliver(segments_.output(router, out_dir), flit, now, /*from_router=*/true);
+void MeshNetwork::accept_at_nic(ShardState& s, ActivityCounters& act, NodeId n,
+                                const FlitRef& flit, Cycle arrival) {
+  if (const auto vc = nics_[static_cast<std::size_t>(n)].accept_flit(flit, arrival)) {
+    schedule_credit(s, act, segments_.credit_nic(n), *vc, arrival);
+  }
 }
 
-void MeshNetwork::deliver_from_nic(NodeId nic_node, FlitRef flit, Cycle now) {
-  deliver(segments_.injection(nic_node), flit, now, /*from_router=*/false);
-}
-
-void MeshNetwork::schedule_credit(const CreditPath& path, VcId vc, Cycle now) {
+void MeshNetwork::schedule_credit(ShardState& s, ActivityCounters& act, const CreditPath& path,
+                                  VcId vc, Cycle now) {
   SMARTNOC_CHECK(path.armed, "freed VC on a latch point with no feeder");
   const Cycle due = now + 1 + (opt_.extra_link_cycle ? 1 : 0);
   const SegOrigin& target = path.origin;
-  ShardState* const sh = tl_shard;
-  ActivityCounters& act = sh != nullptr ? sh->act : stats_.activity();
   act.link_credit_mm += static_cast<std::uint64_t>(path.mm);
   act.xbar_credit_traversals += static_cast<std::uint64_t>(path.xbar_hops);
   SMARTNOC_CHECK(due > now_ && due - now_ < kWheelSize, "credit due beyond the wheel horizon");
-  if (sh != nullptr) {
+  const int owner = shard_of_[static_cast<std::size_t>(target.node)];
+  if (owner != s.id) {
     // A credit for an origin outside this slice is parked on the shard and
     // routed into the owner's wheel by the serial epilogue (due >= now+1,
     // so the detour costs nothing). Wheels are single-writer this way.
-    const int owner = shard_of_[static_cast<std::size_t>(target.node)];
-    if (owner != sh->id) {
-      sh->remote_credits.push_back(ShardRemoteCredit{InFlightCredit{due, target, vc}, owner});
-      return;
-    }
-    sh->wheel[due % kWheelSize].push_back(InFlightCredit{due, target, vc});
-    sh->credits_in_flight += 1;
+    s.remote_credits.push_back(ShardRemoteCredit{InFlightCredit{due, target, vc}, owner});
     return;
   }
-  ShardState& s0 = shards_.front();
-  s0.wheel[due % kWheelSize].push_back(InFlightCredit{due, target, vc});
-  s0.credits_in_flight += 1;
+  s.wheel[due % kWheelSize].push_back(InFlightCredit{due, target, vc});
+  s.credits_in_flight += 1;
 }
 
 void MeshNetwork::deliver_credit(const SegOrigin& target, VcId vc) {
@@ -560,14 +554,6 @@ void MeshNetwork::deliver_credit(const SegOrigin& target, VcId vc) {
   } else {
     routers_[static_cast<std::size_t>(target.node)].credit_arrived(target.out, vc);
   }
-}
-
-void MeshNetwork::credit_from_router_input(NodeId router, Dir in_dir, VcId vc, Cycle now) {
-  schedule_credit(segments_.credit_router_input(router, in_dir), vc, now);
-}
-
-void MeshNetwork::credit_from_nic(NodeId nic_node, VcId vc, Cycle now) {
-  schedule_credit(segments_.credit_nic(nic_node), vc, now);
 }
 
 // --- Online fault injection --------------------------------------------------

@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "noc/fabric.hpp"
 #include "noc/fault_engine.hpp"
 #include "noc/faults.hpp"
 #include "noc/flow.hpp"
@@ -75,7 +74,7 @@ class FullScanKernel;
 
 namespace smartnoc::noc {
 
-class MeshNetwork final : public Network, private Fabric {
+class MeshNetwork final : public Network {
  public:
   struct Options {
     bool extra_link_cycle = false;  ///< baseline mesh: +1 cycle per link
@@ -84,9 +83,9 @@ class MeshNetwork final : public Network, private Fabric {
 
   MeshNetwork(const NocConfig& cfg, FlowSet flows, PresetTable presets, Options opt);
 
-  // Routers and NICs hold Fabric/stats back-pointers into this object and
-  // live in its arrays: it must stay pinned in memory (hand out
-  // unique_ptrs, never move it).
+  // NICs hold stats and pool pointers, and routers a pool pointer, into
+  // this object: it must stay pinned in memory (hand out unique_ptrs, never
+  // move it).
   MeshNetwork(const MeshNetwork&) = delete;
   MeshNetwork& operator=(const MeshNetwork&) = delete;
   MeshNetwork(MeshNetwork&&) = delete;
@@ -187,15 +186,32 @@ class MeshNetwork final : public Network, private Fabric {
   /// credit wheel directly (tests/full_scan_kernel.hpp).
   friend class ::smartnoc::testing::FullScanKernel;
 
-  // --- Fabric interface -------------------------------------------------------
-  void deliver_from_router(NodeId router, Dir out, FlitRef flit, Cycle now) override;
-  void deliver_from_nic(NodeId nic, FlitRef flit, Cycle now) override;
-  void credit_from_router_input(NodeId router, Dir in, VcId vc, Cycle now) override;
-  void credit_from_nic(NodeId nic, VcId vc, Cycle now) override;
+  // --- Carrying what routers and NICs emit ------------------------------------
+  // Routers and NICs hold no pointer to the network: they return what they
+  // emit, and the shard running the phase carries it. `s` is that shard
+  // and `act` its activity target (the global counters on the
+  // single-shard kernel, s.act under the sharded protocol). An endpoint or
+  // credit origin another shard owns goes to a mailbox; with one shard
+  // every node is local.
 
-  void deliver(const Segment& seg, FlitRef flit, Cycle now, bool from_router);
+  /// Switch Traversal at router `n`, output by output in port order:
+  /// carries each departure along its output segment and returns each
+  /// tail's freed input VC to its feeder.
+  void traverse(ShardState& s, ActivityCounters& act, NodeId n);
+  /// Injection at NIC `n`: carries the flit it put on the wire along its
+  /// injection segment.
+  void inject(ShardState& s, ActivityCounters& act, NodeId n);
+  /// Carries `flit` along `seg` (charging its traversal at `now`) into the
+  /// endpoint router's staging or the endpoint NIC.
+  void deliver(ShardState& s, ActivityCounters& act, const Segment& seg, FlitRef flit,
+               Cycle now, bool from_router);
+  /// Hands `flit` (arrived at the end of `arrival`) to NIC `n` and returns
+  /// the credit of the receive VC a consumed tail freed.
+  void accept_at_nic(ShardState& s, ActivityCounters& act, NodeId n, const FlitRef& flit,
+                     Cycle arrival);
   /// Sends a credit for `vc` freed at `now` back along `path`.
-  void schedule_credit(const CreditPath& path, VcId vc, Cycle now);
+  void schedule_credit(ShardState& s, ActivityCounters& act, const CreditPath& path, VcId vc,
+                       Cycle now);
   void deliver_credit(const SegOrigin& target, VcId vc);
   void validate_and_index_flow(const Flow& flow);
   /// The flow's index among its source NIC's flows (Nic::register_flow).

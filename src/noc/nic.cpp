@@ -4,11 +4,9 @@
 
 namespace smartnoc::noc {
 
-Nic::Nic(NodeId node, const NocConfig& cfg, Fabric* fabric, NetworkStats* stats,
-         PacketPool* pool)
-    : node_(node), vcs_per_port_(cfg.vcs_per_port), fabric_(fabric), stats_(stats), pool_(pool) {
-  SMARTNOC_CHECK(fabric_ != nullptr && stats_ != nullptr && pool_ != nullptr,
-                 "NIC needs fabric, stats and the packet pool");
+Nic::Nic(NodeId node, const NocConfig& cfg, NetworkStats* stats, PacketPool* pool)
+    : node_(node), vcs_per_port_(cfg.vcs_per_port), stats_(stats), pool_(pool) {
+  SMARTNOC_CHECK(stats_ != nullptr && pool_ != nullptr, "NIC needs stats and the packet pool");
 }
 
 std::int32_t Nic::register_flow(const Flow& flow) {
@@ -63,11 +61,11 @@ void Nic::requeue_front(PacketSlot pkt_slot, std::int32_t local, Cycle not_befor
   queued_total_ += 1;
 }
 
-void Nic::inject(Cycle now, ActivityCounters& act) {
+std::optional<FlitRef> Nic::inject(Cycle now) {
   if (!active_.has_value()) {
-    if (queued_total_ == 0) return;
+    if (queued_total_ == 0) return std::nullopt;
     // Round-robin over flows with queued packets; needs a free endpoint VC.
-    if (free_vcs_.empty()) return;
+    if (free_vcs_.empty()) return std::nullopt;
     // queued_total_ > 0 guarantees a nonempty slot; the cyclic walk from
     // the round-robin cursor visits nonempty flows in exactly the order a
     // linear scan of every flow would, skipping packets still in
@@ -83,7 +81,7 @@ void Nic::inject(Cycle now, ActivityCounters& act) {
         break;
       }
     }
-    if (chosen == local_flows_.size()) return;
+    if (chosen == local_flows_.size()) return std::nullopt;
     LocalFlow& lf = local_flows_[chosen];
     ActiveTx tx;
     tx.slot = lf.head;
@@ -122,12 +120,10 @@ void Nic::inject(Cycle now, ActivityCounters& act) {
     pool_->add_ref(tx.slot);
   }
   tx.next_seq += 1;
-  const bool done = tx.next_seq == tx.flits;
-  fabric_->deliver_from_nic(node_, f, now);
-  if (done) {
-    // Tail left: drop the transmit reference. Under full bypass the tail
-    // may already have been consumed at the destination within this very
-    // call, so this can recycle the slot - nothing reads it afterwards.
+  if (tx.next_seq == tx.flits) {
+    // Tail left: drop the transmit reference. The tail's own reference
+    // keeps the slot alive until its consumer releases it (under full
+    // bypass, the destination NIC within the same cycle).
     if (sink_ != nullptr) {
       sink_->pool_releases.push_back(tx.slot);
     } else {
@@ -135,10 +131,10 @@ void Nic::inject(Cycle now, ActivityCounters& act) {
     }
     active_.reset();
   }
-  (void)act;  // injection energy is counted by the fabric's segment delivery
+  return f;
 }
 
-void Nic::accept_flit(const FlitRef& flit, Cycle now) {
+std::optional<VcId> Nic::accept_flit(const FlitRef& flit, Cycle now) {
   const PacketPayload& pkt = pool_->at(flit.slot);
   SMARTNOC_CHECK(pkt.dst == node_, "flit delivered to the wrong NIC");
   SMARTNOC_CHECK(flit.hop_index == pkt.route.entries(),
@@ -163,6 +159,7 @@ void Nic::accept_flit(const FlitRef& flit, Cycle now) {
   a->flits += 1;
   SMARTNOC_CHECK(static_cast<int>(assembling_.size()) <= vcs_per_port_,
                  "more packets in reassembly than receive VCs");
+  std::optional<VcId> freed;
   if (is_tail(flit.type)) {
     // Completed packet: under shards the stats write is deferred with every
     // argument captured now (the payload may recycle before the epilogue).
@@ -174,8 +171,7 @@ void Nic::accept_flit(const FlitRef& flit, Cycle now) {
     }
     *a = assembling_.back();
     assembling_.pop_back();
-    // The receive VC is free again: return its credit to the feeder.
-    fabric_->credit_from_nic(node_, flit.vc, now);
+    freed = flit.vc;  // the receive VC is free again
   }
   // Consumed: drop the flit's pool reference (after the last payload read).
   if (sink_ != nullptr) {
@@ -183,6 +179,7 @@ void Nic::accept_flit(const FlitRef& flit, Cycle now) {
   } else {
     pool_->release(flit.slot);
   }
+  return freed;
 }
 
 void Nic::credit_arrived(VcId vc) {

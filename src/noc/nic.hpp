@@ -9,6 +9,10 @@
 // Sink side: per-VC reassembly; a packet is consumed on tail arrival and
 // its receive-VC credit returns over the credit mesh.
 //
+// The NIC never calls into the network: inject() returns the flit it put
+// on the wire and accept_flit() the receive VC a consumed tail freed, and
+// the network carries both along its segment and credit tables.
+//
 // Hot-path layout: a NIC's state is sized by the flows it sources, never
 // by the network's flow count. register_flow hands back the flow's local
 // index; the network keeps the one FlowId -> local index table and passes
@@ -44,7 +48,6 @@
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "noc/arbiter.hpp"
-#include "noc/fabric.hpp"
 #include "noc/flit.hpp"
 #include "noc/flow.hpp"
 #include "noc/packet_pool.hpp"
@@ -55,7 +58,7 @@ namespace smartnoc::noc {
 
 class alignas(64) Nic {
  public:
-  Nic(NodeId node, const NocConfig& cfg, Fabric* fabric, NetworkStats* stats, PacketPool* pool);
+  Nic(NodeId node, const NocConfig& cfg, NetworkStats* stats, PacketPool* pool);
 
   NodeId node() const { return node_; }
 
@@ -76,12 +79,16 @@ class alignas(64) Nic {
 
   /// Per-cycle injection phase: stream the active packet or start the next
   /// one (round-robin across this NIC's flows, one flit per cycle).
-  void inject(Cycle now, ActivityCounters& act);
+  /// Returns the flit put on the injection link, holding its own pool
+  /// reference, or nothing. After the tail the transmit reference is
+  /// already dropped: the returned flit's reference keeps the slot alive.
+  std::optional<FlitRef> inject(Cycle now);
 
-  /// Sink side: a flit delivered by the fabric (end of cycle `now`).
-  /// Consumes the flit's pool reference. A head flit prefetches its flow's
-  /// stats row, which the tail writes.
-  void accept_flit(const FlitRef& flit, Cycle now);
+  /// Sink side: a flit that arrived at the end of cycle `now`. Consumes the
+  /// flit's pool reference. A head flit prefetches its flow's stats row,
+  /// which the tail writes. A tail completes its packet and returns the
+  /// receive VC it freed, whose credit goes back to the feeder.
+  std::optional<VcId> accept_flit(const FlitRef& flit, Cycle now);
 
   /// Starts loading the line accept_flit reads first (no state change).
   void prefetch_arrival() const { __builtin_prefetch(this, 1); }
@@ -173,14 +180,13 @@ class alignas(64) Nic {
   // The first cache line: the sink side (accept_flit).
   NodeId node_;
   int vcs_per_port_;
-  Fabric* fabric_;
   NetworkStats* stats_;
   PacketPool* pool_;
   ShardSink* sink_ = nullptr;  ///< non-null only under the sharded protocol
   std::vector<Assembly> assembling_;   ///< in-progress packets (<= #VCs entries)
 
   // The second line: what inject() and idle() read every cycle.
-  std::optional<ActiveTx> active_;
+  alignas(64) std::optional<ActiveTx> active_;
   int queued_total_ = 0;               ///< packets across all local queues
   VcQueue free_vcs_;
   std::size_t rr_next_ = 0;            ///< round-robin over local_flows_

@@ -19,15 +19,14 @@ unsigned port_bit(Dir d) { return 1u << dir_index(d); }
 
 }  // namespace
 
-Router::Router(NodeId id, const NocConfig& cfg, Fabric* fabric, const PacketPool* pool)
+Router::Router(NodeId id, const NocConfig& cfg, const PacketPool* pool)
     : vcs_(kNumDirs * cfg.vcs_per_port, cfg.vc_depth_flits),
       id_(id),
       vcs_per_port_(cfg.vcs_per_port),
-      fabric_(fabric),
       pool_(pool) {
   static_assert(sizeof(Masks) + sizeof(VcBlock) + 2 * sizeof(int) <= 64,
                 "masks, VC block, id and vcs_per_port must share the first cache line");
-  SMARTNOC_CHECK(fabric_ != nullptr && pool_ != nullptr, "router needs a fabric and a pool");
+  SMARTNOC_CHECK(pool_ != nullptr, "router needs a packet pool");
   SMARTNOC_CHECK(kNumDirs * vcs_per_port_ <= kMaxArbInputs,
                  "vcs_per_port exceeds the switch-allocation mask width");
   for (auto& op : outputs_) {
@@ -105,32 +104,6 @@ Router::Decoded Router::buffer_write(Cycle now, ActivityCounters& act) {
     if (ip.staging_count == 0) masks_.staged &= ~(1u << d);
   });
   return decoded;
-}
-
-void Router::switch_traversal(Cycle now, ActivityCounters& act) {
-  for_each_port(masks_.holds, [&](int oi) {
-    const Dir o = dir_from_index(oi);
-    OutputPort& op = outputs_[static_cast<std::size_t>(oi)];
-    const Hold h = *op.hold;
-    VcBuffer& vc = vcs_[vc_index(h.in, h.in_vc)];
-    if (vc.empty()) return;                    // cut-through gap: wait
-    if (vc.front().buffered_at >= now) return; // written this very cycle
-    FlitRef f = vc.pop();
-    masks_.buffered -= 1;
-    const bool tail = is_tail(f.type);
-    f.vc = h.out_vc;  // VC at the segment endpoint, allocated at SA
-    act.buffer_reads += 1;
-    fabric_->deliver_from_router(id_, o, f, now);
-    if (tail) {
-      // Virtual cut-through: buffer and switch are released by the tail,
-      // and the freed VC's credit returns to our feeder.
-      fabric_->credit_from_router_input(id_, h.in, h.in_vc, now);
-      vc.clear_request();
-      op.hold.reset();
-      masks_.holds &= ~(1u << oi);
-      masks_.locked &= ~port_bit(h.in);
-    }
-  });
 }
 
 unsigned Router::switch_allocation(Cycle now, ActivityCounters& act) {

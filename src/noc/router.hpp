@@ -54,7 +54,7 @@
 #include "common/types.hpp"
 #include "noc/arbiter.hpp"
 #include "noc/buffer.hpp"
-#include "noc/fabric.hpp"
+#include "noc/flit.hpp"
 #include "noc/packet_pool.hpp"
 #include "noc/preset.hpp"
 #include "noc/stats.hpp"
@@ -63,7 +63,7 @@ namespace smartnoc::noc {
 
 class alignas(64) Router {
  public:
-  Router(NodeId id, const NocConfig& cfg, Fabric* fabric, const PacketPool* pool);
+  Router(NodeId id, const NocConfig& cfg, const PacketPool* pool);
 
   NodeId id() const { return id_; }
 
@@ -75,13 +75,46 @@ class alignas(64) Router {
     unsigned outs = 0;
   };
   Decoded buffer_write(Cycle now, ActivityCounters& act);
-  void switch_traversal(Cycle now, ActivityCounters& act);
+  /// What Switch Traversal sent on one output: the flit, with its
+  /// endpoint VC stamped. A tail (is_tail(flit.type)) freed input VC
+  /// (in, in_vc), whose credit goes back to the feeder.
+  struct Departure {
+    FlitRef flit;
+    Dir in = Dir::Core;
+    VcId in_vc = kInvalidVc;
+  };
+  /// Switch Traversal on output `o`, one of holds(): returns the next flit
+  /// of the packet holding `o`, or nothing in a cut-through gap or for a
+  /// flit buffer-written this very cycle. The network visits holds() in
+  /// port order and carries each departure along o's segment before it
+  /// visits the next output. Inline, so the departure stays in registers.
+  std::optional<Departure> switch_traversal(Dir o, Cycle now, ActivityCounters& act) {
+    const auto oi = static_cast<std::size_t>(dir_index(o));
+    OutputPort& op = outputs_[oi];
+    const Hold h = *op.hold;
+    VcBuffer& vc = vcs_[vc_index(h.in, h.in_vc)];
+    if (vc.empty()) return std::nullopt;                     // cut-through gap: wait
+    if (vc.front().buffered_at >= now) return std::nullopt;  // written this very cycle
+    Departure d{vc.pop(), h.in, h.in_vc};
+    d.flit.vc = h.out_vc;  // VC at the segment endpoint, allocated at SA
+    masks_.buffered -= 1;
+    act.buffer_reads += 1;
+    if (is_tail(d.flit.type)) {
+      // Virtual cut-through: buffer and switch are released by the tail.
+      vc.clear_request();
+      op.hold.reset();
+      masks_.holds &= ~(1u << oi);
+      masks_.locked &= ~(1u << dir_index(h.in));
+    }
+    return d;
+  }
   /// Returns the outputs granted this cycle (bit dir_index).
   unsigned switch_allocation(Cycle now, ActivityCounters& act);
   /// Whether a phase has anything to visit: the network skips the call
   /// (and its prologue) for an active router with an empty mask.
   bool has_staged() const { return masks_.staged != 0; }
-  bool has_holds() const { return masks_.holds != 0; }
+  /// Outputs holding the switch for a packet (bit dir_index).
+  unsigned holds() const { return masks_.holds; }
   bool has_pending() const { return !masks_.pending.none(); }
 
   // --- Prefetch hooks (no state changes) --------------------------------------
@@ -103,7 +136,7 @@ class alignas(64) Router {
     return vcs_[vc_index(op.hold->in, op.hold->in_vc)].owner();
   }
 
-  // --- Fabric-facing ---------------------------------------------------------
+  // --- Arrivals and credits, applied by the network ---------------------------
   /// Latch an arriving flit (end of `arrival` cycle) into the staging
   /// register of input port `in`; BW picks it up the following cycle.
   void accept_flit(Dir in, FlitRef flit, Cycle arrival);
@@ -226,7 +259,6 @@ class alignas(64) Router {
   VcBlock vcs_;  ///< every input VC, input-major (index vc_index)
   NodeId id_;
   int vcs_per_port_;
-  Fabric* fabric_;
   const PacketPool* pool_;  ///< route decode at BW (the one payload read)
   Cycle stall_until_ = 0;  ///< switch allocation frozen through this cycle
   std::array<InputPort, kNumDirs> inputs_;

@@ -164,9 +164,7 @@ void Probe::packet_retransmitted(FlowId flow, NodeId src, Cycle cycle) {
 }
 
 void Probe::activity_delta(const noc::ActivityCounters& delta, Cycle cycle) {
-  // Reached only when wants_activity_deltas() opted in, except through a
-  // TeeObserver whose *other* children wanted the stream - bail then.
-  if (!cfg_.power_series) return;
+  // Reached only when wants_activity_deltas() opted in (cfg_.power_series).
   activity_total_.add(delta);
   epoch_of(cycle);  // materializes the row (and may grow activity_series_)
   activity_series_[win_epoch_].add(delta);

@@ -251,49 +251,4 @@ class Probe final : public noc::TraceObserver {
   InjectionSink injection_sink_;
 };
 
-/// Fans one observer slot out to several observers (a network carries a
-/// single TraceObserver pointer; this lets a VCD tracer and a Probe watch
-/// the same run). Observers are borrowed and called in registration order.
-class TeeObserver final : public noc::TraceObserver {
- public:
-  void add(noc::TraceObserver* obs) {
-    if (obs != nullptr) obs_.push_back(obs);
-  }
-
-  void flit_on_link(NodeId from, Dir out, const noc::FlitRef& flit,
-                    const noc::PacketPool& pool, Cycle cycle) override {
-    for (auto* o : obs_) o->flit_on_link(from, out, flit, pool, cycle);
-  }
-  void flit_latched(bool is_nic, NodeId node, const noc::FlitRef& flit,
-                    const noc::PacketPool& pool, Cycle cycle) override {
-    for (auto* o : obs_) o->flit_latched(is_nic, node, flit, pool, cycle);
-  }
-  void segment_traversed(const noc::Segment& seg, std::span<const noc::SegLink> links,
-                         const noc::FlitRef& flit, const noc::PacketPool& pool, Cycle now,
-                         Cycle arrival) override {
-    for (auto* o : obs_) o->segment_traversed(seg, links, flit, pool, now, arrival);
-  }
-  void packet_offered(FlowId flow, NodeId src, Cycle created) override {
-    for (auto* o : obs_) o->packet_offered(flow, src, created);
-  }
-  void packet_dropped(FlowId flow, NodeId src, Cycle cycle) override {
-    for (auto* o : obs_) o->packet_dropped(flow, src, cycle);
-  }
-  void packet_retransmitted(FlowId flow, NodeId src, Cycle cycle) override {
-    for (auto* o : obs_) o->packet_retransmitted(flow, src, cycle);
-  }
-  void activity_delta(const noc::ActivityCounters& delta, Cycle cycle) override {
-    for (auto* o : obs_) o->activity_delta(delta, cycle);
-  }
-  bool wants_activity_deltas() const override {
-    for (const auto* o : obs_) {
-      if (o->wants_activity_deltas()) return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<noc::TraceObserver*> obs_;
-};
-
 }  // namespace smartnoc::telemetry

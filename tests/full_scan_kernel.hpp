@@ -8,10 +8,13 @@
 // Switch Allocation on every router and injection on every NIC, in node
 // order, and checks that each credit sent this cycle is due after the
 // paper's credit latency (1 cycle, 2 on the baseline mesh's extra link
-// cycle). drained() walks the whole mesh. Nothing here reads the active lists or the in-flight
-// credit counter, so a component the production kernel forgets to
-// activate, a credit filed in the wrong wheel bucket or a counter that
-// drifts shows up as a result that differs from this loop's.
+// cycle). Switch Traversal and injection run through the network's own
+// traverse and inject, which carry what routers and NICs return along the
+// segment and credit tables. drained() walks the whole mesh.
+// Nothing here reads the active lists or the in-flight credit counter, so a
+// component the production kernel forgets to activate, a credit filed in
+// the wrong wheel bucket or a counter that drifts shows up as a result that
+// differs from this loop's.
 //
 // Routers and NICs with nothing to do are ticked anyway (their phases are
 // no-ops then), which is why this loop is the oracle and not the kernel:
@@ -59,9 +62,9 @@ class FullScanKernel final : public noc::Network {
 
     noc::ActivityCounters& act = m.stats_.activity();
     for (noc::Router& r : m.routers_) r.buffer_write(m.now_, act);
-    for (noc::Router& r : m.routers_) r.switch_traversal(m.now_, act);
+    for (const noc::Router& r : m.routers_) m.traverse(s, act, r.id());
     for (noc::Router& r : m.routers_) r.switch_allocation(m.now_, act);
-    for (noc::Nic& n : m.nics_) n.inject(m.now_, act);
+    for (const noc::Nic& n : m.nics_) m.inject(s, act, n.node());
     act.clocked_inport_cycles += static_cast<std::uint64_t>(m.clocked_in_total_);
     act.clocked_outport_cycles += static_cast<std::uint64_t>(m.clocked_out_total_);
 

@@ -1,12 +1,13 @@
-// Router and NIC unit tests against a mock fabric: pipeline stage-by-stage
-// behaviour, per-packet switch holds, input locking, arbitration fairness
-// under sustained two-way contention, credit discipline, and the NIC's
-// flow picker against a linear-scan model - without a whole network
-// around them. Under the structure-of-arrays flit split the tests own the
+// Router and NIC unit tests on the flits and credits the components return:
+// pipeline stage-by-stage behaviour, per-packet switch holds, input
+// locking, arbitration fairness under sustained two-way contention, credit
+// discipline, and the NIC's flow picker against a linear-scan model -
+// without a whole network around them. Under the structure-of-arrays flit split the tests own the
 // PacketPool a network would normally own: payloads are allocated up front
 // and flits travel as FlitRefs.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <deque>
 #include <map>
 #include <optional>
@@ -23,9 +24,9 @@
 namespace smartnoc::noc {
 namespace {
 
-/// Records everything the component hands to the fabric.
-class MockFabric final : public Fabric {
- public:
+/// Collects what routers and NICs return, in the order they return it: the
+/// flits they put on the wire and the credits of the VCs they freed.
+struct Emissions {
   struct Sent {
     NodeId router;
     Dir out;
@@ -38,22 +39,27 @@ class MockFabric final : public Fabric {
     VcId vc;
     Cycle cycle;
   };
-
-  void deliver_from_router(NodeId router, Dir out, FlitRef flit, Cycle now) override {
-    sent.push_back({router, out, flit, now});
-  }
-  void deliver_from_nic(NodeId nic, FlitRef flit, Cycle now) override {
-    sent.push_back({nic, Dir::Core, flit, now});
-  }
-  void credit_from_router_input(NodeId router, Dir in, VcId vc, Cycle now) override {
-    credits.push_back({router, in, vc, now});
-  }
-  void credit_from_nic(NodeId nic, VcId vc, Cycle now) override {
-    credits.push_back({nic, Dir::Core, vc, now});
-  }
-
   std::vector<Sent> sent;
   std::vector<CreditEvt> credits;
+
+  /// Switch Traversal on every held output, in port order (as the network).
+  void traverse(Router& r, Cycle now, ActivityCounters& act) {
+    for (unsigned held = r.holds(); held != 0; held &= held - 1) {
+      const Dir o = dir_from_index(std::countr_zero(held));
+      const auto d = r.switch_traversal(o, now, act);
+      if (!d) continue;
+      sent.push_back({r.id(), o, d->flit, now});
+      if (is_tail(d->flit.type)) credits.push_back({r.id(), d->in, d->in_vc, now});
+    }
+  }
+  void inject(Nic& nic, Cycle now) {
+    if (const auto f = nic.inject(now)) sent.push_back({nic.node(), Dir::Core, *f, now});
+  }
+  void accept(Nic& nic, const FlitRef& f, Cycle now) {
+    if (const auto vc = nic.accept_flit(f, now)) {
+      credits.push_back({nic.node(), Dir::Core, *vc, now});
+    }
+  }
 };
 
 NocConfig cfg4() { return NocConfig::paper_4x4(); }
@@ -79,17 +85,17 @@ FlitRef make_head(PacketPool& pool, FlowId flow, VcId vc, const RoutePath& path,
 }
 
 /// Runs the router's three phases for one cycle in network order.
-void cycle(Router& r, Cycle now, ActivityCounters& act) {
+void cycle(Router& r, Cycle now, ActivityCounters& act, Emissions& em) {
   r.buffer_write(now, act);
-  r.switch_traversal(now, act);
+  em.traverse(r, now, act);
   r.switch_allocation(now, act);
 }
 
 TEST(RouterUnit, SingleFlitTakesExactlyThreeStages) {
   const NocConfig cfg = cfg4();
-  MockFabric fab;
+  Emissions em;
   PacketPool pool;
-  Router r(5, cfg, &fab, &pool);
+  Router r(5, cfg, &pool);
   r.enable_output(Dir::East, cfg.vcs_per_port);
   ActivityCounters act;
 
@@ -98,25 +104,25 @@ TEST(RouterUnit, SingleFlitTakesExactlyThreeStages) {
   const RoutePath path = xy_path(cfg.dims(), 4, 6);
   r.accept_flit(Dir::West, make_head(pool, 0, 0, path, 1), 10);
 
-  cycle(r, 11, act);  // BW
-  EXPECT_TRUE(fab.sent.empty());
-  cycle(r, 12, act);  // SA
-  EXPECT_TRUE(fab.sent.empty());
-  cycle(r, 13, act);  // ST
-  ASSERT_EQ(fab.sent.size(), 1u);
-  EXPECT_EQ(fab.sent[0].cycle, 13u);
-  EXPECT_EQ(fab.sent[0].out, Dir::East);
+  cycle(r, 11, act, em);  // BW
+  EXPECT_TRUE(em.sent.empty());
+  cycle(r, 12, act, em);  // SA
+  EXPECT_TRUE(em.sent.empty());
+  cycle(r, 13, act, em);  // ST
+  ASSERT_EQ(em.sent.size(), 1u);
+  EXPECT_EQ(em.sent[0].cycle, 13u);
+  EXPECT_EQ(em.sent[0].out, Dir::East);
   // The freed VC's credit went back toward the feeder the same cycle.
-  ASSERT_EQ(fab.credits.size(), 1u);
-  EXPECT_EQ(fab.credits[0].in, Dir::West);
-  EXPECT_EQ(fab.credits[0].vc, 0);
+  ASSERT_EQ(em.credits.size(), 1u);
+  EXPECT_EQ(em.credits[0].in, Dir::West);
+  EXPECT_EQ(em.credits[0].vc, 0);
 }
 
 TEST(RouterUnit, PacketHoldsSwitchUntilTail) {
   const NocConfig cfg = cfg4();
-  MockFabric fab;
+  Emissions em;
   PacketPool pool;
-  Router r(5, cfg, &fab, &pool);
+  Router r(5, cfg, &pool);
   r.enable_output(Dir::East, cfg.vcs_per_port);
   ActivityCounters act;
 
@@ -135,60 +141,60 @@ TEST(RouterUnit, PacketHoldsSwitchUntilTail) {
   FlitRef rival = make_head(pool, 1, 1, path, 1);
   pool.at(rival.slot).id = 555;
   r.accept_flit(Dir::West, head, 10);
-  cycle(r, 11, act);
+  cycle(r, 11, act, em);
   r.accept_flit(Dir::West, body, 11);
-  cycle(r, 12, act);
+  cycle(r, 12, act, em);
   r.accept_flit(Dir::West, tail, 12);
-  cycle(r, 13, act);
+  cycle(r, 13, act, em);
   r.accept_flit(Dir::West, rival, 13);
-  for (Cycle t = 14; t <= 18; ++t) cycle(r, t, act);
+  for (Cycle t = 14; t <= 18; ++t) cycle(r, t, act, em);
 
-  ASSERT_EQ(fab.sent.size(), 4u);
+  ASSERT_EQ(em.sent.size(), 4u);
   // Flits of packet 100 leave in order at 13,14,15; the tail's ST releases
   // the lock before SA runs that same cycle, so the rival wins SA at 15
   // and traverses at 16.
-  EXPECT_EQ(pool.at(fab.sent[0].flit.slot).id, 100u);
-  EXPECT_EQ(fab.sent[1].flit.seq, 1);
-  EXPECT_EQ(fab.sent[2].flit.seq, 2);
-  EXPECT_EQ(fab.sent[2].cycle, 15u);
-  EXPECT_EQ(pool.at(fab.sent[3].flit.slot).id, 555u);
-  EXPECT_EQ(fab.sent[3].cycle, 16u);
+  EXPECT_EQ(pool.at(em.sent[0].flit.slot).id, 100u);
+  EXPECT_EQ(em.sent[1].flit.seq, 1);
+  EXPECT_EQ(em.sent[2].flit.seq, 2);
+  EXPECT_EQ(em.sent[2].cycle, 15u);
+  EXPECT_EQ(pool.at(em.sent[3].flit.slot).id, 555u);
+  EXPECT_EQ(em.sent[3].cycle, 16u);
   // Credits: one per packet, carrying the right VC ids.
-  ASSERT_EQ(fab.credits.size(), 2u);
-  EXPECT_EQ(fab.credits[0].vc, 0);
-  EXPECT_EQ(fab.credits[1].vc, 1);
+  ASSERT_EQ(em.credits.size(), 2u);
+  EXPECT_EQ(em.credits[0].vc, 0);
+  EXPECT_EQ(em.credits[1].vc, 1);
 }
 
 TEST(RouterUnit, OutputBlocksWhenNoDownstreamVc) {
   const NocConfig cfg = cfg4();
-  MockFabric fab;
+  Emissions em;
   PacketPool pool;
-  Router r(5, cfg, &fab, &pool);
+  Router r(5, cfg, &pool);
   r.enable_output(Dir::East, 1);  // a single downstream VC
   ActivityCounters act;
   const RoutePath path = xy_path(cfg.dims(), 4, 6);
 
   r.accept_flit(Dir::West, make_head(pool, 0, 0, path, 1), 10);
-  for (Cycle t = 11; t <= 13; ++t) cycle(r, t, act);
-  ASSERT_EQ(fab.sent.size(), 1u);  // first packet went out, consumed the VC
+  for (Cycle t = 11; t <= 13; ++t) cycle(r, t, act, em);
+  ASSERT_EQ(em.sent.size(), 1u);  // first packet went out, consumed the VC
 
   r.accept_flit(Dir::West, make_head(pool, 1, 0, path, 1), 14);
-  for (Cycle t = 15; t <= 19; ++t) cycle(r, t, act);
-  EXPECT_EQ(fab.sent.size(), 1u) << "no credit returned: the packet must stall";
+  for (Cycle t = 15; t <= 19; ++t) cycle(r, t, act, em);
+  EXPECT_EQ(em.sent.size(), 1u) << "no credit returned: the packet must stall";
 
   // Credit comes back: the stalled packet proceeds (SA next cycle, ST the
   // one after).
   r.credit_arrived(Dir::East, 0);
-  cycle(r, 20, act);  // SA grants
-  cycle(r, 21, act);  // ST fires
-  EXPECT_EQ(fab.sent.size(), 2u);
+  cycle(r, 20, act, em);  // SA grants
+  cycle(r, 21, act, em);  // ST fires
+  EXPECT_EQ(em.sent.size(), 2u);
 }
 
 TEST(RouterUnit, TwoInputsShareOutputFairly) {
   const NocConfig cfg = cfg4();
-  MockFabric fab;
+  Emissions em;
   PacketPool pool;
-  Router r(5, cfg, &fab, &pool);
+  Router r(5, cfg, &pool);
   r.enable_output(Dir::East, cfg.vcs_per_port);
   ActivityCounters act;
   const RoutePath from_w = xy_path(cfg.dims(), 4, 6);   // W -> E straight
@@ -220,16 +226,16 @@ TEST(RouterUnit, TwoInputsShareOutputFairly) {
       avail.pop_front();
       r.accept_flit(in, f, t);
     }
-    cycle(r, t + 1, act);
+    cycle(r, t + 1, act, em);
     // Downstream returns output credits instantly; upstream pools refill
     // from the router's freed-VC notifications.
-    for (const auto& c : fab.credits) upstream_credits[dir_index(c.in)].push_back(c.vc);
-    fab.credits.clear();
+    for (const auto& c : em.credits) upstream_credits[dir_index(c.in)].push_back(c.vc);
+    em.credits.clear();
     while (r.free_vcs(Dir::East) < cfg.vcs_per_port) r.credit_arrived(Dir::East, 0);
-    for (const auto& s : fab.sent) {
+    for (const auto& s : em.sent) {
       sent_per_input[pool.at(s.flit.slot).flow == 0 ? Dir::West : Dir::North]++;
     }
-    fab.sent.clear();
+    em.sent.clear();
   }
   const int w = sent_per_input[Dir::West], n = sent_per_input[Dir::North];
   EXPECT_GT(w, 0);
@@ -256,10 +262,10 @@ PacketSlot offer(PacketPool& pool, std::uint32_t id, FlowId flow, const RoutePat
 
 TEST(NicUnit, StreamsWholePacketOneFlitPerCycle) {
   const NocConfig cfg = cfg4();
-  MockFabric fab;
+  Emissions em;
   NetworkStats stats;
   PacketPool pool;
-  Nic nic(4, cfg, &fab, &stats, &pool);
+  Nic nic(4, cfg, &stats, &pool);
   FlowSet fs;
   fs.add(4, 6, 100.0, xy_path(cfg.dims(), 4, 6));
   nic.register_flow(fs.at(0));
@@ -269,53 +275,51 @@ TEST(NicUnit, StreamsWholePacketOneFlitPerCycle) {
   const PacketSlot slot = offer(pool, 9, 0, path, cfg.flits_per_packet(), 5);
   nic.offer_packet(slot, 0);
 
-  ActivityCounters act;
-  for (Cycle t = 6; t < 6 + 8; ++t) nic.inject(t, act);
-  ASSERT_EQ(fab.sent.size(), 8u);
+  for (Cycle t = 6; t < 6 + 8; ++t) em.inject(nic, t);
+  ASSERT_EQ(em.sent.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(fab.sent[i].flit.seq, static_cast<int>(i));
-    EXPECT_EQ(fab.sent[i].cycle, 6 + i);
-    EXPECT_EQ(fab.sent[i].flit.slot, slot);
+    EXPECT_EQ(em.sent[i].flit.seq, static_cast<int>(i));
+    EXPECT_EQ(em.sent[i].cycle, 6 + i);
+    EXPECT_EQ(em.sent[i].flit.slot, slot);
   }
   EXPECT_EQ(pool.at(slot).injected, 6u);  // stamped when the head left
-  EXPECT_TRUE(is_head(fab.sent.front().flit.type));
-  EXPECT_TRUE(is_tail(fab.sent.back().flit.type));
+  EXPECT_TRUE(is_head(em.sent.front().flit.type));
+  EXPECT_TRUE(is_tail(em.sent.back().flit.type));
   EXPECT_EQ(nic.source_free_vcs(), cfg.vcs_per_port - 1);
   // Transmit reference dropped at the tail; the 8 in-flight flit
-  // references (held by our mock fabric) keep the slot live.
+  // references (held by the returned flits) keep the slot live.
   EXPECT_EQ(pool.refs(slot), 8u);
 }
 
 TEST(NicUnit, BlocksWithoutCredits) {
   const NocConfig cfg = cfg4();
-  MockFabric fab;
+  Emissions em;
   NetworkStats stats;
   PacketPool pool;
-  Nic nic(4, cfg, &fab, &stats, &pool);
+  Nic nic(4, cfg, &stats, &pool);
   FlowSet fs;
   fs.add(4, 6, 100.0, xy_path(cfg.dims(), 4, 6));
   nic.register_flow(fs.at(0));
   nic.init_source_credits(1);
 
-  ActivityCounters act;
   const RoutePath path = xy_path(cfg.dims(), 4, 6);
   for (int p = 0; p < 2; ++p) {
     nic.offer_packet(offer(pool, static_cast<std::uint32_t>(p), 0, path, 1, 1), 0);
   }
-  nic.inject(2, act);
-  nic.inject(3, act);
-  EXPECT_EQ(fab.sent.size(), 1u) << "second packet must wait for the credit";
+  em.inject(nic, 2);
+  em.inject(nic, 3);
+  EXPECT_EQ(em.sent.size(), 1u) << "second packet must wait for the credit";
   nic.credit_arrived(0);
-  nic.inject(4, act);
-  EXPECT_EQ(fab.sent.size(), 2u);
+  em.inject(nic, 4);
+  EXPECT_EQ(em.sent.size(), 2u);
 }
 
 TEST(NicUnit, ReceiveAssemblesAndCredits) {
   const NocConfig cfg = cfg4();
-  MockFabric fab;
+  Emissions em;
   NetworkStats stats;
   PacketPool pool;
-  Nic nic(6, cfg, &fab, &stats, &pool);
+  Nic nic(6, cfg, &stats, &pool);
 
   const RoutePath path = xy_path(cfg.dims(), 4, 6);
   const PacketSlot slot = offer(pool, 77, 0, path, 4, 1);
@@ -329,19 +333,75 @@ TEST(NicUnit, ReceiveAssemblesAndCredits) {
     f.vc = 1;
     f.hop_index = static_cast<std::uint8_t>(route.entries());
     pool.add_ref(slot);  // the in-flight flit's reference
-    nic.accept_flit(f, 10 + static_cast<Cycle>(s));
+    em.accept(nic, f, 10 + static_cast<Cycle>(s));
   }
   EXPECT_EQ(stats.total_packets(), 1u);
   const auto& fsx = stats.per_flow().at(0);
   EXPECT_EQ(fsx.flits, 4u);
   // head at 10, injected 2 -> network latency 9.
   EXPECT_DOUBLE_EQ(fsx.avg_network_latency(), 9.0);
-  ASSERT_EQ(fab.credits.size(), 1u);
-  EXPECT_EQ(fab.credits[0].vc, 1);
-  EXPECT_EQ(fab.credits[0].cycle, 13u);
+  ASSERT_EQ(em.credits.size(), 1u);
+  EXPECT_EQ(em.credits[0].vc, 1);
+  EXPECT_EQ(em.credits[0].cycle, 13u);
   // All four flit references consumed; only the test's own remains.
   EXPECT_EQ(pool.refs(slot), 1u);
   EXPECT_EQ(pool.live(), 1u);
+}
+
+// A 4-flit packet end to end between two NICs, as under full bypass: inject
+// returns each flit in order, only the tail's accept returns its receive
+// VC, and the pool is back to its prior census once the flits are consumed
+// (the transmit reference leaves with the tail, each flit's own with its
+// consumption).
+TEST(NicUnit, InjectReturnsEachFlitAndOnlyTheTailFreesItsVc) {
+  const NocConfig cfg = cfg4();
+  NetworkStats stats;
+  PacketPool pool;
+  Nic src(4, cfg, &stats, &pool);
+  Nic dst(6, cfg, &stats, &pool);
+  const RoutePath path = xy_path(cfg.dims(), 4, 6);
+  FlowSet fs;
+  fs.add(4, 6, 100.0, path);
+  src.register_flow(fs.at(0));
+  src.init_source_credits(cfg.vcs_per_port);
+  const PacketSlot bystander = offer(pool, 1, 0, path, 1, 0);  // live, untouched
+  const std::size_t live_before = pool.live();
+
+  const PacketSlot slot = offer(pool, 9, 0, path, 4, 5);
+  src.offer_packet(slot, 0);
+  std::vector<FlitRef> wire;
+  for (Cycle t = 6; t < 10; ++t) {
+    const auto f = src.inject(t);
+    ASSERT_TRUE(f.has_value()) << "cycle " << t;
+    wire.push_back(*f);
+  }
+  EXPECT_FALSE(src.inject(10).has_value());
+  ASSERT_EQ(wire.size(), 4u);
+  EXPECT_EQ(wire[0].type, FlitType::Head);
+  EXPECT_EQ(wire[1].type, FlitType::Body);
+  EXPECT_EQ(wire[2].type, FlitType::Body);
+  EXPECT_EQ(wire[3].type, FlitType::Tail);
+  EXPECT_TRUE(src.idle());
+  // The tail already dropped the transmit reference: the four returned
+  // flits hold the slot.
+  EXPECT_EQ(pool.refs(slot), 4u);
+
+  const auto entries = static_cast<std::uint8_t>(pool.at(slot).route.entries());
+  for (std::size_t k = 0; k < wire.size(); ++k) {
+    FlitRef f = wire[k];
+    f.hop_index = entries;  // the network advances it along the segments
+    const auto freed = dst.accept_flit(f, 20 + static_cast<Cycle>(k));
+    if (k + 1 < wire.size()) {
+      EXPECT_FALSE(freed.has_value()) << "flit " << k;
+    } else {
+      ASSERT_TRUE(freed.has_value());
+      EXPECT_EQ(*freed, wire[k].vc);
+    }
+  }
+  EXPECT_TRUE(dst.idle());
+  EXPECT_EQ(stats.total_packets(), 1u);
+  EXPECT_EQ(pool.live(), live_before);
+  EXPECT_EQ(pool.refs(bystander), 1u);
 }
 
 /// A flow sourced at `src` with an explicit (possibly sparse) FlowId, as a
@@ -360,11 +420,11 @@ Flow sparse_flow(const NocConfig& cfg, FlowId id, NodeId src, NodeId dst) {
 /// interleaved with FlowId 3 at NIC 5. Packets are single-flit.
 struct SparseNic {
   NocConfig cfg = cfg4();
-  MockFabric fab;
+  Emissions em;
   NetworkStats stats;
   PacketPool pool;
-  Nic nic{4, cfg, &fab, &stats, &pool};
-  Nic other{5, cfg, &fab, &stats, &pool};
+  Nic nic{4, cfg, &stats, &pool};
+  Nic other{5, cfg, &stats, &pool};
   RoutePath path = xy_path(cfg.dims(), 4, 6);
   std::uint32_t next_id = 1;
 
@@ -389,11 +449,10 @@ struct SparseNic {
   /// Injects at `now` and returns the packet's slot (kInvalidSlot if none
   /// left), consuming its flit and returning the credit as the sink would.
   PacketSlot inject_one(Cycle now) {
-    ActivityCounters act;
-    const std::size_t before = fab.sent.size();
-    nic.inject(now, act);
-    if (fab.sent.size() == before) return kInvalidSlot;
-    const FlitRef f = fab.sent.back().flit;
+    const std::size_t before = em.sent.size();
+    em.inject(nic, now);
+    if (em.sent.size() == before) return kInvalidSlot;
+    const FlitRef f = em.sent.back().flit;
     nic.credit_arrived(f.vc);
     pool.release(f.slot);
     return f.slot;
@@ -496,10 +555,10 @@ TEST(NicUnit, PickerMatchesLinearScanUnderRandomTraffic) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Xoshiro256 rng = make_stream(seed, 0x41C);
-    MockFabric fab;
+    Emissions em;
     NetworkStats stats;
     PacketPool pool;
-    Nic nic(4, cfg, &fab, &stats, &pool);
+    Nic nic(4, cfg, &stats, &pool);
     // Two to six local flows with sparse, ascending FlowIds.
     std::vector<FlowId> ids;
     const std::size_t n_flows = 2 + rng.below(5);
@@ -518,7 +577,6 @@ TEST(NicUnit, PickerMatchesLinearScanUnderRandomTraffic) {
     std::vector<VcId> credits_owed;  // receive VCs of packets whose tail left
     std::uint32_t next_id = 1;
     Cycle now = 1;
-    ActivityCounters act;
 
     for (int op = 0; op < 300; ++op) {
       now += rng.below(3);
@@ -563,13 +621,13 @@ TEST(NicUnit, PickerMatchesLinearScanUnderRandomTraffic) {
           }
           break;
         default: {
-          const std::size_t before = fab.sent.size();
-          nic.inject(now, act);
+          const std::size_t before = em.sent.size();
+          em.inject(nic, now);
           const auto want = model.inject(now, pool);
-          ASSERT_EQ(fab.sent.size(), before + (want.has_value() ? 1 : 0))
+          ASSERT_EQ(em.sent.size(), before + (want.has_value() ? 1 : 0))
               << "op " << op << " at cycle " << now;
           if (!want.has_value()) break;
-          const FlitRef f = fab.sent.back().flit;
+          const FlitRef f = em.sent.back().flit;
           ASSERT_EQ(f.slot, want->first) << "op " << op << " at cycle " << now;
           ASSERT_EQ(f.seq, want->second) << "op " << op << " at cycle " << now;
           if (is_tail(f.type)) credits_owed.push_back(f.vc);
@@ -584,10 +642,10 @@ TEST(NicUnit, PickerMatchesLinearScanUnderRandomTraffic) {
     for (const VcId vc : credits_owed) nic.credit_arrived(vc);
     model.free_vcs += static_cast<int>(credits_owed.size());
     for (now += 20; !nic.idle(); ++now) {
-      nic.inject(now, act);
+      em.inject(nic, now);
       const auto want = model.inject(now, pool);
       ASSERT_TRUE(want.has_value());
-      const FlitRef f = fab.sent.back().flit;
+      const FlitRef f = em.sent.back().flit;
       ASSERT_EQ(f.slot, want->first);
       ASSERT_EQ(f.seq, want->second);
       if (is_tail(f.type)) {

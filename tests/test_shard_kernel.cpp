@@ -77,26 +77,65 @@ TEST(ShardPartition, ColumnBlocksAndWidthClamp) {
   EXPECT_EQ(clamped->shard_count(), 4);
 }
 
-// The hard case from the issue: a SMART bypass chain that crosses shard
-// boundaries. Presets are static within an era, so the whole multi-hop
-// traversal resolves sender-side into ONE mailbox event - the zero-load
-// single-cycle latency must survive sharding exactly.
+/// Flits a packet of flow `id` ships across shard boundaries: one per flit
+/// for every segment of its path (source NIC -> stops -> destination NIC)
+/// whose endpoint another shard owns than the segment's origin.
+std::uint64_t expected_boundary_flits(const noc::MeshNetwork& net, FlowId id) {
+  const noc::Flow& f = net.flows().at(id);
+  std::vector<NodeId> path{f.src};
+  for (const NodeId stop : net.flow_info(id).stops) path.push_back(stop);
+  path.push_back(f.dst);
+  std::uint64_t crossings = 0;
+  for (std::size_t k = 0; k + 1 < path.size(); ++k) {
+    crossings += net.shard_of(path[k]) != net.shard_of(path[k + 1]) ? 1 : 0;
+  }
+  return crossings * static_cast<std::uint64_t>(net.config().flits_per_packet());
+}
+
+std::uint64_t boundary_flits(const noc::MeshNetwork& net) {
+  std::uint64_t total = 0;
+  for (const auto& t : net.shard_telemetry()) total += t.boundary_flits;
+  return total;
+}
+
+// A SMART bypass chain that crosses shard boundaries. Presets are static
+// within an era, so the whole multi-hop traversal resolves sender-side
+// into ONE mailbox event per flit and segment - the zero-load single-cycle
+// latency must survive sharding exactly, and each flit crosses once per
+// segment whose ends two shards own. A shorter reach splits the row into
+// stops, some segments inside a shard and some across.
 TEST(ShardKernel, BypassChainAcrossShardBoundaries) {
+  for (const int hpc : {8, 3}) {
+    SCOPED_TRACE("hpc_max " + std::to_string(hpc));
+    NocConfig cfg = mesh8_config();
+    cfg.hpc_max_override = hpc;  // 8: reach covers the whole 7-hop row
+    cfg.shard_threads = 4;
+    auto made = smart::make_smart_network(cfg, testing::one_flow(cfg, 0, 7));
+    noc::MeshNetwork& net = *made.net;
+    ASSERT_EQ(net.shard_count(), 4);
+    ASSERT_EQ(net.shard_of(0), 0);
+    ASSERT_EQ(net.shard_of(7), 3);
+    const double latency = testing::single_packet_latency(net, 0);
+    const double stops = static_cast<double>(net.flow_info(0).stops.size());
+    EXPECT_EQ(latency, 1.0 + 3.0 * stops);  // zero-load SMART law, unchanged
+    EXPECT_TRUE(testing::run_to_drain(net));
+    const std::uint64_t expected = expected_boundary_flits(net, 0);
+    EXPECT_GE(expected, static_cast<std::uint64_t>(cfg.flits_per_packet()));
+    EXPECT_EQ(boundary_flits(net), expected) << "a 0->7 traversal ships flits across shards";
+  }
+}
+
+// A flow whose whole path one shard owns ships nothing through a mailbox.
+TEST(ShardKernel, SameShardFlowShipsNoBoundaryFlits) {
   NocConfig cfg = mesh8_config();
-  cfg.hpc_max_override = 8;  // reach covers the whole 7-hop row
   cfg.shard_threads = 4;
-  auto made = smart::make_smart_network(cfg, testing::one_flow(cfg, 0, 7));
+  auto made = smart::make_smart_network(cfg, testing::one_flow(cfg, 8, 9));
   noc::MeshNetwork& net = *made.net;
-  ASSERT_EQ(net.shard_count(), 4);
-  ASSERT_EQ(net.shard_of(0), 0);
-  ASSERT_EQ(net.shard_of(7), 3);
-  const double latency = testing::single_packet_latency(net, 0);
-  const double stops = static_cast<double>(net.flow_info(0).stops.size());
-  EXPECT_EQ(latency, 1.0 + 3.0 * stops);  // zero-load SMART law, unchanged
-  std::uint64_t boundary = 0;
-  for (const auto& t : net.shard_telemetry()) boundary += t.boundary_flits;
-  EXPECT_GT(boundary, 0u) << "a 0->7 traversal must ship flits across shards";
+  ASSERT_EQ(net.shard_of(8), net.shard_of(9));
+  EXPECT_GT(testing::single_packet_latency(net, 0), 0.0);
   EXPECT_TRUE(testing::run_to_drain(net));
+  EXPECT_EQ(expected_boundary_flits(net, 0), 0u);
+  EXPECT_EQ(boundary_flits(net), 0u);
 }
 
 // force_sharded_path arms the full protocol (NIC sinks, mailboxes, serial
@@ -151,6 +190,50 @@ TEST(ShardKernel, ParallelMatchesSingleShard) {
   ASSERT_GT(serial.packets_delivered, 0u);
   expect_same_run(parallel, serial, "16x16@4shards");
   expect_same_flows(parallel_stats, serial_stats, "16x16@4shards");
+}
+
+/// Counts the flits consumed at NICs. Any observer makes a sharded network
+/// run its passes shard by shard on the calling thread.
+struct EjectCounter final : noc::TraceObserver {
+  std::uint64_t ejected = 0;
+  void flit_on_link(NodeId, Dir, const noc::FlitRef&, const noc::PacketPool&, Cycle) override {}
+  void flit_latched(bool is_nic, NodeId, const noc::FlitRef&, const noc::PacketPool&,
+                    Cycle) override {
+    ejected += is_nic ? 1 : 0;
+  }
+};
+
+// With an observer attached, the four shards' passes run in shard order on
+// one thread, so a flit or credit routed through the wrong shard changes
+// the result on every run, not only under some thread timings: a credit
+// filed in another shard's wheel than its origin's reaches the origin
+// router on the wrong side of that router's Switch Allocation. The load
+// (uniform random on an 8x8 SMART mesh, 0.1 flits/node/cycle) keeps free
+// VCs scarce enough that a credit's timing shows in the latencies.
+TEST(ShardKernel, ObservedShardsMatchSingleShard) {
+  auto run = [](int shards, EjectCounter* obs, noc::NetworkStats* stats) {
+    NocConfig cfg = mesh8_config();
+    cfg.hpc_max_override = 8;
+    cfg.shard_threads = shards;
+    auto flows = noc::make_synthetic_flows(cfg, noc::SyntheticPattern::UniformRandom, 0.1,
+                                           noc::TurnModel::XY);
+    auto made = smart::make_smart_network(cfg, std::move(flows));
+    made.net->set_observer(obs);
+    sim::BernoulliWorkload traffic(cfg, made.net->flows(), cfg.seed);
+    const sim::RunResult res = sim::run_simulation(*made.net, traffic, cfg);
+    made.net->set_observer(nullptr);
+    *stats = made.net->stats();
+    return res;
+  };
+  noc::NetworkStats serial_stats, sharded_stats;
+  EjectCounter serial_obs, sharded_obs;
+  const sim::RunResult serial = run(1, &serial_obs, &serial_stats);
+  const sim::RunResult sharded = run(4, &sharded_obs, &sharded_stats);
+  ASSERT_GT(serial.packets_delivered, 0u);
+  expect_same_run(sharded, serial, "8x8@4shards observed");
+  expect_same_flows(sharded_stats, serial_stats, "8x8@4shards observed");
+  EXPECT_GT(serial_obs.ejected, 0u);
+  EXPECT_EQ(sharded_obs.ejected, serial_obs.ejected);
 }
 
 TEST(ShardKernel, TelemetryCountsTicks) {

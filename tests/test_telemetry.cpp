@@ -31,10 +31,12 @@ std::string temp_path(const std::string& name) {
 
 // --- Three-observer cross-check ----------------------------------------------
 //
-// One run, two observers via a tee: every link pulse the VCD dumper sees,
-// the probe must count, and both totals must equal the activity counters'
-// link_flit_mm (each mesh link is hop_mm = 1 mm wide, and the stats window
-// is never reset in this loop, so whole-run totals are comparable).
+// The same seeded run twice on identical networks, the VCD dumper watching
+// one and the probe the other: every link pulse the dumper sees, the probe
+// must count, and both totals must equal the activity counters'
+// link_flit_mm, which must agree across the two runs (each mesh link is
+// hop_mm = 1 mm wide, and the stats window is never reset in this loop, so
+// whole-run totals are comparable).
 
 struct CrossPoint {
   Design design;
@@ -44,8 +46,8 @@ struct CrossPoint {
 
 class ObserverCross : public ::testing::TestWithParam<CrossPoint> {};
 
-TEST_P(ObserverCross, VcdEqualsProbeEqualsActivity) {
-  const CrossPoint pt = GetParam();
+/// The point's network (design, single-cycle reach and workload).
+std::unique_ptr<noc::MeshNetwork> make_cross_net(const CrossPoint& pt) {
   NocConfig cfg = test_config();
   cfg.hpc_max_override = pt.design == Design::Smart ? pt.hpc_max : 0;
   noc::FlowSet flows;
@@ -57,33 +59,40 @@ TEST_P(ObserverCross, VcdEqualsProbeEqualsActivity) {
     cfg = mapped.cfg;
     flows = std::move(mapped.flows);
   }
-  std::unique_ptr<noc::MeshNetwork> net;
   if (pt.design == Design::Smart) {
-    net = std::move(smart::make_smart_network(cfg, std::move(flows)).net);
-  } else {
-    net = noc::make_baseline_mesh(cfg, std::move(flows));
+    return std::move(smart::make_smart_network(cfg, std::move(flows)).net);
   }
+  return noc::make_baseline_mesh(cfg, std::move(flows));
+}
 
+/// Runs 3000 cycles of seeded traffic under `obs`, drains, and returns the
+/// activity counters' link_flit_mm.
+std::uint64_t run_observed(noc::MeshNetwork& net, noc::TraceObserver& obs) {
+  net.set_observer(&obs);
+  noc::TrafficEngine traffic(net.config(), net.flows(), net.config().seed);
+  for (Cycle c = 0; c < 3000; ++c) {
+    net.tick();
+    traffic.generate(net);
+  }
+  traffic.set_enabled(false);
+  EXPECT_TRUE(smartnoc::testing::run_to_drain(net, 20000));
+  net.set_observer(nullptr);
+  return net.stats().activity().link_flit_mm;
+}
+
+TEST_P(ObserverCross, VcdEqualsProbeEqualsActivity) {
+  const CrossPoint pt = GetParam();
+  const auto traced = make_cross_net(pt);
+  const auto probed = make_cross_net(pt);
+  const NocConfig& cfg = traced->config();
   sim::VcdTracer tracer(cfg.dims(), cfg.cycle_ps());
   telemetry::Probe::Config pc;
   pc.epoch_cycles = 500;
   telemetry::Probe probe(cfg.dims(), cfg.flits_per_packet(), pc);
-  telemetry::TeeObserver tee;
-  tee.add(&tracer);
-  tee.add(&probe);
-  net->set_observer(&tee);
-
-  noc::TrafficEngine traffic(cfg, net->flows(), cfg.seed);
-  for (Cycle c = 0; c < 3000; ++c) {
-    net->tick();
-    traffic.generate(*net);
-  }
-  traffic.set_enabled(false);
-  ASSERT_TRUE(smartnoc::testing::run_to_drain(*net, 20000));
-  net->set_observer(nullptr);
-
-  const std::uint64_t activity_mm = net->stats().activity().link_flit_mm;
+  const std::uint64_t activity_mm = run_observed(*traced, tracer);
   ASSERT_GT(activity_mm, 0u);
+  ASSERT_EQ(run_observed(*probed, probe), activity_mm) << "the two runs must be identical";
+
   // The pin: all three accountings of "flits * links traversed" agree.
   EXPECT_EQ(tracer.link_toggles(), activity_mm);
   EXPECT_EQ(probe.link_flits_total(), activity_mm);
