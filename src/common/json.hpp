@@ -16,9 +16,13 @@
 //   - Blanks between tokens are JSON's four: space, \t, \n and \r.
 //   - finish() rejects bytes after the document.
 // Every error is a ConfigError "<context> JSON, byte N: ...".
+// Each token is read in one pass over its bytes, with one table lookup per
+// byte; a scalar's grammar is checked in the pass that finds its end. A
+// warm cache hit decodes a whole record this way.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdio>
 #include <string>
@@ -68,14 +72,14 @@ class JsonReader {
   /// `context` names the document in errors ("scenario", "heartbeat", ...).
   JsonReader(std::string_view text, const char* context) : s_(text), context_(context) {}
 
-  [[noreturn]] void fail(const std::string& what) const {
+  [[noreturn, gnu::cold, gnu::noinline]] void fail(std::string_view what) const {
     throw ConfigError(std::string(context_) + " JSON, byte " + std::to_string(pos_) + ": " +
-                      what);
+                      std::string(what));
   }
 
   /// The next non-blank byte, not consumed ('\0' at the end).
   char peek() {
-    while (pos_ < s_.size() && is_blank(s_[pos_])) ++pos_;
+    while (pos_ < s_.size() && is(s_[pos_], kBlank)) ++pos_;
     return pos_ < s_.size() ? s_[pos_] : '\0';
   }
 
@@ -86,7 +90,7 @@ class JsonReader {
   }
 
   void expect(char c) {
-    if (!consume(c)) fail(std::string("expected '") + c + "'");
+    if (!consume(c)) fail_expected(c);
   }
 
   /// Reads an object, calling `member(key)` after each key's ':'; the
@@ -118,8 +122,8 @@ class JsonReader {
     expect('"');
     out.clear();
     while (true) {
-      const std::size_t stop = s_.find_first_of("\"\\", pos_);
-      if (stop == std::string_view::npos) fail("unterminated string");
+      const std::size_t stop = skip_while(pos_, kPlain);
+      if (stop == s_.size()) fail("unterminated string");
       out.append(s_.data() + pos_, stop - pos_);
       pos_ = stop + 1;
       if (s_[stop] == '"') return;
@@ -127,17 +131,16 @@ class JsonReader {
     }
   }
 
-  /// A true, false, null or number, in its raw spelling.
+  /// A true, false, null or number, in its raw spelling. The grammar is
+  /// checked in the pass that finds the token's end; scalar_error only
+  /// builds the message for a token that fails it.
   std::string_view read_scalar() {
     peek();
     const std::size_t start = pos_;
-    while (pos_ < s_.size() && is_scalar_char(s_[pos_])) ++pos_;
-    const std::string_view tok = s_.substr(start, pos_ - start);
-    if (tok.empty()) fail("expected a value");
-    if (tok != "true" && tok != "false" && tok != "null" && !is_number(tok)) {
-      fail("malformed scalar '" + std::string(tok) + "'");
-    }
-    return tok;
+    const std::size_t end = scan_scalar(start);
+    if (end == 0) scalar_error(start);
+    pos_ = end;
+    return s_.substr(start, end - start);
   }
 
   /// Rejects anything but blanks after the document.
@@ -147,12 +150,47 @@ class JsonReader {
   }
 
  private:
+  // Byte classes, one table lookup per byte scanned.
+  enum : unsigned char { kBlank = 1, kDigit = 2, kScalar = 4, kPlain = 8 };
+
+  static constexpr auto kClasses = [] {
+    std::array<unsigned char, 256> t{};
+    for (int c = 0; c < 256; ++c) {
+      if (c != '"' && c != '\\') t[c] |= kPlain;  // no string or key ends or escapes here
+    }
+    for (const char c : {' ', '\t', '\n', '\r'}) t[static_cast<unsigned char>(c)] |= kBlank;
+    for (int c = '0'; c <= '9'; ++c) t[c] |= kDigit | kScalar;
+    for (int c = 'a'; c <= 'z'; ++c) t[c] |= kScalar;
+    for (int c = 'A'; c <= 'Z'; ++c) t[c] |= kScalar;
+    for (const char c : {'-', '+', '.'}) t[static_cast<unsigned char>(c)] |= kScalar;
+    return t;
+  }();
+
+  static bool is(char c, unsigned char cls) {
+    return (kClasses[static_cast<unsigned char>(c)] & cls) != 0;
+  }
+
+  /// The first byte at or after `i` outside `cls`, or s_.size().
+  std::size_t skip_while(std::size_t i, unsigned char cls) const {
+    while (i < s_.size() && is(s_[i], cls)) ++i;
+    return i;
+  }
+
+  [[noreturn, gnu::cold, gnu::noinline]] void fail_expected(char c) const {
+    fail(std::string("expected '") + c + "'");
+  }
+
+  /// Fails for a key whose scan stopped at `end`: a backslash or the end.
+  [[noreturn, gnu::cold, gnu::noinline]] void key_error(std::size_t end) const {
+    if (s_.find('"', end) == std::string_view::npos) fail("unterminated key");
+    fail("escaped keys are not supported");
+  }
+
   std::string_view read_key() {
     expect('"');
-    const std::size_t end = s_.find('"', pos_);
-    if (end == std::string_view::npos) fail("unterminated key");
+    const std::size_t end = skip_while(pos_, kPlain);
+    if (end == s_.size() || s_[end] == '\\') key_error(end);
     const std::string_view key = s_.substr(pos_, end - pos_);
-    if (key.find('\\') != std::string_view::npos) fail("escaped keys are not supported");
     pos_ = end + 1;
     return key;
   }
@@ -185,33 +223,41 @@ class JsonReader {
     }
   }
 
-  static bool is_blank(char c) { return c == ' ' || c == '\n' || c == '\t' || c == '\r'; }
-
-  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
-
-  static bool is_scalar_char(char c) {
-    return is_digit(c) || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '-' ||
-           c == '+' || c == '.';
-  }
-
-  /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-  static bool is_number(std::string_view t) {
-    std::size_t i = 0;
+  /// The end of the scalar token at `i` if the whole run of scalar bytes
+  /// there is true, false, null or -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+  /// else 0 (no token ends at byte 0).
+  std::size_t scan_scalar(std::size_t i) const {
+    const std::size_t n = s_.size();
+    const auto ends_at = [&](std::size_t k) { return k < n && is(s_[k], kScalar) ? 0 : k; };
+    if (i < n && s_[i] >= 'a') {
+      for (const std::string_view word : {"true", "false", "null"}) {
+        if (s_.substr(i, word.size()) == word) return ends_at(i + word.size());
+      }
+      return 0;
+    }
     const auto digits = [&] {
       const std::size_t from = i;
-      while (i < t.size() && is_digit(t[i])) ++i;
+      i = skip_while(i, kDigit);
       return i > from;
     };
-    if (i < t.size() && t[i] == '-') ++i;
-    if (i < t.size() && t[i] == '0') ++i;
-    else if (!digits()) return false;
-    if (i < t.size() && t[i] == '.' && (++i, !digits())) return false;
-    if (i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+    if (i < n && s_[i] == '-') ++i;
+    if (i < n && s_[i] == '0') ++i;
+    else if (!digits()) return 0;
+    if (i < n && s_[i] == '.' && (++i, !digits())) return 0;
+    if (i < n && (s_[i] == 'e' || s_[i] == 'E')) {
       ++i;
-      if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
-      if (!digits()) return false;
+      if (i < n && (s_[i] == '+' || s_[i] == '-')) ++i;
+      if (!digits()) return 0;
     }
-    return i == t.size();
+    return ends_at(i);
+  }
+
+  /// Fails for the scalar token at `start` that scan_scalar refused, at
+  /// the end of its run of scalar bytes.
+  [[noreturn, gnu::cold, gnu::noinline]] void scalar_error(std::size_t start) {
+    pos_ = skip_while(start, kScalar);
+    if (pos_ == start) fail("expected a value");
+    fail("malformed scalar '" + std::string(s_.substr(start, pos_ - start)) + "'");
   }
 
   std::string_view s_;

@@ -8,6 +8,14 @@
 // from the back of the most loaded victim. Stealing from the opposite end
 // keeps the owner and thieves off the same cache lines of work.
 //
+// Threads: the calling thread runs lane 0, and lanes 1..w-1 run on
+// process-wide threads that stay parked on a condition variable between
+// calls (they never spin, so a cold sweep's simulations and a sharded
+// point's threads keep the CPUs). A call spawns a thread only when no parked
+// one is idle, so a warm sweep's calls, each a fraction of a millisecond,
+// pay a wake-up rather than a spawn and join, and a for_each inside a job
+// never waits for a busy thread.
+//
 // Determinism contract: the executor never influences results. Jobs get
 // their identity (matrix index) and derive everything - config, RNG
 // streams, output slot - from it, so any thread interleaving produces the
@@ -15,10 +23,11 @@
 //
 // Observability: each run updates the per-worker families in
 // obs::MetricsRegistry::global() (tasks, steals, busy/idle seconds, queue
-// depth) and, when a SpanTracer is attached, records one span per job on the
-// worker's lane plus an instant per successful steal. Both are wall-clock
-// side channels - they never feed back into job results. The whole layer
-// can be switched off via instrumentation_enabled() (the bench's A/B knob).
+// depth; each lane's registered once, in lane order) and, when a SpanTracer
+// is attached, records one span per job on the worker's lane plus an
+// instant per successful steal. Both are wall-clock side channels - they
+// never feed back into job results. The whole layer can be switched off via
+// instrumentation_enabled() (the bench's A/B knob).
 #pragma once
 
 #include <atomic>
@@ -46,10 +55,9 @@ class Executor {
   void set_tracer(obs::SpanTracer* tracer, std::string span_category = "task");
 
   /// Runs job(i) for every i in [0, n) across the workers and returns when
-  /// all are done. The calling thread runs as worker 0 and workers-1
-  /// threads are spawned per call (their cost is noise next to one
-  /// simulation). If any job throws, the first exception is rethrown here
-  /// after all workers finish.
+  /// all are done. The calling thread runs as worker 0 and the other lanes
+  /// run on parked pool threads (see above). If any job throws, the first
+  /// exception is rethrown here after all workers finish.
   void for_each(std::size_t n, const std::function<void(std::size_t)>& job) const;
 
   /// Lane of the calling thread inside a for_each (0-based), or -1 outside.

@@ -117,23 +117,18 @@ void append_value(std::string& out, const RunRecord& r, const Column& col, bool 
 }
 
 /// Sets one column from its unquoted text (a CSV field or a JSON scalar).
-void parse_value(std::string_view s, RunRecord& r, const Column& col) {
-  std::visit(
-      [&](auto pm) {
-        auto& v = r.*pm;
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, bool>) {
-          if (s == "1" || s == "true") v = true;
-          else if (s == "0" || s == "false") v = false;
-          else throw ConfigError("malformed ResultTable column '" + std::string(col.name) +
-                                 "': '" + std::string(s) + "' (expected a boolean)");
-        } else if constexpr (std::is_same_v<T, std::string>) {
-          v = s;
-        } else {
-          parse_number(s, v, "ResultTable number");
-        }
-      },
-      col.member);
+template <class T>
+void parse_field(std::string_view s, T& v, std::string_view column) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (s == "1" || s == "true") v = true;
+    else if (s == "0" || s == "false") v = false;
+    else throw ConfigError("malformed ResultTable column '" + std::string(column) + "': '" +
+                           std::string(s) + "' (expected a boolean)");
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = s;
+  } else {
+    parse_number(s, v, "ResultTable number");
+  }
 }
 
 /// Splits one CSV line honoring double-quoted fields with "" escapes.
@@ -172,11 +167,16 @@ RunRecord read_record_object(JsonReader& rd) {
   std::size_t next = 0;
   rd.read_object([&](std::string_view key) {
     const std::size_t i = find_column(key, next);
-    if (const auto* str = std::get_if<std::string RunRecord::*>(&kColumns[i].member)) {
-      rd.read_string(r.**str);
-    } else {
-      parse_value(rd.read_scalar(), r, kColumns[i]);
-    }
+    std::visit(
+        [&](auto pm) {
+          auto& v = r.*pm;
+          if constexpr (std::is_same_v<std::decay_t<decltype(v)>, std::string>) {
+            rd.read_string(v);
+          } else {
+            parse_field(rd.read_scalar(), v, kColumns[i].name);
+          }
+        },
+        kColumns[i].member);
     next = i + 1;
   });
   return r;
@@ -229,7 +229,9 @@ ResultTable ResultTable::from_csv(const std::string& text) {
       throw ConfigError(strf("CSV row has %zu columns, expected %zu", f.size(), kNumColumns));
     }
     RunRecord r;
-    for (std::size_t i = 0; i < kNumColumns; ++i) parse_value(f[i], r, kColumns[i]);
+    for (std::size_t i = 0; i < kNumColumns; ++i) {
+      std::visit([&](auto pm) { parse_field(f[i], r.*pm, kColumns[i].name); }, kColumns[i].member);
+    }
     out.add(std::move(r));
   }
   return out;

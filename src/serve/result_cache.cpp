@@ -13,8 +13,8 @@ namespace fs = std::filesystem;
 namespace {
 
 /// Registry-side mirrors of the per-instance Counters. Every increment below
-/// updates both, at the same statement, so the printed cache report and the
-/// scraped metrics cannot drift apart.
+/// updates both, side by side, so the printed cache report and the scraped
+/// metrics cannot drift apart.
 struct CacheInstruments {
   obs::Counter& hits;
   obs::Counter& misses;
@@ -52,19 +52,19 @@ ResultCache::ResultCache(const std::string& dir) {
   file_ = (fs::path(dir) / "results.srcl").string();
 
   CheckedFile loaded = read_checked_lines(file_, kHeader);
-  counters_.corrupt_dropped = loaded.dropped;
+  std::uint64_t dropped = loaded.dropped;
   entries_.reserve(loaded.lines.size());
   for (const CheckedLine& line : loaded.lines) {
     const std::optional<Hash128> key = Hash128::from_hex(line.tag);
     if (!key) {
-      ++counters_.corrupt_dropped;
+      ++dropped;
       continue;
     }
     entries_.insert_or_assign(*key, line.payload);  // last wins
   }
   loaded_ = std::move(loaded.bytes);  // a vector move keeps the viewed bytes in place
 
-  if (loaded.header_ok && counters_.corrupt_dropped == 0) {
+  if (loaded.header_ok && dropped == 0) {
     out_ = open_checked_append(file_);
   } else {
     // Missing file, retired format version, or damage found: rewrite the
@@ -81,8 +81,9 @@ ResultCache::ResultCache(const std::string& dir) {
   }
   if (!out_) throw ConfigError("cannot open cache file '" + file_ + "' for writing");
 
+  corrupt_dropped_.store(dropped, std::memory_order_relaxed);
   CacheInstruments& ci = CacheInstruments::get();
-  ci.corrupt_dropped.inc(static_cast<double>(counters_.corrupt_dropped));
+  ci.corrupt_dropped.inc(static_cast<double>(dropped));
   ci.entries.set(static_cast<double>(entries_.size()));
   std::error_code size_ec;
   const auto file_bytes = fs::file_size(file_, size_ec);
@@ -91,39 +92,42 @@ ResultCache::ResultCache(const std::string& dir) {
 
 std::optional<explore::RunRecord> ResultCache::lookup(const Hash128& key) {
   CacheInstruments& ci = CacheInstruments::get();
-  std::string_view json;
+  std::optional<std::string_view> json;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      ++counters_.misses;
-      ci.misses.inc();
-      return std::nullopt;
+    if (it != entries_.end()) json = it->second;
+  }
+  if (json) {
+    std::optional<explore::RunRecord> rec;
+    try {
+      rec = explore::record_from_json(*json);
+    } catch (const std::exception&) {
     }
-    json = it->second;
+    if (rec) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      ci.hits.inc();
+      return rec;
+    }
+    // The checksum held but the record does not parse: drop the entry (once,
+    // if two lookups of one key raced here), so the point is recomputed and
+    // its fresh line appended.
+    bool dropped = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto it = entries_.find(key);
+      if (it != entries_.end() && it->second.data() == json->data()) {
+        entries_.erase(it);
+        dropped = true;
+      }
+    }
+    if (dropped) {
+      corrupt_dropped_.fetch_add(1, std::memory_order_relaxed);
+      ci.corrupt_dropped.inc();
+      ci.entries.add(-1.0);
+    }
   }
-  std::optional<explore::RunRecord> rec;
-  try {
-    rec = explore::record_from_json(json);
-  } catch (const std::exception&) {
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (rec) {
-    ++counters_.hits;
-    ci.hits.inc();
-    return rec;
-  }
-  // The checksum held but the record does not parse: drop the entry (once,
-  // if two lookups of one key raced here), so the point is recomputed and
-  // its fresh line appended.
-  const auto it = entries_.find(key);
-  if (it != entries_.end() && it->second.data() == json.data()) {
-    entries_.erase(it);
-    ++counters_.corrupt_dropped;
-    ci.corrupt_dropped.inc();
-    ci.entries.set(static_cast<double>(entries_.size()));
-  }
-  ++counters_.misses;
+  misses_.fetch_add(1, std::memory_order_relaxed);
   ci.misses.inc();
   return std::nullopt;
 }
@@ -133,20 +137,23 @@ void ResultCache::insert(const Hash128& key, const explore::RunRecord& rec) {
   stored.index = 0;  // the key is position-independent; so is the stored row
   std::string json = explore::record_to_json(stored);
   const std::string line = format_checked_line(key.hex(), json);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.contains(key)) return;
-  entries_.emplace(key, inserted_.emplace_back(std::move(json)));
-  ++counters_.inserts;
-  out_ << line << std::flush;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (entries_.contains(key)) return;
+    entries_.emplace(key, inserted_.emplace_back(std::move(json)));
+    out_ << line << std::flush;
+  }
+  inserts_.fetch_add(1, std::memory_order_relaxed);
   CacheInstruments& ci = CacheInstruments::get();
   ci.inserts.inc();
-  ci.entries.set(static_cast<double>(entries_.size()));
+  ci.entries.add(1.0);
   ci.bytes.add(static_cast<double>(line.size()));
 }
 
 ResultCache::Counters ResultCache::counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
+  return {hits_.load(std::memory_order_relaxed), misses_.load(std::memory_order_relaxed),
+          inserts_.load(std::memory_order_relaxed),
+          corrupt_dropped_.load(std::memory_order_relaxed)};
 }
 
 std::size_t ResultCache::size() const {

@@ -10,11 +10,11 @@
 // read in one go, every line is split and its checksum checked - four lines
 // at a time, on independent FNV-1a chains (read_checked_lines) - and the key
 // is mapped to the verified record JSON, which stays in the load buffer. A lookup
-// decodes its record on hit, outside the mutex, so the executor's workers
-// decode in parallel. A line whose checksum holds but whose JSON does not
-// parse is dropped on its first lookup: it counts as corrupt and as a miss,
-// the point is recomputed and its fresh record appended, and last-wins on
-// the next load serves that line.
+// takes the mutex once, to find its entry, and decodes the record outside
+// it, so the executor's workers decode in parallel. A line whose checksum
+// holds but whose JSON does not parse is dropped on its first lookup: it
+// counts as corrupt and as a miss, the point is recomputed and its fresh
+// record appended, and last-wins on the next load serves that line.
 //
 // Appends are flushed per insert, so a crash loses at most the line being
 // written - and a half-written line fails its checksum and is dropped (and
@@ -23,10 +23,13 @@
 // rewrites it. Duplicate keys are last-wins on load and suppressed on
 // insert.
 //
-// Thread-safe: lookup/insert take an internal mutex (the sweep executor
-// calls from worker threads).
+// Thread-safe (the sweep executor calls from worker threads): the entry map
+// is guarded by an internal mutex, taken once per lookup or insert (a
+// second time only to drop an undecodable line), and the counters are
+// atomics bumped outside it, as are the registry's mirrors of them.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <fstream>
@@ -85,7 +88,11 @@ class ResultCache {
   // lock stays valid after it is released).
   std::unordered_map<Hash128, std::string_view, KeyHash> entries_;
   std::ofstream out_;
-  Counters counters_;
+  // Bumped outside mu_: a hit takes the lock once, to find its entry.
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> inserts_{0};
+  std::atomic<std::uint64_t> corrupt_dropped_{0};
 };
 
 }  // namespace smartnoc::serve

@@ -1,5 +1,6 @@
 // Shared helpers for the tests: single-packet latency probes, small
-// flow-set builders, and the byte mutator of the seeded parser campaigns.
+// flow-set builders, the byte mutator of the seeded parser campaigns, and a
+// metrics-registry family total.
 #pragma once
 
 #include <memory>
@@ -10,6 +11,7 @@
 #include "common/rng.hpp"
 #include "noc/network_iface.hpp"
 #include "noc/routing.hpp"
+#include "obs/metrics.hpp"
 
 namespace smartnoc::testing {
 
@@ -70,6 +72,15 @@ inline std::string mutate(std::string s, Xoshiro256& rng, std::string_view alpha
       case 2: s.erase(at, 1); break;
       default: s.insert(at, 1, s[at]); break;
     }
+  }
+  return s;
+}
+
+/// The sum of a global-registry family's values over its labels.
+inline double sum_family(const std::string& name) {
+  double s = 0.0;
+  for (const auto& m : obs::MetricsRegistry::global().snapshot()) {
+    if (m.name == name) s += m.value;
   }
   return s;
 }

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -360,20 +361,50 @@ TEST(Executor, PropagatesJobExceptions) {
                std::runtime_error);
 }
 
+/// Opens once lane 0 has started a job. Jobs on the other lanes wait for
+/// it, so the caller's lane takes a job before they can drain its deque,
+/// however the threads are scheduled. The wait is bounded: a gate that never
+/// opens fails the test instead of hanging it.
+class LaneZeroGate {
+ public:
+  void open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  /// False if the gate stayed shut for 10 s.
+  bool wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10), [&] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 TEST(Executor, CallerRunsAsWorkerZero) {
   constexpr int kWorkers = 3;
   constexpr std::size_t kJobs = 24;
   explore::Executor exec(kWorkers);
   const std::thread::id caller = std::this_thread::get_id();
+  LaneZeroGate gate;
+  std::atomic<bool> gate_timed_out{false};
   std::mutex mu;
   std::vector<std::pair<int, std::thread::id>> seen;
   exec.for_each(kJobs, [&](std::size_t) {
-    // Long enough that no thread drains another's deque before the caller
-    // has started its own.
-    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    const int lane = explore::Executor::current_worker();
+    if (lane == 0) {
+      gate.open();
+    } else if (!gate.wait()) {
+      gate_timed_out = true;
+    }
     std::lock_guard<std::mutex> lock(mu);
-    seen.emplace_back(explore::Executor::current_worker(), std::this_thread::get_id());
+    seen.emplace_back(lane, std::this_thread::get_id());
   });
+  EXPECT_FALSE(gate_timed_out) << "lane 0 never started a job";
   ASSERT_EQ(seen.size(), kJobs);
   std::size_t on_caller = 0;
   for (const auto& [lane, thread] : seen) {
@@ -389,24 +420,100 @@ TEST(Executor, CallerRunsAsWorkerZero) {
 TEST(Executor, ExceptionOnTheCallersLanePropagatesAfterTheJoin) {
   constexpr std::size_t kJobs = 12;
   explore::Executor exec(3);
+  LaneZeroGate gate;
+  std::atomic<bool> gate_timed_out{false};
   std::atomic<int> running{0};
   std::atomic<std::size_t> finished{0};
   EXPECT_THROW(exec.for_each(kJobs,
                              [&](std::size_t) {
                                if (explore::Executor::current_worker() == 0) {
+                                 gate.open();
                                  throw std::runtime_error("caller lane");
                                }
+                               if (!gate.wait()) gate_timed_out = true;
                                running.fetch_add(1);
                                std::this_thread::sleep_for(std::chrono::milliseconds(1));
                                finished.fetch_add(1);
                                running.fetch_sub(1);
                              }),
                std::runtime_error);
+  EXPECT_FALSE(gate_timed_out) << "lane 0 never started a job";
   // Lane 0 stopped at its first job; the other lanes ran theirs and stole
   // the rest, all before for_each rethrew.
   EXPECT_EQ(running.load(), 0);
   EXPECT_EQ(finished.load(), kJobs - 1);
   EXPECT_EQ(explore::Executor::current_worker(), -1);
+}
+
+/// Names the calling thread: a number drawn the first time a thread asks,
+/// kept in a thread_local. A thread spawned anew (even one that reuses an
+/// exited thread's stack and std::thread::id) draws a new one.
+std::uint64_t thread_token() {
+  static std::atomic<std::uint64_t> next{0};
+  thread_local std::uint64_t token = 0;
+  if (token == 0) token = next.fetch_add(1) + 1;
+  return token;
+}
+
+/// The thread_token of each lane in one for_each call of width `lanes`
+/// with one job per lane. Every job waits until all have started, so no
+/// lane can take another's job.
+std::vector<std::uint64_t> lane_tokens(const explore::Executor& exec, int lanes) {
+  std::vector<std::uint64_t> tokens(static_cast<std::size_t>(lanes));
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  bool timed_out = false;
+  exec.for_each(static_cast<std::size_t>(lanes), [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    tokens[static_cast<std::size_t>(explore::Executor::current_worker())] = thread_token();
+    if (++started == lanes) cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(10), [&] { return started == lanes; })) {
+      timed_out = true;
+    }
+  });
+  EXPECT_FALSE(timed_out) << "a lane never started";
+  return tokens;
+}
+
+TEST(Executor, WorkersStayParkedBetweenCalls) {
+  const explore::Executor exec(3);
+  const std::vector<std::uint64_t> first = lane_tokens(exec, 3);
+  const std::vector<std::uint64_t> second = lane_tokens(exec, 3);
+  EXPECT_EQ(first[0], thread_token());
+  EXPECT_EQ(second[0], thread_token());
+  EXPECT_EQ((std::set<std::uint64_t>(first.begin(), first.end()).size()), 3u);
+  // The second call runs lanes 1-2 on the threads the first one used (in
+  // either order): they were parked, not joined and spawned again.
+  EXPECT_EQ((std::set<std::uint64_t>{first[1], first[2]}),
+            (std::set<std::uint64_t>{second[1], second[2]}));
+}
+
+TEST(Executor, NestedForEachRunsEveryJobOnceAndRestoresTheLane) {
+  constexpr std::size_t kOuter = 8, kInner = 6;
+  const explore::Executor exec(2);
+  std::vector<std::atomic<int>> outer_runs(kOuter), inner_runs(kOuter * kInner);
+  std::atomic<int> bad_inner_call{0}, not_restored{0};
+  exec.for_each(kOuter, [&](std::size_t i) {
+    const int lane = explore::Executor::current_worker();
+    const std::uint64_t call = explore::Executor::current_call();
+    exec.for_each(kInner, [&](std::size_t j) {
+      const std::uint64_t inner = explore::Executor::current_call();
+      if (inner == call || inner == 0) bad_inner_call.fetch_add(1);
+      inner_runs[i * kInner + j].fetch_add(1);
+    });
+    if (explore::Executor::current_worker() != lane ||
+        explore::Executor::current_call() != call) {
+      not_restored.fetch_add(1);
+    }
+    outer_runs[i].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < kOuter; ++i) EXPECT_EQ(outer_runs[i].load(), 1) << i;
+  for (std::size_t k = 0; k < kOuter * kInner; ++k) EXPECT_EQ(inner_runs[k].load(), 1) << k;
+  EXPECT_EQ(bad_inner_call.load(), 0) << "an inner job reads its own call";
+  EXPECT_EQ(not_restored.load(), 0) << "the outer job reads its lane and call again";
+  EXPECT_EQ(explore::Executor::current_worker(), -1);
+  EXPECT_EQ(explore::Executor::current_call(), 0u);
 }
 
 TEST(Explore, SweepIsBitIdenticalAcrossThreadCounts) {

@@ -9,7 +9,12 @@
 //     value that survives its own serialize -> parse round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -78,6 +83,15 @@ std::vector<FrontEnd> front_ends() {
            R"({"index": 1} x)",
            R"({"index": 1}})",
            "{\f\"index\": 1}",
+           R"({"flows": 1x})",
+           R"({"flows": -})",
+           R"({"flows": +1})",
+           R"({"injection": 1e})",
+           R"({"injection": 1.5.2})",
+           R"({"ok": truex})",
+           R"({"ok": nul})",
+           R"({"workload": "never closed})",
+           R"({"in\u0064ex": 1})",
        }},
       {"heartbeat",
        [](const std::string& body) {
@@ -135,6 +149,164 @@ TEST(JsonReader, EscapesAndMalformedInput) {
       }
     }
   }
+}
+
+TEST(JsonReader, RecordErrorMessagesArePinned) {
+  const std::pair<std::string, std::string> cases[] = {
+      {R"({"flows": 1x})", "ResultTable JSON, byte 12: malformed scalar '1x'"},
+      {R"({"flows": -})", "ResultTable JSON, byte 11: malformed scalar '-'"},
+      {R"({"flows": +1})", "ResultTable JSON, byte 12: malformed scalar '+1'"},
+      {R"({"flows": 01})", "ResultTable JSON, byte 12: malformed scalar '01'"},
+      {R"({"injection": 1e})", "ResultTable JSON, byte 16: malformed scalar '1e'"},
+      {R"({"injection": 1.5.2})", "ResultTable JSON, byte 19: malformed scalar '1.5.2'"},
+      {R"({"ok": truex})", "ResultTable JSON, byte 12: malformed scalar 'truex'"},
+      {R"({"ok": nul})", "ResultTable JSON, byte 10: malformed scalar 'nul'"},
+      {R"({"index": })", "ResultTable JSON, byte 10: expected a value"},
+      {R"({"index": 1,})", "ResultTable JSON, byte 12: expected '\"'"},
+      {R"({"index": 1} x)", "ResultTable JSON, byte 13: trailing bytes after the document"},
+      {R"({"workload": "never closed})", "ResultTable JSON, byte 14: unterminated string"},
+      {R"({"workload": "a\qb"})", "ResultTable JSON, byte 17: unsupported escape '\\q'"},
+      {R"({"index)", "ResultTable JSON, byte 2: unterminated key"},
+      {R"({"inde\)", "ResultTable JSON, byte 2: unterminated key"},
+      {R"({"in\u0064ex": 1})", "ResultTable JSON, byte 2: escaped keys are not supported"},
+      {R"({"flows": 99999999999})", "malformed ResultTable number: '99999999999'"},
+      {R"({"ok": 2})", "malformed ResultTable column 'ok': '2' (expected a boolean)"},
+      {R"({"bogus": 1})", "unknown ResultTable column 'bogus'"},
+  };
+  for (const auto& [doc, want] : cases) {
+    try {
+      explore::record_from_json(doc);
+      ADD_FAILURE() << "accepted " << doc;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()), want) << doc;
+    }
+  }
+}
+
+// --- Record round trips ----------------------------------------------------------
+
+constexpr double explore::RunRecord::*kDoubleColumns[] = {
+    &explore::RunRecord::injection,       &explore::RunRecord::fault_rate,
+    &explore::RunRecord::avg_net_latency, &explore::RunRecord::avg_total_latency,
+    &explore::RunRecord::p50_latency,     &explore::RunRecord::p99_latency,
+    &explore::RunRecord::max_latency,     &explore::RunRecord::throughput_ppc,
+    &explore::RunRecord::power_mw,        &explore::RunRecord::area_mm2,
+};
+
+/// A finite double: a special value (signed zeros, subnormals, extremes)
+/// a quarter of the time, any finite bit pattern otherwise.
+double random_double(Xoshiro256& rng) {
+  constexpr double kSpecial[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::min() - std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::epsilon(),
+      1.0 / 3.0,
+      0.1,
+  };
+  if (rng.below(4) == 0) return kSpecial[rng.below(std::size(kSpecial))];
+  while (true) {
+    const double v = std::bit_cast<double>(rng.next());
+    if (std::isfinite(v)) return v;  // inf and nan have no JSON spelling
+  }
+}
+
+/// Up to 24 bytes, any of the 256 (so every escape the emitter writes, raw
+/// high bytes and embedded NULs), with quotes, backslashes and slashes
+/// drawn often.
+std::string random_text(Xoshiro256& rng) {
+  std::string out(rng.below(25), '\0');
+  for (char& c : out) {
+    constexpr std::string_view kPunct = "\"\\/\b\f\n\r\t";
+    c = rng.below(3) == 0 ? kPunct[rng.below(kPunct.size())]
+                          : static_cast<char>(rng.below(256));
+  }
+  return out;
+}
+
+int random_int(Xoshiro256& rng) { return static_cast<int>(static_cast<std::uint32_t>(rng.next())); }
+
+explore::RunRecord random_record(Xoshiro256& rng) {
+  explore::RunRecord r;
+  r.index = rng.next();
+  r.width = random_int(rng);
+  r.height = random_int(rng);
+  r.flit_bits = random_int(rng);
+  r.hpc_max = random_int(rng);
+  r.workload = random_text(rng);
+  r.fault_schedule = random_text(rng);
+  r.design = random_text(rng);
+  r.seed = rng.next();
+  r.ok = rng.below(2) == 1;
+  r.error = random_text(rng);
+  r.flows = random_int(rng);
+  r.dropped_flows = random_int(rng);
+  r.packets = rng.next();
+  r.packets_offered = rng.next();
+  r.packets_dropped = rng.next();
+  r.packets_retransmitted = rng.next();
+  r.flows_rerouted = rng.next();
+  r.flows_failed = rng.next();
+  for (const auto member : kDoubleColumns) r.*member = random_double(rng);
+  return r;
+}
+
+void expect_bit_identical(const explore::RunRecord& got, const explore::RunRecord& want) {
+  EXPECT_EQ(got, want);
+  for (const auto member : kDoubleColumns) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.*member), std::bit_cast<std::uint64_t>(want.*member))
+        << want.*member;
+  }
+}
+
+TEST(JsonReader, RandomRecordsRoundTripBitExactly) {
+  Xoshiro256 rng(20261020);
+  for (int i = 0; i < 1000; ++i) {
+    const explore::RunRecord rec = random_record(rng);
+    const std::string json = explore::record_to_json(rec);
+    SCOPED_TRACE(json);
+    expect_bit_identical(explore::record_from_json(json), rec);
+  }
+}
+
+/// The top-level members of a flat JSON object, split outside strings.
+std::vector<std::string> object_members(const std::string& json) {
+  std::vector<std::string> out(1);
+  bool in_string = false;
+  for (std::size_t i = 1; i + 1 < json.size(); ++i) {
+    const char c = json[i];
+    if (in_string && c == '\\') {
+      out.back() += json.substr(i++, 2);
+      continue;
+    }
+    if (c == '"') in_string = !in_string;
+    if (!in_string && c == ',') {
+      out.emplace_back();
+    } else {
+      out.back() += c;
+    }
+  }
+  return out;
+}
+
+TEST(JsonReader, RecordMembersDecodeInAnyOrder) {
+  Xoshiro256 rng(7);
+  const explore::RunRecord rec = random_record(rng);
+  const std::string json = explore::record_to_json(rec);
+  std::vector<std::string> members = object_members(json);
+  ASSERT_EQ(members.size(), 29u);
+  std::reverse(members.begin(), members.end());
+  std::string reversed = "{";
+  for (const std::string& m : members) reversed += (reversed.size() > 1 ? "," : "") + m;
+  reversed += '}';
+  ASSERT_NE(reversed, json);
+  SCOPED_TRACE(reversed);
+  expect_bit_identical(explore::record_from_json(reversed), rec);
 }
 
 // --- Mutation campaign ---------------------------------------------------------

@@ -14,7 +14,9 @@
 
 #include "common/error.hpp"
 #include "common/file_io.hpp"
+#include "common/table.hpp"
 #include "explore/explore.hpp"
+#include "helpers.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
@@ -293,13 +295,7 @@ TEST(ObsHeartbeat, RejectsGarbage) {
 
 // --- Executor instrumentation ------------------------------------------------
 
-double sum_family(const std::string& name) {
-  double s = 0.0;
-  for (const auto& m : MetricsRegistry::global().snapshot()) {
-    if (m.name == name) s += m.value;
-  }
-  return s;
-}
+using testing::sum_family;
 
 TEST(ObsExecutor, TaskCountersConserveWork) {
   const double before = sum_family("smartnoc_executor_tasks_total");
@@ -309,6 +305,32 @@ TEST(ObsExecutor, TaskCountersConserveWork) {
   EXPECT_EQ(ran.load(), 64u);
   EXPECT_EQ(sum_family("smartnoc_executor_tasks_total") - before, 64.0)
       << "tasks summed over workers == points run";
+  // A second call on the same executor runs on parked threads and adds its
+  // own jobs, no more and no fewer.
+  exec.for_each(48, [&](std::size_t) { ran.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(ran.load(), 112u);
+  EXPECT_EQ(sum_family("smartnoc_executor_tasks_total") - before, 112.0);
+}
+
+TEST(ObsExecutor, WorkerFamiliesAreExportedInLaneOrder) {
+  explore::Executor exec(3);
+  exec.for_each(12, [](std::size_t) {});
+  exec.for_each(12, [](std::size_t) {});
+  const std::string prom = obs::to_prometheus(MetricsRegistry::global());
+  for (const char* family : {"smartnoc_executor_tasks_total", "smartnoc_executor_steals_total",
+                             "smartnoc_executor_busy_seconds_total",
+                             "smartnoc_executor_idle_seconds_total",
+                             "smartnoc_executor_queue_depth"}) {
+    std::size_t last = 0;
+    for (int lane = 0; lane < 3; ++lane) {
+      const std::string series = strf("%s{worker=\"%d\"}", family, lane);
+      const std::size_t at = prom.find(series);
+      ASSERT_NE(at, std::string::npos) << series;
+      EXPECT_GT(at, last) << series << " is out of lane order";
+      EXPECT_EQ(prom.find(series, at + 1), std::string::npos) << series << " appears twice";
+      last = at;
+    }
+  }
 }
 
 TEST(ObsExecutor, InlinePathCountsAsWorkerZero) {

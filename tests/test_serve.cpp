@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include <type_traits>
 #include <sstream>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/float_io.hpp"
@@ -445,6 +447,75 @@ TEST(ServeCache, ChecksumValidButUnparsableRecordMissesOnceAndIsReplaced) {
   EXPECT_EQ(reopened.counters().hits, spec.size());
   EXPECT_EQ(reopened.counters().misses, 0u);
   EXPECT_EQ(served.to_csv(), again.to_csv());
+}
+
+TEST(ServeCache, ConcurrentLookupsCountEveryHitMissAndDropOnce) {
+  constexpr std::size_t kKeys = 64;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
+  const fs::path dir = scratch_dir("cache_concurrent");
+  std::vector<Hash128> keys;
+  {
+    serve::ResultCache cache(dir.string());
+    for (std::size_t k = 0; k < kKeys; ++k) {
+      keys.push_back(Hash128{0x5eedULL, k + 1});
+      RunRecord rec;
+      rec.design = "SMART";
+      rec.ok = true;
+      rec.packets = 100 + k;
+      rec.avg_net_latency = 1.0 / static_cast<double>(k + 3);
+      cache.insert(keys.back(), rec);
+    }
+  }
+  // One key's line is re-stored under a correct checksum over bytes that are
+  // not a record (last wins at open): its first decode fails.
+  const Hash128 junk_key = keys[kKeys / 2];
+  const std::string junk = "{\"packets\": }";
+  {
+    std::ofstream f(dir / "results.srcl", std::ios::binary | std::ios::app);
+    f << serve::format_checked_line(junk_key.hex(), junk);
+  }
+
+  serve::ResultCache cache(dir.string());
+  ASSERT_EQ(cache.size(), kKeys);
+  const double hits0 = testing::sum_family("smartnoc_cache_hits_total");
+  const double misses0 = testing::sum_family("smartnoc_cache_misses_total");
+  const double dropped0 = testing::sum_family("smartnoc_cache_corrupt_dropped_total");
+  const serve::ResultCache::Counters before = cache.counters();
+
+  std::atomic<std::uint64_t> served{0}, wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < kKeys; ++i) {
+          const std::size_t k = (i + static_cast<std::size_t>(t) * 17) % kKeys;
+          const std::optional<RunRecord> rec = cache.lookup(keys[k]);
+          if (!rec) continue;
+          served.fetch_add(1);
+          if (rec->packets != 100 + k) wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const serve::ResultCache::Counters after = cache.counters();
+  const std::uint64_t lookups = static_cast<std::uint64_t>(kThreads) * kRounds * kKeys;
+  const std::uint64_t hits = after.hits - before.hits;
+  const std::uint64_t misses = after.misses - before.misses;
+  EXPECT_EQ(hits + misses, lookups);
+  EXPECT_EQ(hits, served.load());
+  EXPECT_EQ(misses, static_cast<std::uint64_t>(kThreads) * kRounds) << "the junk key misses";
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(after.corrupt_dropped - before.corrupt_dropped, 1u) << "dropped once, not per lookup";
+  EXPECT_EQ(cache.size(), kKeys - 1);
+
+  // The registry mirrors the instance counters exactly.
+  EXPECT_EQ(testing::sum_family("smartnoc_cache_hits_total") - hits0, static_cast<double>(hits));
+  EXPECT_EQ(testing::sum_family("smartnoc_cache_misses_total") - misses0,
+            static_cast<double>(misses));
+  EXPECT_EQ(testing::sum_family("smartnoc_cache_corrupt_dropped_total") - dropped0, 1.0);
 }
 
 TEST(ServeCache, LaneVerifyMatchesAPerLineReference) {
