@@ -53,8 +53,6 @@ MeshNetwork::MeshNetwork(const NocConfig& cfg, FlowSet flows, PresetTable preset
     routers_.emplace_back(n, cfg_, &pool_);
     nics_.emplace_back(n, cfg_, &stats_, &pool_);
   }
-  router_in_set_.assign(static_cast<std::size_t>(dims.nodes()), 0);
-  nic_in_set_.assign(static_cast<std::size_t>(dims.nodes()), 0);
   configured_shards_ = std::clamp(cfg_.shard_threads, 1, dims.width());
   configure_shards(configured_shards_);
 
@@ -118,12 +116,8 @@ void MeshNetwork::configure_shards(int count) {
   // NICs defer pool/stats side effects only when the sharded protocol runs
   // (count > 1, or one shard armed for the overhead bench); the plain
   // kernel keeps direct calls on its hot path.
-  const bool sharded = count > 1 || force_sharded_;
   for (NodeId n = 0; n < dims.nodes(); ++n) {
-    Nic& nic = nics_[static_cast<std::size_t>(n)];
-    nic.set_shard_sink(
-        sharded ? &shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(n)])].sink
-                : nullptr);
+    nics_[static_cast<std::size_t>(n)].set_shard_sink(sharded() ? &owner_of(n).sink : nullptr);
   }
 }
 
@@ -168,7 +162,7 @@ void MeshNetwork::tick() {
   // inside the tick - the diff stays exact.)
   ActivityCounters before;
   if (observer_wants_deltas_) before = stats_.activity();
-  if (shards_.size() > 1 || force_sharded_) {
+  if (sharded()) {
     // Observer callbacks must arrive on one thread: with an observer the
     // same sharded protocol runs shard by shard on the caller, bit-identical
     // to the parallel path (pass order across shards is immaterial by design).
@@ -233,52 +227,50 @@ void MeshNetwork::run_phases(ShardState& s, ActivityCounters& act) {
     });
     for_each_dir(d.ins, [&](Dir in) { __builtin_prefetch(&segments_.credit_router_input(n, in)); });
   }
-  // Phase 3: Switch Traversal on grants from previous cycles.
+  // Phases 3 and 4, fused router by router, with the router list's
+  // compaction. Switch Traversal sends on grants from previous cycles;
+  // Switch Allocation's grants fire ST next cycle. ST writes only other
+  // routers' staging, which SA never reads, so each router's SA may run
+  // before later routers' ST. A router dropped here as quiescent that a
+  // later traversal or this cycle's injection reaches is appended again
+  // (with a staged flit it has traffic); survivors keep insertion order.
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
     prefetch_ahead(i);
+    const NodeId n = s.active_routers[i];
     Router& r = router_at(i);
-    if (r.holds() != 0) traverse(s, act, s.active_routers[i]);
+    if (r.holds() != 0) traverse(s, act, n);
+    if (r.has_pending()) {
+      const unsigned granted = r.switch_allocation(now_, act);
+      if (granted != 0) prefetch_endpoints(s, n, granted);
+    }
+    if (r.has_traffic()) {
+      s.active_routers[kept++] = n;
+    } else {
+      r.set_in_active_set(false);
+    }
   }
-  // Phase 4: Switch Allocation (grants fire ST next cycle).
-  for (std::size_t i = 0; i < s.active_routers.size(); ++i) {
-    prefetch_ahead(i);
-    Router& r = router_at(i);
-    if (!r.has_pending()) continue;
-    const unsigned granted = r.switch_allocation(now_, act);
-    if (granted != 0) prefetch_endpoints(s, s.active_routers[i], granted);
-  }
-  // Phase 5: NIC injection (one flit per NIC per cycle).
+  s.active_routers.resize(kept);
+  // Phase 5: NIC injection (one flit per NIC per cycle), fused the same
+  // way with the NIC list's compaction. An injection reaches at most a
+  // router's staging or, under full bypass, another NIC's reassembly; a
+  // NIC dropped earlier in the pass that it reaches is appended again.
+  // Between ticks both lists are exact.
+  kept = 0;
   for (std::size_t i = 0; i < s.active_nics.size(); ++i) {
     if (i + kPrefetchAhead < s.active_nics.size()) {
       nics_[static_cast<std::size_t>(s.active_nics[i + kPrefetchAhead])].prefetch_hot();
     }
-    inject(s, act, s.active_nics[i]);
-  }
-
-  // Compaction: drop components that went quiescent, preserving insertion
-  // order of the survivors. Between ticks the lists are exact.
-  {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < s.active_routers.size(); ++r) {
-      const NodeId n = s.active_routers[r];
-      if (routers_[static_cast<std::size_t>(n)].has_traffic()) {
-        s.active_routers[w++] = n;
-      } else {
-        router_in_set_[static_cast<std::size_t>(n)] = 0;
-      }
+    const NodeId n = s.active_nics[i];
+    inject(s, act, n);
+    Nic& nic = nics_[static_cast<std::size_t>(n)];
+    if (!nic.idle()) {
+      s.active_nics[kept++] = n;
+    } else {
+      nic.set_in_active_set(false);
     }
-    s.active_routers.resize(w);
-    w = 0;
-    for (std::size_t r = 0; r < s.active_nics.size(); ++r) {
-      const NodeId n = s.active_nics[r];
-      if (!nics_[static_cast<std::size_t>(n)].idle()) {
-        s.active_nics[w++] = n;
-      } else {
-        nic_in_set_[static_cast<std::size_t>(n)] = 0;
-      }
-    }
-    s.active_nics.resize(w);
   }
+  s.active_nics.resize(kept);
 }
 
 void MeshNetwork::prefetch_endpoints(const ShardState& s, NodeId n, unsigned granted) const {
@@ -328,7 +320,20 @@ void MeshNetwork::shard_pass_a(ShardState& s) {
   if (span_tracer_ != nullptr && s.span_chunk_ticks == 0) {
     s.span_chunk_start_us = span_tracer_->now_us();
   }
+  enqueue_offers(s);
   run_phases(s, s.act);
+}
+
+void MeshNetwork::enqueue_offers(ShardState& s) {
+  for (const ShardOffer& o : s.offers) {
+    nics_[static_cast<std::size_t>(o.src)].offer_packet(o.slot, o.local);
+    activate_nic(s, o.src);
+  }
+  s.offers.clear();
+}
+
+void MeshNetwork::enqueue_all_offers() {
+  for (ShardState& s : shards_) enqueue_offers(s);
 }
 
 void MeshNetwork::shard_pass_b(ShardState& s) {
@@ -347,11 +352,11 @@ void MeshNetwork::shard_pass_b(ShardState& s) {
         // A tail consumed on arrival leaves the NIC idle: activating it
         // would keep it (and drained()) alive one tick longer than the
         // single-threaded kernel - activate only when work remains.
-        if (!nics_[static_cast<std::size_t>(ev.ep.node)].idle()) activate_nic(ev.ep.node);
+        if (!nics_[static_cast<std::size_t>(ev.ep.node)].idle()) activate_nic(s, ev.ep.node);
       } else {
         routers_[static_cast<std::size_t>(ev.ep.node)].accept_flit(ev.ep.in, ev.flit,
                                                                    ev.arrival);
-        activate_router(ev.ep.node);  // staged flit: has_traffic() by definition
+        activate_router(s, ev.ep.node);  // staged flit: has_traffic() by definition
       }
     }
     inbox.clear();  // reader-cleared; the source is not touching it in pass B
@@ -455,16 +460,24 @@ void MeshNetwork::offer_packet(FlowId flow, Cycle created) {
   pkt.route = f.route;
   pkt.created = created;
   pkt.injected = 0;
+  if (sharded()) {
+    // The NIC side of the offer belongs to the shard owning the source: it
+    // enqueues the packet at the top of its next pass A (the NIC's lines
+    // stay on that shard's core).
+    owner_of(f.src).offers.push_back(ShardOffer{f.src, flow_local(flow), slot});
+    return;
+  }
   nics_[static_cast<std::size_t>(f.src)].offer_packet(slot, flow_local(flow));
-  activate_nic(f.src);
+  activate_nic(shards_.front(), f.src);
 }
 
 bool MeshNetwork::drained() const {
   // Active-set invariant (post-compaction): the lists hold exactly the
   // routers with traffic and the non-idle NICs. Mailboxes and sinks are
-  // always drained by the end of a tick, so shards add no extra terms.
+  // always drained by the end of a tick; a pending offer is a queued packet.
   for (const ShardState& s : shards_) {
-    if (s.credits_in_flight != 0 || !s.active_routers.empty() || !s.active_nics.empty()) {
+    if (s.credits_in_flight != 0 || !s.active_routers.empty() || !s.active_nics.empty() ||
+        !s.offers.empty()) {
       return false;
     }
   }
@@ -514,10 +527,10 @@ void MeshNetwork::deliver(ShardState& s, ActivityCounters& act, const Segment& s
   }
   if (seg.ep.is_nic) {
     accept_at_nic(s, act, seg.ep.node, flit, arrival);
-    activate_nic(seg.ep.node);
+    activate_nic(s, seg.ep.node);
   } else {
     routers_[static_cast<std::size_t>(seg.ep.node)].accept_flit(seg.ep.in, flit, arrival);
-    activate_router(seg.ep.node);
+    activate_router(s, seg.ep.node);
   }
 }
 
@@ -567,6 +580,9 @@ void MeshNetwork::deliver_credit(const SegOrigin& target, VcId vc) {
 // re-derive every credit queue from actual endpoint occupancy.
 
 void MeshNetwork::apply_fault_action(const FaultAction& action) {
+  // Surgery purges, re-queues and drops queued packets: every offered
+  // packet must be in its NIC's queue first.
+  enqueue_all_offers();
   switch (action.kind) {
     case FaultAction::Kind::Kill:
       apply_link_kill(action.node, action.dir);
@@ -853,15 +869,15 @@ void MeshNetwork::rebuild_after_surgery() {
   // Active sets rebuilt from scratch in node order: the rebuilt lists are
   // then independent of the activation history, so post-fault cycles stay
   // shard-count-identical (each shard's list comes out in node order too).
-  std::fill(router_in_set_.begin(), router_in_set_.end(), 0);
-  std::fill(nic_in_set_.begin(), nic_in_set_.end(), 0);
   for (ShardState& s : shards_) {
     s.active_routers.clear();
     s.active_nics.clear();
   }
   for (NodeId n = 0; n < dims.nodes(); ++n) {
-    if (routers_[static_cast<std::size_t>(n)].has_traffic()) activate_router(n);
-    if (!nics_[static_cast<std::size_t>(n)].idle()) activate_nic(n);
+    routers_[static_cast<std::size_t>(n)].set_in_active_set(false);
+    nics_[static_cast<std::size_t>(n)].set_in_active_set(false);
+    if (routers_[static_cast<std::size_t>(n)].has_traffic()) activate_router(owner_of(n), n);
+    if (!nics_[static_cast<std::size_t>(n)].idle()) activate_nic(owner_of(n), n);
   }
 }
 
@@ -982,6 +998,9 @@ StallReport MeshNetwork::stall_report() const {
   r.cycle = now_;
   r.live_packets = pool_.live();
   const NodeId nodes = cfg_.dims().nodes();
+  // A pending offer (sharded protocol, between ticks) is a queued packet
+  // with no backoff.
+  for (const ShardState& s : shards_) r.queued_packets += s.offers.size();
   for (NodeId n = 0; n < nodes; ++n) {
     r.queued_packets +=
         static_cast<std::uint64_t>(nics_[static_cast<std::size_t>(n)].queued_packets());

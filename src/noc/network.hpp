@@ -11,7 +11,13 @@
 // Traversal -> Switch Allocation -> NIC injection. A grant made in SA
 // fires ST the *next* cycle, giving the 3-stage pipeline its +3-per-stop
 // cost (pinned by test_noc_network_timing: 4n+5 cycles for an n-hop
-// baseline-mesh packet, 1 + 3 * stops for SMART).
+// baseline-mesh packet, 1 + 3 * stops for SMART). The kernel walks the
+// active routers twice per cycle: once for Buffer Write, and once for
+// Switch Traversal, Switch Allocation and the router list's compaction,
+// router by router. The fusion is exact: ST writes only other routers'
+// staging, stamped with this cycle, which SA never reads and BW picks up
+// next cycle. Buffer Write keeps its own pass, because a baseline-mesh
+// input can already hold two staged flits when ST delivers into it.
 //
 // Cycle-ahead prefetch: run_phases turns what each stage learns into
 // loads for the next one. A router's decoded heads (buffer_write's mask)
@@ -26,12 +32,14 @@
 // another shard owns (that shard's thread is writing their lines).
 //
 // Scheduling: tick() is event-driven over *active sets*. Routers and NICs
-// join a membership-flagged dirty list when a flit or packet reaches them
-// and leave once quiescent, so a cycle costs O(active components), not
+// join their shard's dirty list when a flit or packet reaches them and
+// leave once quiescent, so a cycle costs O(active components), not
 // O(nodes) - the decisive case for the explorer's low-injection sweep
-// points and the drain phase. In-flight credits sit in a bucketed time
-// wheel indexed by due cycle (delivery pops one bucket per tick), and
-// drained() reduces to three counter reads. Per-cycle results are
+// points and the drain phase. Membership is a flag in the first cache line
+// of each Router and Nic, which only the owning shard writes. In-flight
+// credits sit in a bucketed time wheel indexed by due cycle (delivery pops
+// one bucket per tick), and drained() reduces to four counter reads per
+// shard (credits, both active lists, pending offers). Per-cycle results are
 // bit-identical to the seed's full-scan loop, which lives on as a test
 // oracle (tests/full_scan_kernel.hpp) that the golden determinism matrix
 // runs against this kernel.
@@ -103,7 +111,12 @@ class MeshNetwork final : public Network {
 
   // --- Introspection (tests, benches, power) ----------------------------------
   Router& router(NodeId n) { return routers_.at(static_cast<std::size_t>(n)); }
-  Nic& nic(NodeId n) { return nics_.at(static_cast<std::size_t>(n)); }
+  /// Enqueues the pending offers first, so the NIC shows every offered
+  /// packet (see offer_packet).
+  Nic& nic(NodeId n) {
+    enqueue_all_offers();
+    return nics_.at(static_cast<std::size_t>(n));
+  }
   const SegmentTable& segments() const { return segments_; }
   const PresetTable& presets() const { return presets_; }
   /// The structure-of-arrays packet store: live() == in-flight packets
@@ -160,9 +173,10 @@ class MeshNetwork final : public Network {
   }
 
   // --- Online fault injection (between ticks; no drain, no rebuild) -----------
-  /// Applies one primitive fault action to the live network: preset surgery,
-  /// in-flight purge with full refcount accounting, online reroute of the
-  /// affected flows, bounded retransmission, and a global credit recompute.
+  /// Enqueues the pending offers, then applies one primitive fault action
+  /// to the live network: preset surgery, in-flight purge with full
+  /// refcount accounting, online reroute of the affected flows, bounded
+  /// retransmission, and a global credit recompute.
   /// Between ticks only, so any driver of the tick (the kernels here, the
   /// tests' full-scan oracle) sees the same surgery.
   void apply_fault_action(const FaultAction& action);
@@ -219,10 +233,11 @@ class MeshNetwork final : public Network {
 
   void tick_active_set();
   /// The cycle body shared by the single-shard and sharded kernels: pops
-  /// s's credit-wheel bucket, runs BW/ST/SA/inject over s's active
-  /// components charging `act`, then compacts s's active sets. Forced
-  /// inline so each caller compiles its own copy against its own activity
-  /// target: the single-shard hot path stays free of any shard machinery.
+  /// s's credit-wheel bucket, runs BW, then ST+SA with the router list's
+  /// compaction, then injection with the NIC list's compaction over s's
+  /// active components, charging `act`. Forced inline so each caller
+  /// compiles its own copy against its own activity target: the
+  /// single-shard hot path stays free of any shard machinery.
   [[gnu::always_inline]] inline void run_phases(ShardState& s, ActivityCounters& act);
   /// Prefetches what next cycle's ST out of router `n`'s `granted` outputs
   /// writes: the endpoint router's masks and staging ring, or the endpoint
@@ -230,6 +245,15 @@ class MeshNetwork final : public Network {
   void prefetch_endpoints(const ShardState& s, NodeId n, unsigned granted) const;
 
   // --- Sharded kernel (shard.hpp documents the protocol) -----------------------
+  /// Whether ticks run the sharded protocol (more than one shard, or one
+  /// armed by force_sharded_path).
+  bool sharded() const { return shards_.size() > 1 || force_sharded_; }
+  /// Links s's pending offers into their NICs' queues and activates the
+  /// NICs, in offer order (the top of pass A).
+  void enqueue_offers(ShardState& s);
+  /// enqueue_offers on every shard: between-tick readers of NIC queues and
+  /// active sets call it first.
+  void enqueue_all_offers();
   /// (Re)partitions the mesh into `count` column-slice shards and rewires
   /// the NIC sinks. Requires a quiescent network (constructor, bench
   /// arming).
@@ -271,28 +295,31 @@ class MeshNetwork final : public Network {
   /// clocked ports and rebuilds the active sets in node order.
   void rebuild_after_surgery();
 
-  // Active-set membership. Flags are the O(1) membership test; the
-  // per-shard lists give deterministic (insertion-ordered) iteration.
-  // Components are added when traffic reaches them and compacted away at
-  // end of tick once quiescent, so between ticks the lists hold exactly the
-  // non-quiescent components - which is what makes drained() a counter
-  // check. Activation is always shard-local: boundary deliveries go through
-  // a mailbox and are activated by the owner in pass B.
-  void activate_router(NodeId n) {
-    auto& flag = router_in_set_[static_cast<std::size_t>(n)];
-    if (!flag) {
-      flag = 1;
-      shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(n)])]
-          .active_routers.push_back(n);
+  // Active-set membership. Each Router's and Nic's flag is the O(1)
+  // membership test; the per-shard lists give deterministic
+  // (insertion-ordered) iteration. Components are added when traffic
+  // reaches them and compacted away once quiescent (a router right after
+  // its ST and SA, a NIC after injection), so between ticks the lists hold
+  // exactly the non-quiescent components - which is what makes drained() a
+  // counter check. Activation is always shard-local: `s` owns `n`
+  // (boundary deliveries go through a mailbox and are activated by the
+  // owner in pass B).
+  void activate_router(ShardState& s, NodeId n) {
+    Router& r = routers_[static_cast<std::size_t>(n)];
+    if (!r.in_active_set()) {
+      r.set_in_active_set(true);
+      s.active_routers.push_back(n);
     }
   }
-  void activate_nic(NodeId n) {
-    auto& flag = nic_in_set_[static_cast<std::size_t>(n)];
-    if (!flag) {
-      flag = 1;
-      shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(n)])]
-          .active_nics.push_back(n);
+  void activate_nic(ShardState& s, NodeId n) {
+    Nic& nic = nics_[static_cast<std::size_t>(n)];
+    if (!nic.in_active_set()) {
+      nic.set_in_active_set(true);
+      s.active_nics.push_back(n);
     }
+  }
+  ShardState& owner_of(NodeId n) {
+    return shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(n)])];
   }
 
   static constexpr std::size_t kWheelSize = kCreditWheelSize;
@@ -312,8 +339,6 @@ class MeshNetwork final : public Network {
   std::vector<int> shard_of_;  ///< NodeId -> owning shard (column slices)
   int configured_shards_ = 1;  ///< cfg.shard_threads clamped to the width
   bool force_sharded_ = false;
-  std::vector<std::uint8_t> router_in_set_;
-  std::vector<std::uint8_t> nic_in_set_;
   std::vector<FlowPathInfo> flow_info_;
   FaultSet live_faults_;                     ///< links currently dead
   std::vector<std::uint8_t> flow_degraded_;  ///< flows with unreachable dst

@@ -114,6 +114,11 @@ class alignas(64) Nic {
   /// default) applies every op directly - the single-shard hot path.
   void set_shard_sink(ShardSink* sink) { sink_ = sink; }
 
+  /// The network's active-set membership flag. It sits in the first line,
+  /// which only the shard owning this NIC writes during a tick.
+  bool in_active_set() const { return in_active_set_; }
+  void set_in_active_set(bool on) { in_active_set_ = on; }
+
   // --- Fault engine (cold paths, between ticks) ------------------------------
   /// Re-queues a packet recovered from a fault at the *front* of its flow's
   /// queue for another transmission attempt, held back until `not_before`
@@ -184,6 +189,7 @@ class alignas(64) Nic {
   PacketPool* pool_;
   ShardSink* sink_ = nullptr;  ///< non-null only under the sharded protocol
   std::vector<Assembly> assembling_;   ///< in-progress packets (<= #VCs entries)
+  bool in_active_set_ = false;
 
   // The second line: what inject() and idle() read every cycle.
   alignas(64) std::optional<ActiveTx> active_;

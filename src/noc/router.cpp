@@ -24,8 +24,9 @@ Router::Router(NodeId id, const NocConfig& cfg, const PacketPool* pool)
       id_(id),
       vcs_per_port_(cfg.vcs_per_port),
       pool_(pool) {
-  static_assert(sizeof(Masks) + sizeof(VcBlock) + 2 * sizeof(int) <= 64,
-                "masks, VC block, id and vcs_per_port must share the first cache line");
+  static_assert(sizeof(Masks) + sizeof(VcBlock) + 2 * sizeof(int) + sizeof(bool) <= 64,
+                "masks, VC block, id, vcs_per_port and the active-set flag must share the "
+                "first cache line");
   SMARTNOC_CHECK(pool_ != nullptr, "router needs a packet pool");
   SMARTNOC_CHECK(kNumDirs * vcs_per_port_ <= kMaxArbInputs,
                  "vcs_per_port exceeds the switch-allocation mask width");

@@ -201,6 +201,12 @@ class alignas(64) Router {
   /// Input VCs currently holding at least one flit (StallReport).
   int occupied_vcs() const;
 
+  // --- Scheduling ------------------------------------------------------------
+  /// The network's active-set membership flag. It sits in the first line,
+  /// which only the shard owning this router writes during a tick.
+  bool in_active_set() const { return in_active_set_; }
+  void set_in_active_set(bool on) { in_active_set_ = on; }
+
  private:
   struct StagedFlit {
     FlitRef flit;
@@ -254,13 +260,14 @@ class alignas(64) Router {
   Masks derive_masks() const;
 
   // The first cache line holds what every phase and accept_flit read:
-  // the masks, the VC block and the VC index stride.
+  // the masks, the VC block, the VC index stride and the active-set flag.
   Masks masks_;
   VcBlock vcs_;  ///< every input VC, input-major (index vc_index)
   NodeId id_;
   int vcs_per_port_;
-  const PacketPool* pool_;  ///< route decode at BW (the one payload read)
+  bool in_active_set_ = false;
   Cycle stall_until_ = 0;  ///< switch allocation frozen through this cycle
+  const PacketPool* pool_;  ///< route decode at BW (the one payload read)
   std::array<InputPort, kNumDirs> inputs_;
   std::array<OutputPort, kNumDirs> outputs_;
 };

@@ -6,11 +6,14 @@
 // credit time wheel. A tick runs in two parallel passes separated by a
 // barrier:
 //
-//   pass A  - each shard runs the five kernel phases over its own components.
-//             A flit whose segment endpoint lies in another shard is not
-//             applied directly: it is appended to an outbox (a mailbox of
-//             16 B FlitRefs) addressed to the owner. Credits for a remote
-//             origin go to a remote-credit list.
+//   pass A  - each shard first links the packets offered to its NICs since
+//             the last tick into their source queues and activates those
+//             NICs, in offer order (the traffic generator files them
+//             serially, in (due, flow) order). Then it runs the kernel
+//             phases over its own components. A flit whose segment endpoint
+//             lies in another shard is not applied directly: it is appended
+//             to an outbox (a mailbox of 16 B FlitRefs) addressed to the
+//             owner. Credits for a remote origin go to a remote-credit list.
 //   barrier
 //   pass B  - each shard drains the inboxes addressed to it (in source-shard
 //             order, so the result is independent of thread timing) and
@@ -23,6 +26,10 @@
 //             delivery records, and routes remote credits into their owners'
 //             wheels (credits are due >= now+1, so epilogue placement is
 //             timing-exact).
+//
+// Every component, its active-set flag included, is written during a tick
+// by its owning shard only, so no cache line of a router or NIC moves
+// between cores.
 //
 // The active-set kernel is order-free within a cycle (each input port
 // receives at most one flit per cycle, each free-VC queue at most one credit,
@@ -96,6 +103,16 @@ struct ShardFlitEvent {
   Cycle arrival = 0;
 };
 
+/// A packet offered between ticks to a NIC of this shard. The offer's
+/// counters, id, pool slot and payload are filled serially; the owning
+/// shard links it into the NIC's queue and activates the NIC at the top of
+/// its next pass A.
+struct ShardOffer {
+  NodeId src = kInvalidNode;
+  std::int32_t local = -1;  ///< the flow's index at its source NIC
+  PacketSlot slot = kInvalidSlot;
+};
+
 /// A credit whose target origin lives in another shard; the epilogue pushes
 /// it into the owner's wheel.
 struct ShardRemoteCredit {
@@ -113,6 +130,7 @@ struct alignas(64) ShardState {
   std::vector<NodeId> active_nics;
   std::array<std::vector<InFlightCredit>, kCreditWheelSize> wheel;
   std::size_t credits_in_flight = 0;
+  std::vector<ShardOffer> offers;  ///< filled between ticks, enqueued in pass A
 
   // Per-tick outputs, consumed between the barrier and the next tick.
   ActivityCounters act;                              ///< merged + reset in the epilogue

@@ -1,6 +1,7 @@
 #include "noc/traffic.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -33,13 +34,14 @@ TrafficEngine::TrafficEngine(const NocConfig& cfg, const FlowSet& flows, std::ui
   }
 }
 
-Cycle TrafficEngine::draw_gap(Gen& g) {
+Cycle TrafficEngine::draw_gap(std::uint32_t gi) {
+  Gen& g = gens_[gi];
   if (g.p >= 1.0) return 1;
   draws_ += 1;
   const double u = g.rng.uniform();
   // Inverse CDF of the geometric distribution: the first success of a
   // Bernoulli(p) sequence lands on draw 1 + floor(log(1-u)/log(1-p)).
-  const double gap = std::floor(std::log1p(-u) / std::log1p(-g.p));
+  const double gap = std::floor(std::log1p(-u) / slots_[gi].log_q);
   // Clamp pathological tails (u ~ 1 at tiny p) to a finite horizon well
   // beyond any simulation window instead of overflowing Cycle.
   constexpr double kMaxGap = 1e15;
@@ -47,37 +49,75 @@ Cycle TrafficEngine::draw_gap(Gen& g) {
 }
 
 void TrafficEngine::schedule(std::uint32_t gi, Cycle from) {
-  Gen& g = gens_[gi];
-  if (g.p <= 0.0) return;  // rate-0 flow: never fires, never enters the heap
-  heap_.push_back(DueEntry{from + draw_gap(g) - 1, gi});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  if (gens_[gi].p <= 0.0) return;  // rate-0 flow: never fires, never enters the wheel
+  Slot& slot = slots_[gi];
+  slot.due = from + draw_gap(gi) - 1;
+  std::uint32_t& head = heads_[static_cast<std::size_t>(slot.due) & wheel_mask_];
+  slot.next = head;
+  head = gi;
+}
+
+template <typename Take>
+void TrafficEngine::unlink_bucket(std::size_t b, Take&& take) {
+  std::uint32_t* link = &heads_[b];
+  while (*link != kNone) {
+    Slot& slot = slots_[*link];
+    if (take(slot.due)) {
+      picked_.push_back(*link);
+      *link = slot.next;
+    } else {
+      link = &slot.next;
+    }
+  }
 }
 
 void TrafficEngine::generate(Network& net) {
   if (!enabled_) return;
   const Cycle now = net.now();
-  if (!heap_primed_) {
-    // First call: every flow draws its gap from here; due >= now keeps the
-    // "can fire on the very first cycle" property of the per-cycle draw.
-    heap_.reserve(gens_.size());
-    for (std::uint32_t i = 0; i < gens_.size(); ++i) schedule(i, now);
-    heap_primed_ = true;
-  }
-  while (!heap_.empty() && heap_.front().due <= now) {
-    const DueEntry e = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    heap_.pop_back();
-    if (e.due == now) {
-      net.offer_packet(gens_[e.gen].id, now);
-      generated_ += 1;
-      schedule(e.gen, now + 1);
-    } else {
-      // due < now: the flow's slot passed while generation was disabled.
-      // The per-cycle process would simply have drawn nothing in between;
-      // mirror that by re-drawing the gap forward from the present.
-      schedule(e.gen, now);
+  if (heads_.empty()) {
+    // First call: two buckets per flow, and at least 4096 (16 KB), so a
+    // bucket holds the flows due now plus, on average, at most one flow in
+    // two due a whole span or more later, which the visit walks past. Then
+    // every flow draws its gap from here; due >= now keeps the "can fire
+    // on the very first cycle" property of the per-cycle draw.
+    constexpr std::size_t kMinSpan = 4096;
+    constexpr std::size_t kMaxSpan = std::size_t{1} << 16;
+    const std::size_t span = std::clamp(std::bit_ceil(gens_.size() * 2), kMinSpan, kMaxSpan);
+    heads_.assign(span, kNone);
+    wheel_mask_ = span - 1;
+    slots_.resize(gens_.size());
+    for (std::uint32_t i = 0; i < gens_.size(); ++i) {
+      slots_[i].log_q = std::log1p(-gens_[i].p);
+      schedule(i, now);
     }
+    next_cycle_ = now;
+  } else if (now > next_cycle_) {
+    // Cycles [next_cycle_, now) passed while generation was disabled. The
+    // per-cycle process would simply have drawn nothing in between; mirror
+    // that by re-drawing the gap of every flow whose slot passed forward
+    // from the present (per-flow streams: the order of these draws is
+    // immaterial).
+    const Cycle passed = std::min<Cycle>(now - next_cycle_, heads_.size());
+    for (Cycle c = next_cycle_; c < next_cycle_ + passed; ++c) {
+      unlink_bucket(static_cast<std::size_t>(c) & wheel_mask_,
+                    [now](Cycle due) { return due < now; });
+    }
+    for (const std::uint32_t gi : picked_) schedule(gi, now);
+    picked_.clear();
   }
+  next_cycle_ = now + 1;
+  unlink_bucket(static_cast<std::size_t>(now) & wheel_mask_,
+                [now](Cycle due) { return due == now; });
+  if (picked_.empty()) return;
+  // A bucket lists its flows in filing order; same-cycle packets go out in
+  // flow-registration order, as a per-cycle loop over the flows offers them.
+  if (picked_.size() > 1) std::sort(picked_.begin(), picked_.end());
+  for (const std::uint32_t gi : picked_) {
+    net.offer_packet(gens_[gi].id, now);
+    generated_ += 1;
+    schedule(gi, now + 1);
+  }
+  picked_.clear();
 }
 
 const char* synthetic_name(SyntheticPattern p) {

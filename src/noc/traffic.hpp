@@ -27,9 +27,11 @@ namespace smartnoc::noc {
 
 /// The Bernoulli process by geometric skip-ahead: one uniform per *packet*
 /// draws the gap to the flow's next packet (inverse CDF of the geometric
-/// distribution), and a min-heap of per-flow due cycles makes generation
-/// O(packets * log flows). Statistically the same process as one uniform
-/// draw per flow per cycle (the seed's loop, kept as an oracle in
+/// distribution), and a calendar wheel of per-flow due cycles makes
+/// generation O(packets): a cycle visits one bucket, which holds the flows
+/// due then plus, on average, at most one flow in two due a whole wheel
+/// span or more later. Statistically the same process as one uniform draw
+/// per flow per cycle (the seed's loop, kept as an oracle in
 /// test_traffic_gap), but a different realization at equal seeds: each
 /// flow's stream (make_stream(seed, flow id)) is consumed per packet.
 class TrafficEngine {
@@ -57,23 +59,32 @@ class TrafficEngine {
     double p;  // packets per cycle
     Xoshiro256 rng;
   };
-  /// (due cycle, gens_ index) min-heap entry; index order breaks ties so
-  /// same-cycle packets pop in flow-registration order, as a per-cycle
-  /// loop over the flows would offer them.
-  struct DueEntry {
-    Cycle due;
-    std::uint32_t gen;
-    friend bool operator>(const DueEntry& a, const DueEntry& b) {
-      return a.due != b.due ? a.due > b.due : a.gen > b.gen;
-    }
+  /// A flow's place on the calendar wheel, beside the divisor its draws
+  /// use. Built at the first generate(): constructing an engine allocates
+  /// one Gen per flow and nothing else.
+  struct Slot {
+    Cycle due;           ///< the cycle of the flow's next packet
+    double log_q;        ///< log1p(-p), the inverse CDF's divisor
+    std::uint32_t next;  ///< next flow in the same bucket (kNone ends)
   };
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
-  Cycle draw_gap(Gen& g);                 ///< geometric gap >= 1 (one uniform)
-  void schedule(std::uint32_t gi, Cycle from);  ///< push next due >= from
+  Cycle draw_gap(std::uint32_t gi);             ///< geometric gap >= 1 (one uniform)
+  void schedule(std::uint32_t gi, Cycle from);  ///< files the next due >= from
+  /// Unlinks the flows of bucket `b` whose due cycle `take` accepts and
+  /// appends their indices to `picked_`.
+  template <typename Take>
+  void unlink_bucket(std::size_t b, Take&& take);
 
   std::vector<Gen> gens_;
-  std::vector<DueEntry> heap_;            ///< per-flow due cycles (min-heap)
-  bool heap_primed_ = false;              ///< first-generate lazy init done
+  /// The calendar wheel, built at the first generate(): bucket
+  /// (due & wheel_mask_) heads an intrusive list through Slot::next. Every
+  /// listed due cycle is >= next_cycle_, the first cycle not yet visited.
+  std::vector<Slot> slots_;  ///< by gens_ index
+  std::vector<std::uint32_t> heads_;
+  std::size_t wheel_mask_ = 0;
+  Cycle next_cycle_ = 0;
+  std::vector<std::uint32_t> picked_;  ///< one visit's flows (gens_ indices)
   bool enabled_ = true;
   std::uint64_t generated_ = 0;
   std::uint64_t draws_ = 0;

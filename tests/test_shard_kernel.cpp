@@ -1,7 +1,8 @@
 // Unit tests for the sharded parallel cycle kernel: column partitioning,
 // cross-shard SMART bypass chains (the hard case - a single-cycle multi-hop
 // traversal spanning several shards), the armed-at-one-shard bench path,
-// parallel-vs-serial bit identity under load, per-shard telemetry and the
+// parallel-vs-serial bit identity under load, offers still pending in
+// their shard at a fault or a drain check, per-shard telemetry and the
 // span-tracer lanes. The broad bit-identity matrix lives in
 // test_golden_determinism.cpp (GoldenShards); this file covers the kernel's
 // edges directly. Also the TSan target: ParallelMatchesSingleShard drives
@@ -234,6 +235,95 @@ TEST(ShardKernel, ObservedShardsMatchSingleShard) {
   expect_same_flows(sharded_stats, serial_stats, "8x8@4shards observed");
   EXPECT_GT(serial_obs.ejected, 0u);
   EXPECT_EQ(sharded_obs.ejected, serial_obs.ejected);
+}
+
+/// What an offer-then-fault run leaves behind, for comparing shard counts.
+struct OfferFaultRun {
+  bool drained = false;
+  Cycle end = 0;
+  noc::FaultCounters faults;
+  noc::ActivityCounters act;
+  std::vector<std::uint64_t> packets;   ///< per flow
+  std::vector<std::uint64_t> latency;   ///< per flow, summed network latency
+};
+
+// Under the sharded protocol an offer reaches its NIC's queue at the top of
+// the owning shard's next pass A. A fault between the offer and that tick
+// must still see the packet queued: the reroute rewrites queued routes and
+// the purge re-queues packets in front of them. Packets offered on flow 0
+// (row 0, west to east across the shard boundary) just before its row's
+// link dies must come out exactly as on one shard.
+TEST(ShardKernel, OfferThenFaultBeforeTickMatchesSingleShard) {
+  auto run = [](int shards) {
+    NocConfig cfg = mesh8_config();
+    cfg.shard_threads = shards;
+    noc::FlowSet flows;
+    for (const auto& [src, dst] : {std::pair<NodeId, NodeId>{0, 7}, {8, 15}, {3, 59}}) {
+      flows.add(src, dst, 100.0, noc::xy_path(cfg.dims(), src, dst));
+    }
+    auto made = smart::make_smart_network(cfg, std::move(flows));
+    noc::MeshNetwork& net = *made.net;
+    net.offer_packet(0, net.now());
+    net.offer_packet(1, net.now());
+    net.offer_packet(2, net.now());
+    for (int c = 0; c < 3; ++c) net.tick();
+    for (int k = 0; k < 3; ++k) net.offer_packet(0, net.now());
+    net.offer_packet(1, net.now());
+    noc::FaultAction kill;
+    kill.kind = noc::FaultAction::Kind::Kill;
+    kill.node = 2;  // row 0, on flow 0's route
+    kill.dir = Dir::East;
+    net.apply_fault_action(kill);
+    OfferFaultRun r;
+    r.drained = testing::run_to_drain(net);
+    r.end = net.now();
+    r.faults = net.stats().faults();
+    r.act = net.stats().activity();
+    for (const noc::FlowStats& fs : net.stats().per_flow()) {
+      r.packets.push_back(fs.packets);
+      r.latency.push_back(fs.sum_network_latency);
+    }
+    return r;
+  };
+  const OfferFaultRun one = run(1);
+  const OfferFaultRun two = run(2);
+  ASSERT_TRUE(one.drained);
+  EXPECT_EQ(one.faults.flows_rerouted, 1u);
+  EXPECT_EQ(one.faults.packets_dropped, 0u);
+  EXPECT_EQ(one.packets, (std::vector<std::uint64_t>{4, 2, 1}));
+  EXPECT_EQ(two.drained, one.drained);
+  EXPECT_EQ(two.end, one.end);
+  EXPECT_EQ(two.packets, one.packets);
+  EXPECT_EQ(two.latency, one.latency);
+  EXPECT_EQ(two.faults.packets_offered, one.faults.packets_offered);
+  EXPECT_EQ(two.faults.packets_retransmitted, one.faults.packets_retransmitted);
+  EXPECT_EQ(two.faults.flits_purged, one.faults.flits_purged);
+  EXPECT_EQ(two.faults.flows_rerouted, one.faults.flows_rerouted);
+  EXPECT_EQ(two.faults.chains_truncated, one.faults.chains_truncated);
+  EXPECT_EQ(two.act.buffer_writes, one.act.buffer_writes);
+  EXPECT_EQ(two.act.xbar_flit_traversals, one.act.xbar_flit_traversals);
+  EXPECT_EQ(two.act.link_flit_mm, one.act.link_flit_mm);
+}
+
+// An offer that its shard has not yet enqueued is a queued packet: the
+// network is not drained and the stall report counts it, until the next
+// tick enqueues it and the packet drains through the fabric.
+TEST(ShardKernel, PendingOffersKeepTheNetworkUndrained) {
+  NocConfig cfg = mesh8_config();
+  cfg.shard_threads = 2;
+  auto made = smart::make_smart_network(cfg, testing::one_flow(cfg, 6, 1));
+  noc::MeshNetwork& net = *made.net;
+  ASSERT_TRUE(net.drained());
+  net.offer_packet(0, net.now());
+  net.offer_packet(0, net.now());
+  EXPECT_FALSE(net.drained());
+  EXPECT_EQ(net.stall_report().queued_packets, 2u);
+  EXPECT_EQ(net.packet_pool().live(), 2u);
+  net.tick();
+  EXPECT_FALSE(net.drained());
+  EXPECT_TRUE(testing::run_to_drain(net));
+  EXPECT_EQ(net.stats().total_packets(), 2u);
+  EXPECT_EQ(net.packet_pool().live(), 0u);
 }
 
 TEST(ShardKernel, TelemetryCountsTicks) {

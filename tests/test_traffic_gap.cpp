@@ -137,6 +137,63 @@ TEST(GapSkip, PacketsArriveInCycleAndFlowOrder) {
   }
 }
 
+// Session phases switch generation off (drain) and back on. Re-enabling
+// re-draws the gap of every flow whose due cycle passed meanwhile, from the
+// present, exactly once. This pins the exact (cycle, flow) trace of such a
+// run, recorded from the binary-heap engine that preceded the calendar
+// wheel: a 5000-cycle pause (longer than this run's 4096-cycle wheel span),
+// a 20-cycle pause over a due packet, and a flow (rate 0.0002) whose gaps
+// exceed the span.
+TEST(GapSkip, ReenabledEngineRedrawsPassedSlots) {
+  const NocConfig cfg = NocConfig::paper_4x4();
+  const MeshDims dims = cfg.dims();
+  FlowSet flows;
+  const double rates[] = {0.004, 0.002, 0.0002, 0.0001, 0.003};
+  const NodeId src[] = {0, 5, 10, 15, 3};
+  const NodeId dst[] = {15, 6, 1, 0, 12};
+  for (int i = 0; i < 5; ++i) {
+    flows.add(src[i], dst[i], mbps_for_packets_per_cycle(cfg, rates[i]),
+              xy_path(dims, src[i], dst[i]));
+  }
+  SinkNet net(cfg);
+  TrafficEngine engine(cfg, flows, 77);
+  const auto enabled = [](Cycle t) {
+    return !((t > 3000 && t <= 8000) || (t > 11080 && t <= 11100));
+  };
+  for (Cycle t = 1; t <= 22'000; ++t) {
+    net.tick();
+    engine.set_enabled(enabled(t));
+    engine.generate(net);
+  }
+  const std::vector<TraceEntry> expected = {
+      {36, 0}, {133, 0}, {208, 0}, {259, 0}, {325, 4}, {363, 1}, {375, 2}, {418, 4}, {495, 0},
+      {523, 1}, {540, 4}, {628, 4}, {795, 0}, {971, 0}, {1092, 0}, {1160, 0}, {1244, 4}, {1464, 0},
+      {1485, 0}, {1675, 0}, {1733, 0}, {2178, 0}, {2196, 0}, {2198, 0}, {2224, 0}, {2369, 1},
+      {2448, 4}, {2510, 4}, {2590, 0}, {2681, 4}, {2694, 3}, {2757, 1}, {2839, 4}, {2865, 0},
+      {2880, 4}, {2931, 4}, {2976, 4}, {8226, 0}, {8332, 4}, {8377, 0}, {8413, 1}, {8499, 0},
+      {8614, 4}, {8822, 0}, {9089, 1}, {9161, 1}, {9169, 4}, {9187, 0}, {9451, 4}, {9506, 4},
+      {9656, 4}, {9710, 0}, {9777, 1}, {9855, 1}, {9868, 4}, {9889, 1}, {9985, 0}, {10101, 0},
+      {10109, 4}, {10133, 0}, {10305, 4}, {10420, 0}, {10462, 4}, {10589, 0}, {10665, 0},
+      {10721, 1}, {10880, 0}, {10884, 0}, {10935, 0}, {11175, 4}, {11382, 0}, {11478, 4},
+      {11514, 0}, {11811, 4}, {11874, 0}, {12003, 1}, {12036, 1}, {12170, 1}, {12443, 4},
+      {12517, 0}, {12549, 2}, {12578, 1}, {12800, 4}, {12853, 0}, {12928, 4}, {13053, 4},
+      {13241, 4}, {13269, 0}, {13492, 0}, {13502, 4}, {13537, 4}, {13628, 4}, {13682, 4},
+      {14029, 4}, {14086, 4}, {14123, 1}, {14145, 0}, {14280, 4}, {14316, 0}, {14508, 0},
+      {14545, 1}, {14726, 1}, {14732, 4}, {15404, 4}, {15529, 1}, {15786, 1}, {15866, 4},
+      {16110, 0}, {16111, 0}, {16200, 0}, {16285, 0}, {16439, 1}, {16461, 4}, {16667, 0},
+      {16728, 4}, {16753, 4}, {16786, 4}, {16979, 1}, {17042, 0}, {17049, 0}, {17058, 4},
+      {17134, 1}, {17262, 0}, {17676, 1}, {17780, 0}, {17837, 0}, {17961, 4}, {18302, 4},
+      {18435, 4}, {18459, 0}, {18660, 4}, {18679, 0}, {18709, 4}, {18770, 0}, {18952, 0},
+      {19005, 0}, {19463, 4}, {19867, 0}, {19894, 1}, {19961, 0}, {20106, 0}, {20166, 4},
+      {20421, 4}, {20474, 0}, {20673, 4}, {20865, 1}, {21123, 0}, {21444, 0}, {21656, 0},
+      {21791, 0}, {21819, 0}, {21822, 1}, {21898, 1}, {21900, 4}};
+  EXPECT_EQ(net.offered, expected);
+  EXPECT_EQ(engine.generated(), 154u);
+  // One draw per packet, one per flow for the first gap and one per
+  // passed slot re-drawn on re-enable (six here).
+  EXPECT_EQ(engine.rng_draws(), 165u);
+}
+
 TEST(GapSkip, LiveRunMatchesReplayExactly) {
   const NocConfig cfg = small_cfg();
   auto mk = [&] {
