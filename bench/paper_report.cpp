@@ -38,7 +38,6 @@
 #include "noc/traffic.hpp"
 #include "power/energy_model.hpp"
 #include "sim/runner.hpp"
-#include "smart/reconfig.hpp"
 #include "smart/smart_network.hpp"
 #include "tools/noc_generator.hpp"
 
@@ -249,26 +248,51 @@ Output fig1(const Paper& paper) {
   NocConfig cfg = NocConfig::paper_4x4();
   cfg.warmup_cycles = 5'000;
   cfg.measure_cycles = 100'000;
-  smart::ReconfigManager mgr(cfg, /*single_config_core=*/true);
+  const mapping::SocApp apps[] = {mapping::SocApp::WLAN, mapping::SocApp::H264,
+                                  mapping::SocApp::VOPD};
+  // One session runs the apps back to back, each with the classic
+  // warmup/measure/drain phases. Entering an app's first phase is the Fig. 1
+  // switch: drain, the store program diffed against the live register bank,
+  // and a network built from the decoded registers.
+  sim::ScenarioSpec spec;
+  spec.name = "fig1";
+  spec.design = Design::Smart;
+  spec.config = cfg;
+  spec.single_config_core = true;
+  for (mapping::SocApp app : apps) {
+    std::vector<sim::PhaseSpec> phases = sim::classic_phases(cfg);
+    phases.front().workload = mapping::app_name(app);
+    phases.front().injection = 1.0;
+    spec.phases.insert(spec.phases.end(), phases.begin(), phases.end());
+  }
+  sim::Session session(std::move(spec));
 
   TextTable mesh({"App", "mesh (== / \" : links reachable in a single cycle via preset bypass)"});
   TextTable t({"App", "drain (cyc)", "stores", "stores (paper)", "store cyc",
                "total reconfig (cyc)", "total reconfig (paper)", "stop-free flows",
                "avg latency (cyc)"});
-  for (mapping::SocApp app :
-       {mapping::SocApp::WLAN, mapping::SocApp::H264, mapping::SocApp::VOPD}) {
+  for (mapping::SocApp app : apps) {
     const char* name = mapping::app_name(app);
-    const auto mapped = mapping::map_app(app, cfg);
-    const auto cost = mgr.reconfigure(mapped.flows);
-    for (std::string& line : draw_mesh(mgr.network())) mesh.add_row({name, std::move(line)});
+    const auto run_phase = [&]() -> const sim::PhaseResult& {
+      const sim::PhaseResult& r = session.run_phase();
+      if (!r.ok) throw std::runtime_error(std::string(name) + " on SMART: " + r.error);
+      return r;
+    };
+    const sim::PhaseResult& warmup = run_phase();
+    run_phase();
+    const sim::PhaseResult& drain = run_phase();
+    const sim::ReconfigEvent& cost = warmup.reconfig;
+    const noc::MeshNetwork& net = *session.mesh_network();
+    for (std::string& line : draw_mesh(net)) mesh.add_row({name, std::move(line)});
 
     int stop_free = 0;
-    for (const auto& stops : mgr.presets().stops_per_flow) stop_free += stops.empty() ? 1 : 0;
-    const double latency = run_design(mgr.network(), mapped.cfg, name, "SMART").latency;
+    for (FlowId f = 0; f < net.flows().size(); ++f) {
+      stop_free += net.flow_info(f).stops.empty() ? 1 : 0;
+    }
     t.add_row({name, count(cost.drain_cycles), strf("%d", cost.stores),
                paper_value(paper, "stores"), count(cost.store_cycles), count(cost.total()),
                paper_value(paper, "total reconfig"),
-               strf("%d/%d", stop_free, mgr.network().flows().size()), fixed(latency)});
+               strf("%d/%d", stop_free, net.flows().size()), fixed(drain.avg_network_latency)});
   }
   return {{{"mesh", "Figure 1: single-cycle links after each reconfiguration", std::move(mesh)},
            {"", "Figure 1: runtime reconfiguration across three applications", std::move(t)}}};

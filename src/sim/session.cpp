@@ -31,6 +31,12 @@ double seconds_since(ProfClock::time_point t0) {
   return std::chrono::duration<double>(ProfClock::now() - t0).count();
 }
 
+/// The cycles a phase may run: its duration, or for an unbounded drain
+/// phase the configured drain timeout.
+Cycle phase_bound(const PhaseSpec& ph, Cycle drain_timeout) {
+  return ph.drain && ph.cycles == 0 ? drain_timeout : ph.cycles;
+}
+
 }  // namespace
 
 noc::FaultSet draw_link_faults(const MeshDims& dims, double rate, std::uint64_t seed) {
@@ -66,6 +72,9 @@ noc::FlowSet reroute_around_faults(const MeshDims& dims, const noc::FlowSet& flo
 Session::Session(ScenarioSpec spec) : spec_(std::move(spec)), owning_(true) {
   spec_.validate();
   resolve_phases();
+  // Each phase appends exactly one record: references handed out by
+  // run_phase() and completed() stay valid for the session's lifetime.
+  results_.reserve(phases().size());
   fault_schedule_ = noc::FaultSchedule(spec_.fault_events);
   fault_next_ = fault_schedule_.next_cycle();
   if (spec_.telemetry.enabled()) {
@@ -104,6 +113,7 @@ Session::Session(noc::Network& net, Workload& source, std::vector<PhaseSpec> pha
     resolved_[i].injection = spec_.phases[i].injection;
     resolved_[i].new_era = false;
   }
+  results_.reserve(spec_.phases.size());
 }
 
 void Session::resolve_phases() {
@@ -301,6 +311,7 @@ void Session::begin_phase() {
   if (phase_started_) return;
   const PhaseSpec& ph = phases()[phase_index_];
   const Resolved& rv = resolved_[phase_index_];
+  phase_cycles_ = 0;  // a phase that fails to start ran no cycles
   if (owning_ && rv.new_era) {
     switch_era(rv);  // throws on failure; step() converts to a failed phase
   }
@@ -317,79 +328,66 @@ void Session::begin_phase() {
     if (probe_ != nullptr) probe_->window_reset();
   }
   phase_gen_before_ = source_->generated();
-  phase_cycles_ = 0;
   phase_started_ = true;
 }
 
-void Session::fail_phase(const PhaseSpec& ph, const Resolved& rv, const std::string& why) {
-  PhaseResult r;
-  r.name = ph.name;
-  r.workload = rv.workload;
-  r.injection = rv.injection;
-  r.ok = false;
-  r.error = why;
-  r.drain = ph.drain;
-  r.drained = false;
-  r.cycles_run = phase_cycles_;
-  r.reconfig = std::exchange(pending_reconfig_, {});
-  r.dropped_flows = std::exchange(pending_dropped_, 0);
-  r.wall_seconds = std::exchange(phase_wall_seconds_, 0.0);
-  results_.push_back(std::move(r));
-  failed_ = true;
-  if (error_.empty()) error_ = why;
-  phase_index_ += 1;
-  phase_started_ = false;
-}
-
-void Session::finalize_phase(const PhaseSpec& ph, const Resolved& rv) {
+void Session::end_phase(const PhaseSpec& ph, const Resolved& rv, const std::string* failure) {
   PhaseResult r;
   r.name = ph.name;
   r.workload = rv.workload;
   r.injection = rv.injection;
   r.cycles_run = phase_cycles_;
-  r.measured = ph.measure;
   r.drain = ph.drain;
   r.reconfig = std::exchange(pending_reconfig_, {});
   r.dropped_flows = std::exchange(pending_dropped_, 0);
   r.wall_seconds = std::exchange(phase_wall_seconds_, 0.0);
-  if (ph.measure) {
-    window_measured_ += phase_cycles_;
-    net_->stats().measured_cycles = window_measured_;
-  }
-  r.packets_generated = source_->generated() - phase_gen_before_;
-  r.activity = net_->stats().activity();
-
-  const noc::NetworkStats& stats = net_->stats();
-  r.packets_delivered = stats.total_packets();
-  r.avg_network_latency = stats.avg_network_latency();
-  r.avg_total_latency = stats.avg_total_latency();
-  r.p50_network_latency = stats.latency_percentile(50.0);
-  r.p99_network_latency = stats.latency_percentile(99.0);
-  for (const noc::FlowStats& fs : stats.per_flow()) {
-    if (fs.max_network_latency > r.max_network_latency) {
-      r.max_network_latency = fs.max_network_latency;
+  if (failure != nullptr) {
+    r.ok = false;
+    r.error = *failure;
+    r.drained = false;
+  } else {
+    r.measured = ph.measure;
+    if (ph.measure) {
+      window_measured_ += phase_cycles_;
+      net_->stats().measured_cycles = window_measured_;
     }
-  }
-  r.delivered_packets_per_cycle =
-      window_measured_
-          ? static_cast<double>(r.packets_delivered) / static_cast<double>(window_measured_)
-          : 0.0;
+    r.packets_generated = source_->generated() - phase_gen_before_;
+    r.activity = net_->stats().activity();
 
-  if (ph.drain) {
-    r.drained = net_->drained();
-    if (!r.drained) {
-      // A non-drained network means packets from the measurement window
-      // never arrived; the statistics above are censored. Surface the
-      // timeout as a failure uniformly (Session, run_simulation and the
-      // explorer all report this same way).
-      const Cycle bound = ph.cycles > 0 ? ph.cycles : spec_.config.drain_timeout;
-      r.ok = false;
-      r.error = drain_timeout_error(bound, net_->stall_report().summary());
-      failed_ = true;
-      if (error_.empty()) error_ = r.error;
+    const noc::NetworkStats& stats = net_->stats();
+    r.packets_delivered = stats.total_packets();
+    r.avg_network_latency = stats.avg_network_latency();
+    r.avg_total_latency = stats.avg_total_latency();
+    r.p50_network_latency = stats.latency_percentile(50.0);
+    r.p99_network_latency = stats.latency_percentile(99.0);
+    for (const noc::FlowStats& fs : stats.per_flow()) {
+      if (fs.max_network_latency > r.max_network_latency) {
+        r.max_network_latency = fs.max_network_latency;
+      }
     }
+    r.delivered_packets_per_cycle =
+        window_measured_
+            ? static_cast<double>(r.packets_delivered) / static_cast<double>(window_measured_)
+            : 0.0;
+
+    if (ph.drain) {
+      r.drained = net_->drained();
+      if (!r.drained) {
+        // A non-drained network means packets from the measurement window
+        // never arrived; the statistics above are censored. Surface the
+        // timeout as a failure uniformly (Session, run_simulation and the
+        // explorer all report this same way).
+        r.ok = false;
+        r.error = drain_timeout_error(phase_bound(ph, spec_.config.drain_timeout),
+                                      net_->stall_report().summary());
+      }
+    }
+    report_progress(ph);
   }
-  report_progress(ph);
+  if (!r.ok) {
+    failed_ = true;
+    if (error_.empty()) error_ = r.error;
+  }
   results_.push_back(std::move(r));
   phase_index_ += 1;
   phase_started_ = false;
@@ -468,55 +466,40 @@ Cycle Session::step(Cycle n) {
     try {
       begin_phase();
     } catch (const std::exception& e) {
-      fail_phase(ph, rv, e.what());
+      const std::string why = e.what();
+      end_phase(ph, rv, &why);
       return 0;
     }
   }
 
+  // One loop for every phase kind: a drain phase also stops once the
+  // network empties, and only a traffic phase generates.
+  const bool drain = ph.drain;
+  const bool generate = !drain && ph.traffic;
+  const Cycle bound = phase_bound(ph, spec_.config.drain_timeout);
+  double& profile_seconds = drain ? profile_.drain_seconds : profile_.traffic_seconds;
+  std::uint64_t& profile_cycles = drain ? profile_.drain_cycles : profile_.traffic_cycles;
   Cycle advanced = 0;
-  std::string wd_why;
-  bool wd_tripped = false;
+  std::string stalled;  // the watchdog's diagnosis, once it trips
   const auto t0 = ProfClock::now();
-  if (ph.drain) {
-    const Cycle bound = ph.cycles > 0 ? ph.cycles : spec_.config.drain_timeout;
-    while (advanced < n && phase_cycles_ < bound && !net_->drained()) {
-      net_->tick();
-      phase_cycles_ += 1;
-      session_cycles_ += 1;
-      advanced += 1;
-      fire_due_faults();
-      if (watchdog_tripped(wd_why)) {
-        wd_tripped = true;
-        break;
-      }
-      if (progress_every_ && phase_cycles_ % progress_every_ == 0) report_progress(ph);
-    }
-    const double dt = seconds_since(t0);
-    profile_.drain_seconds += dt;
-    profile_.drain_cycles += advanced;
-    phase_wall_seconds_ += dt;
-    if (wd_tripped) fail_phase(ph, rv, wd_why);
-    else if (net_->drained() || phase_cycles_ >= bound) finalize_phase(ph, rv);
-  } else {
-    while (advanced < n && phase_cycles_ < ph.cycles) {
-      net_->tick();
-      if (ph.traffic) source_->generate(*net_);
-      phase_cycles_ += 1;
-      session_cycles_ += 1;
-      advanced += 1;
-      fire_due_faults();
-      if (watchdog_tripped(wd_why)) {
-        wd_tripped = true;
-        break;
-      }
-      if (progress_every_ && phase_cycles_ % progress_every_ == 0) report_progress(ph);
-    }
-    const double dt = seconds_since(t0);
-    profile_.traffic_seconds += dt;
-    profile_.traffic_cycles += advanced;
-    phase_wall_seconds_ += dt;
-    if (wd_tripped) fail_phase(ph, rv, wd_why);
-    else if (phase_cycles_ >= ph.cycles) finalize_phase(ph, rv);
+  while (advanced < n && phase_cycles_ < bound && !(drain && net_->drained())) {
+    net_->tick();
+    if (generate) source_->generate(*net_);
+    phase_cycles_ += 1;
+    session_cycles_ += 1;
+    advanced += 1;
+    fire_due_faults();
+    if (watchdog_tripped(stalled)) break;
+    if (progress_every_ && phase_cycles_ % progress_every_ == 0) report_progress(ph);
+  }
+  const double dt = seconds_since(t0);
+  profile_seconds += dt;
+  profile_cycles += advanced;
+  phase_wall_seconds_ += dt;
+  if (!stalled.empty()) {
+    end_phase(ph, rv, &stalled);
+  } else if (phase_cycles_ >= bound || (drain && net_->drained())) {
+    end_phase(ph, rv, nullptr);
   }
   // Publish simulated time so log lines carry "cycle N" context.
   Log::sim_cycle() = static_cast<long long>(session_cycles_);

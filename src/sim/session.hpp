@@ -8,12 +8,17 @@
 // against the live register bank, whose state persists across eras), and
 // build the next network from the decoded registers. The reconfiguration
 // latency (drain + store cycles) is reported on the phase that caused it.
+// This is the simulator's only implementation of that flow: the Fig. 1
+// artifact (bench/paper_report.cpp) runs its three apps through a Session.
 //
-// The cycle loop inside a phase is exactly the legacy run_simulation
-// protocol - `net.tick(); workload.generate(net);` for traffic phases,
-// bare ticks until drained() for drain phases - which is what lets
-// run_simulation become a thin wrapper with bit-identical results (pinned
-// by tests/test_scenario.cpp across designs and kernels).
+// Every phase ticks through one loop body - `net.tick();` then
+// `workload.generate(net);` when the phase has traffic, stopping at the
+// phase's duration or, for a drain phase, once the network is drained -
+// which is exactly the legacy run_simulation protocol and lets
+// run_simulation stay a thin wrapper with bit-identical results (pinned
+// by tests/test_scenario.cpp across designs and kernels). Online faults,
+// the liveness watchdog and progress reports are checked after every
+// cycle of that loop.
 //
 // Control surface: run() executes everything; run_phase() one phase;
 // step(n) at most n cycles without crossing a phase boundary (mid-run
@@ -162,7 +167,9 @@ class Session {
   /// without ticking, e.g. an already-drained drain phase).
   Cycle step(Cycle n);
 
-  /// Runs the current phase to completion and returns its result.
+  /// Runs the current phase to completion and returns its result. The
+  /// reference stays valid for the session's lifetime (later phases do not
+  /// move earlier records).
   const PhaseResult& run_phase();
 
   /// Runs every remaining phase.
@@ -172,7 +179,8 @@ class Session {
   std::size_t phase_index() const { return phase_index_; }
   Cycle session_cycles() const { return session_cycles_; }
 
-  /// Completed phases so far (run() returns the same records).
+  /// Completed phases so far (run() returns the same records). References
+  /// to its elements stay valid for the session's lifetime.
   const std::vector<PhaseResult>& completed() const { return results_; }
 
   /// The running network of the current era. Throws before the first
@@ -226,8 +234,11 @@ class Session {
   const std::vector<PhaseSpec>& phases() const { return spec_.phases; }
   void resolve_phases();
   void begin_phase();
-  void finalize_phase(const PhaseSpec& ph, const Resolved& rv);
-  void fail_phase(const PhaseSpec& ph, const Resolved& rv, const std::string& why);
+  /// Records the current phase's result and moves to the next phase.
+  /// `failure` non-null fails the phase with that cause and snapshots no
+  /// statistics; otherwise the window is snapshot, and a drain phase that
+  /// did not empty fails with the drain-timeout error.
+  void end_phase(const PhaseSpec& ph, const Resolved& rv, const std::string* failure);
   void switch_era(const Resolved& rv);
   void report_progress(const PhaseSpec& ph);
   /// Adds the live network's per-shard telemetry (ticks, boundary flits,

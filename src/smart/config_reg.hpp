@@ -16,8 +16,10 @@
 //   [63:45]  reserved, must be zero
 //
 // The encoding is load-bearing: make_smart_network() materializes presets
-// through encode+decode, so every simulated SMART configuration has passed
-// through the register image (and the round-trip is pinned by tests).
+// through encode+decode, and sim::Session builds each SMART era from the
+// decoded registers after running the store program against its live bank,
+// so every simulated SMART configuration has passed through the register
+// image (and the round-trip is pinned by tests).
 #pragma once
 
 #include <cstdint>

@@ -34,10 +34,4 @@ inline SmartBuild make_smart_network(const NocConfig& cfg, noc::FlowSet flows) {
   return out;
 }
 
-/// The baseline mesh as a unique_ptr, for symmetric use in benches.
-inline std::unique_ptr<noc::MeshNetwork> make_mesh_network(const NocConfig& cfg,
-                                                           noc::FlowSet flows) {
-  return noc::make_baseline_mesh(cfg, std::move(flows));
-}
-
 }  // namespace smartnoc::smart

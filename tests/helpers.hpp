@@ -1,6 +1,6 @@
 // Shared helpers for the tests: single-packet latency probes, small
-// flow-set builders, the byte mutator of the seeded parser campaigns, and a
-// metrics-registry family total.
+// flow-set builders, a registrable one-flow workload, the byte mutator of
+// the seeded parser campaigns, and a metrics-registry family total.
 #pragma once
 
 #include <memory>
@@ -12,6 +12,7 @@
 #include "noc/network_iface.hpp"
 #include "noc/routing.hpp"
 #include "obs/metrics.hpp"
+#include "sim/workload.hpp"
 
 namespace smartnoc::testing {
 
@@ -53,6 +54,28 @@ inline noc::FlowSet one_flow(const NocConfig& cfg, NodeId src, NodeId dst,
   noc::FlowSet fs;
   fs.add(src, dst, mbps, noc::xy_path(cfg.dims(), src, dst));
   return fs;
+}
+
+/// A user workload: one flow along the XY path from `src` to `dst`.
+class OneFlowFactory final : public sim::WorkloadFactory {
+ public:
+  OneFlowFactory(NodeId src, NodeId dst, double mbps) : src_(src), dst_(dst), mbps_(mbps) {}
+  noc::FlowSet flows(NocConfig& cfg, double injection) const override {
+    cfg.bandwidth_scale *= injection;
+    return one_flow(cfg, src_, dst_, mbps_);
+  }
+
+ private:
+  NodeId src_;
+  NodeId dst_;
+  double mbps_;
+};
+
+/// Registers a OneFlowFactory under `name` and returns the name.
+inline std::string one_flow_workload(const std::string& name, NodeId src, NodeId dst,
+                                     double mbps = 100.0) {
+  sim::WorkloadRegistry::instance().add(name, std::make_shared<OneFlowFactory>(src, dst, mbps));
+  return name;
 }
 
 /// One to three byte edits: flip a bit, insert a byte (from `alphabet` half

@@ -357,7 +357,34 @@ TEST(FaultSession, WatchdogReportsStructuredStallInsteadOfHanging) {
       << sr.error << " (the StallReport summary must be embedded)";
   // Structured failure, not a timeout: the session stopped one watchdog
   // window into the stall, nowhere near the 500k drain bound.
-  EXPECT_LT(session.session_cycles(), 50'000u);
+  ASSERT_EQ(sr.phases.size(), 3u);
+  EXPECT_EQ(sr.phases[2].cycles_run, 1870u);
+  EXPECT_EQ(session.session_cycles(), 8870u);
+}
+
+TEST(FaultSession, WatchdogTripsInsideATrafficPhase) {
+  const std::string workload = testing::one_flow_workload("test-watchdog-flow", 0, 15, 400.0);
+  NocConfig cfg = testing::test_config();
+  cfg.warmup_cycles = 500;
+  cfg.measure_cycles = 20'000;
+  cfg.watchdog_window = 1000;
+  sim::ScenarioSpec spec = sim::ScenarioSpec::classic(Design::Mesh, workload, 1.0, cfg);
+  // Router 1 sits on the only flow's XY path: freezing it stops every flit
+  // while the source keeps offering packets.
+  spec.fault_events = noc::parse_fault_schedule_token("stall@3000:1@100000000");
+
+  sim::Session session(std::move(spec));
+  const sim::SessionResult sr = session.run();
+  EXPECT_FALSE(sr.ok);
+  ASSERT_EQ(sr.phases.size(), 2u) << "the session stops at the failed measure phase";
+  EXPECT_TRUE(sr.phases[0].ok);
+  EXPECT_FALSE(sr.phases[1].ok);
+  EXPECT_NE(sr.phases[1].error.find("liveness watchdog"), std::string::npos)
+      << sr.phases[1].error;
+  EXPECT_NE(sr.phases[1].error.find("packets in flight"), std::string::npos)
+      << sr.phases[1].error;
+  EXPECT_EQ(sr.phases[1].cycles_run, 3701u);
+  EXPECT_EQ(session.session_cycles(), 4201u);
 }
 
 }  // namespace

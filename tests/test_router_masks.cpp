@@ -73,7 +73,7 @@ void run_storm(Design design, Kernel kernel, std::uint64_t seed) {
                                          noc::TurnModel::XY);
   std::unique_ptr<noc::MeshNetwork> net =
       design == Design::Smart ? std::move(smart::make_smart_network(cfg, std::move(flows)).net)
-                              : smart::make_mesh_network(cfg, std::move(flows));
+                              : noc::make_baseline_mesh(cfg, std::move(flows));
   noc::TrafficEngine traffic(cfg, net->flows(), seed);
   // Ticks and drain checks go through `driver`; faults and masks through
   // the network itself.

@@ -1,5 +1,6 @@
 // Section V register encoding: exact round-trips, malformed-image
-// rejection, program compilation, and the reconfiguration cost model.
+// rejection and program compilation. The reconfiguration flow and its cost
+// model are tested through sim::Session in test_scenario.cpp.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -7,7 +8,6 @@
 #include "noc/routing.hpp"
 #include "noc/traffic.hpp"
 #include "smart/config_reg.hpp"
-#include "smart/reconfig.hpp"
 #include "smart/smart_network.hpp"
 
 namespace smartnoc::smart {
@@ -102,57 +102,6 @@ TEST(Program, DiffProgramSkipsUnchangedRouters) {
   // Preload the bank with the all-off default; only routers 0..3 change.
   const auto diff = compile_program_diff(build.table, rf);
   EXPECT_EQ(diff.size(), 4u);
-}
-
-TEST(Reconfig, SwitchingAppsMatchesDirectConstruction) {
-  const NocConfig cfg = test_config();
-  ReconfigManager mgr(cfg);
-  FlowSet app1;
-  app1.add(8, 3, 100.0, noc::xy_path(cfg.dims(), 8, 3));
-  const auto cost1 = mgr.reconfigure(std::move(app1));
-  EXPECT_EQ(cost1.drain_cycles, 0u);  // nothing running yet
-  EXPECT_GT(cost1.stores, 0);
-  // The running network behaves exactly like one built directly.
-  EXPECT_DOUBLE_EQ(smartnoc::testing::single_packet_latency(mgr.network(), 0), 1.0);
-}
-
-TEST(Reconfig, DrainsBeforeSwitching) {
-  const NocConfig cfg = test_config();
-  ReconfigManager mgr(cfg);
-  FlowSet app1;
-  app1.add(0, 15, 100.0, noc::xy_path(cfg.dims(), 0, 15));
-  mgr.reconfigure(std::move(app1));
-  // Leave a packet in flight, then switch: the manager must drain first.
-  mgr.network().offer_packet(0, mgr.network().now());
-  FlowSet app2;
-  app2.add(5, 6, 100.0, noc::xy_path(cfg.dims(), 5, 6));
-  const auto cost = mgr.reconfigure(std::move(app2));
-  EXPECT_GT(cost.drain_cycles, 0u);
-  EXPECT_DOUBLE_EQ(smartnoc::testing::single_packet_latency(mgr.network(), 0), 1.0);
-}
-
-TEST(Reconfig, SingleCoreRingCostsMoreThanParallel) {
-  const NocConfig cfg = test_config();
-  auto cost_of = [&](bool single_core) {
-    ReconfigManager mgr(cfg, single_core);
-    FlowSet app;
-    app.add(0, 15, 100.0, noc::xy_path(cfg.dims(), 0, 15));
-    return mgr.reconfigure(std::move(app)).store_cycles;
-  };
-  EXPECT_GT(cost_of(true), cost_of(false));
-}
-
-TEST(Reconfig, IdenticalAppIsFreeToReinstall) {
-  const NocConfig cfg = test_config();
-  ReconfigManager mgr(cfg);
-  auto mk = [&] {
-    FlowSet app;
-    app.add(0, 15, 100.0, noc::xy_path(cfg.dims(), 0, 15));
-    return app;
-  };
-  mgr.reconfigure(mk());
-  const auto cost = mgr.reconfigure(mk());
-  EXPECT_EQ(cost.stores, 0) << "diff program must be empty for identical presets";
 }
 
 }  // namespace
